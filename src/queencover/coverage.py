@@ -232,7 +232,9 @@ class BoardMasks:
         return m
 
 
-@lru_cache(maxsize=8)
+# Callers interleave many board sizes (scans, mixed evaluations); a full cache
+# of boards up to n = 41 holds about 3.7 MB.
+@lru_cache(maxsize=32)
 def _board_masks(n: int) -> BoardMasks:
     return BoardMasks(BoardSpec(n))
 

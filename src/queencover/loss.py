@@ -138,14 +138,15 @@ def total_loss(config: Configuration, board: BoardSpec) -> LossBreakdown:
     if not config.is_feasible(board):
         raise DomainError("total loss requires all queens on board")
     e, o = config.parity_counts
-    internal = internal_loss(config, board)
+    field = attack_field(config, board)
+    internal = field.internal_loss()
     central = center_loss(config, board)
     return LossBreakdown(
         internal=internal,
         central=central,
         total=internal + central,
         crossing_budget=crossing_budget(e, o),
-        overlap_concentration=overlap_concentration(config, board),
+        overlap_concentration=field.overlap_concentration(),
         even_count=e,
         odd_count=o,
         stable=is_stable_board(config, board),

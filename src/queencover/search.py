@@ -1,12 +1,20 @@
 """Optimal-configuration search, symmetry reduction and threshold scans.
 
-The exhaustive engine enumerates q-subsets of the board in center-out order
-with an admissible branch-and-bound cut: a queen on square s can add at most
-(4n - 3) - center_loss(s) covered squares, so sorted-prefix sums of those
-gains bound every subtree.  The bound is exact, never heuristic; all argmax
-configurations are returned, ties unbroken.  Windowed mode restricts the
-candidate squares to a centered box while counting cover on the full board
-and considers only non-attacking placements.
+Both search modes share one branch-and-bound over center-out ordered
+candidate squares.  Cover is a coverage function, hence submodular: the
+marginal gain of a candidate j, the number of squares it covers that the
+placed queens m do not (popcount(attack(j) & ~m)), can only shrink as queens
+are added.  A node with r queens still to place is therefore bounded by its
+cover plus the r largest exact marginals of its open candidates.  Children
+are tried in descending marginal gain, each excluding its earlier siblings,
+so child p is cut once cover + the gains at ranks p .. p + r - 1 fall below
+the incumbent; candidates whose gain cannot reach it are dropped from the
+child's list.  The cut is strict, so ties survive: the bound is exact, never
+heuristic, and all argmax configurations are returned.  The first queen is
+the least-indexed one and uses the same bound with the unobstructed gains
+(4n - 3) - center_loss(s).  Windowed mode restricts the candidates to a
+centered box while counting cover on the full board and considers only
+non-attacking placements.
 
 Symmetry is used twice: the first queen of an enumeration may be restricted
 to canonical squares (one per orbit of the board symmetries) without losing
@@ -19,6 +27,7 @@ from __future__ import annotations
 import hashlib
 import math
 import multiprocessing
+from bisect import bisect_right
 from itertools import combinations
 from dataclasses import dataclass
 from functools import lru_cache
@@ -205,6 +214,10 @@ def _engine(n: int) -> _Engine:
     return _Engine(n)
 
 
+def _neg_gain(entry: tuple[int, int]) -> int:
+    return -entry[0]
+
+
 class _Problem:
     """One search instance: candidate squares, masks and bound tables."""
 
@@ -214,47 +227,35 @@ class _Problem:
         self.q = q
         self.radius = radius
         self.require_nonattacking = require_nonattacking
+        # Candidates are the first W squares of the center-out order: center
+        # loss grows with the box radius, so every centered box is a prefix.
         if radius is None:
-            cand = list(range(len(eng.order)))
+            W = len(eng.order)
         else:
-            cand = [i for i in range(len(eng.order)) if eng.cd[i] <= radius]
-        self.cand = cand
-        W = len(cand)
+            W = sum(1 for d in eng.cd if d <= radius)
         self.W = W
-        self.cl = [eng.cl[i] for i in cand]
+        self.cl = eng.cl[:W]
         S = 4 * n - 3
         self.gain_prefix = [0] * (W + 1)
-        for j, i in enumerate(cand):
-            self.gain_prefix[j + 1] = self.gain_prefix[j] + (S - eng.cl[i])
+        for j in range(W):
+            self.gain_prefix[j + 1] = self.gain_prefix[j] + (S - self.cl[j])
         self.S = S
-        self.battack = [eng.attack[i] | (1 << i) for i in cand]
-        self.in_f = [eng.in_f[i] for i in cand]
+        self.battack = [eng.attack[j] | (1 << j) for j in range(W)]
+        self.in_f = eng.in_f[:W]
+        # free[j]: the candidates that a queen on candidate j does not attack.
         if require_nonattacking:
-            rows: dict[int, int] = {}
-            cols: dict[int, int] = {}
-            diags: dict[int, int] = {}
-            antis: dict[int, int] = {}
-            for j, i in enumerate(cand):
-                x, y = eng.order[i]
-                bit = 1 << j
-                rows[y] = rows.get(y, 0) | bit
-                cols[x] = cols.get(x, 0) | bit
-                diags[x - y] = diags.get(x - y, 0) | bit
-                antis[x + y] = antis.get(x + y, 0) | bit
-            self.wattack = []
-            for j, i in enumerate(cand):
-                x, y = eng.order[i]
-                m = rows[y] | cols[x] | diags[x - y] | antis[x + y]
-                self.wattack.append(m & ~(1 << j))
+            self.free = [
+                frozenset(i for i in range(W) if i != j and not (eng.attack[j] >> i) & 1)
+                for j in range(W)
+            ]
         else:
-            self.wattack = None
+            self.free = None
 
     def level0(self) -> list[int]:
         return [j for j in range(self.W) if self.in_f[j]]
 
     def config_at(self, sel: tuple[int, ...]) -> tuple[Square, ...]:
-        eng = self.engine
-        return tuple(sorted(eng.order[self.cand[j]] for j in sel))
+        return tuple(sorted(self.engine.order[j] for j in sel))
 
     def search_shard(
         self,
@@ -266,11 +267,13 @@ class _Problem:
         """Best cover, argmax selections and node count over one shard.
 
         The shared value, when present, is a monotone cross-shard incumbent
-        hint; stale reads only weaken pruning, never correctness.
+        hint; stale reads only weaken pruning, never correctness.  The node
+        budget is checked at every node, so an abort spends at most
+        node_budget + 1 nodes.
         """
         q, W, S = self.q, self.W, self.S
         cl, P, battack = self.cl, self.gain_prefix, self.battack
-        wattack = self.wattack
+        free = self.free
         best = seed
         found: list[tuple[int, ...]] = []
         nodes = 0
@@ -296,70 +299,66 @@ class _Problem:
                     return v
             return best
 
-        if wattack is None:
+        def spend(count: int):
+            nonlocal nodes
+            nodes += count
+            if nodes > node_budget:
+                raise BudgetExceededError(
+                    f"search aborted after {nodes} nodes", nodes, node_budget
+                )
 
-            def rec(start: int, k: int, m: int, cov: int, sel: tuple[int, ...]):
-                nonlocal nodes
-                r = q - k
-                if r == 0:
-                    note(cov, sel)
+        def rec(avail: list[int], r: int, m: int, cov: int, sel: tuple[int, ...]):
+            """Add r more queens from avail to the selection sel covering m."""
+            nm = ~m
+            if r == 1:
+                gains = [bc(battack[j] & nm) for j in avail]
+                top = max(gains)
+                if cov + top < hint():
                     return
-                cut = hint()
-                for i in range(start, W - r + 1):
-                    if cov + (S - cl[i]) + (P[i + r] - P[i + 1]) < cut:
-                        return
-                    nodes += 1
-                    m2 = m | battack[i]
-                    rec(i + 1, k + 1, m2, bc(m2), sel + (i,))
-
-            for j0 in level0:
-                if j0 > W - q:
-                    break
-                if (S - cl[j0]) + (P[j0 + q] - P[j0 + 1]) < hint():
-                    break
-                nodes += 1
-                m0 = battack[j0]
-                rec(j0 + 1, 1, m0, bc(m0), (j0,))
-                if nodes > node_budget:
-                    raise BudgetExceededError(
-                        f"search aborted after {nodes} nodes", nodes, node_budget
-                    )
-        else:
-            ALL = (1 << W) - 1
-
-            def rec_na(avail: int, k: int, m: int, cov: int, sel: tuple[int, ...]):
-                nonlocal nodes
-                r = q - k
-                if r == 0:
-                    note(cov, sel)
+                ties = [j for g, j in zip(gains, avail) if g == top]
+                spend(len(ties))
+                for j in ties:
+                    note(cov + top, sel + (j,))
+                return
+            # Children in descending marginal gain; each excludes its earlier
+            # siblings, so a child's subtree draws only from the candidates
+            # after it, whose r - 1 largest gains bound its completion.
+            ranked = sorted([(bc(battack[j] & nm), j) for j in avail], reverse=True)
+            last = len(ranked) - r
+            window = sum(g for g, _ in ranked[:r])
+            cut = hint()
+            for p in range(last + 1):
+                g, j = ranked[p]
+                if cov + window < cut:
                     return
-                a = avail
-                cut = hint()
-                while a:
-                    lsb = a & -a
-                    j = lsb.bit_length() - 1
-                    a ^= lsb
-                    if bc(a) + 1 < r:
-                        break
-                    if cov + (S - cl[j]) + (P[min(j + r, W)] - P[j + 1]) < cut:
-                        break
-                    nodes += 1
-                    m2 = m | battack[j]
-                    rec_na(a & ~wattack[j], k + 1, m2, bc(m2), sel + (j,))
+                spend(1)
+                rest = ranked[p + 1 :]
+                if free is not None:
+                    fj = free[j]
+                    rest = [e for e in rest if e[1] in fj]
+                # Gains here bound the child's (they only shrink), so drop the
+                # tail that cannot reach the cut even with the r - 2 best others.
+                head = sum(e[0] for e in rest[: r - 2])
+                keep = bisect_right(rest, head + cov + g - cut, key=_neg_gain)
+                if keep >= r - 1:
+                    rec([i for _, i in rest[:keep]], r - 1, m | battack[j], cov + g, sel + (j,))
+                    cut = hint()
+                if p < last:
+                    window += ranked[p + r][0] - g
 
-            for j0 in level0:
-                if j0 > W - q:
-                    break
-                if (S - cl[j0]) + (P[j0 + q] - P[j0 + 1]) < hint():
-                    break
-                nodes += 1
-                m0 = battack[j0]
-                avail = (ALL >> (j0 + 1)) << (j0 + 1)
-                rec_na(avail & ~wattack[j0], 1, m0, bc(m0), (j0,))
-                if nodes > node_budget:
-                    raise BudgetExceededError(
-                        f"search aborted after {nodes} nodes", nodes, node_budget
-                    )
+        for j0 in level0:
+            if j0 > W - q:
+                break
+            if (S - cl[j0]) + (P[j0 + q] - P[j0 + 1]) < hint():
+                break
+            spend(1)
+            m0 = battack[j0]
+            if q == 1:
+                note(bc(m0), (j0,))
+                continue
+            avail = [i for i in range(j0 + 1, W) if free is None or i in free[j0]]
+            if len(avail) >= q - 1:
+                rec(avail, q - 1, m0, bc(m0), (j0,))
 
         return best, found, nodes
 
@@ -389,27 +388,22 @@ def _greedy_cover(problem: _Problem) -> int:
 
     Only the most central candidates are considered, which keeps seeding
     cheap, and the feasibility rules of the problem (non-attacking, window)
-    are honored so the value is always attainable.  The search is exact
-    regardless of seed quality.
+    are honored so the value is always attainable; when the greedy walk runs
+    out of candidates before placing q queens the seed is 0.  The search is
+    exact regardless of seed quality.
     """
-    allowed = (1 << min(problem.W, 200)) - 1
+    allowed = list(range(min(problem.W, 200)))
     m = 0
     for _ in range(problem.q):
-        best_gain, best_j = -1, None
-        a = allowed
-        while a:
-            lsb = a & -a
-            j = lsb.bit_length() - 1
-            a ^= lsb
-            g = (m | problem.battack[j]).bit_count()
-            if g > best_gain:
-                best_gain, best_j = g, j
-        if best_j is None:
-            break
+        if not allowed:
+            return 0
+        best_j = max(allowed, key=lambda j: (m | problem.battack[j]).bit_count())
         m |= problem.battack[best_j]
-        allowed &= ~(1 << best_j)
-        if problem.wattack is not None:
-            allowed &= ~problem.wattack[best_j]
+        if problem.free is None:
+            allowed.remove(best_j)
+        else:
+            free = problem.free[best_j]
+            allowed = [i for i in allowed if i in free]
     return m.bit_count()
 
 
@@ -545,9 +539,11 @@ def windowed_optimal(params: SearchParams) -> OptimalSet:
     """Maximum cover over non-attacking q-subsets of a centered window.
 
     Cover is counted on the full board.  The result is exact relative to the
-    window restriction; if any optimum touches the window boundary the search
-    re-runs with a larger window (recorded in window_retries) until optima
-    clear the boundary or the window covers the board.
+    window restriction; if any optimum touches the window boundary, or the
+    window holds no non-attacking q-subset, the search re-runs with a larger
+    window (recorded in window_retries) until optima clear the boundary or
+    the window covers the board.  A board with no non-attacking q-subset at
+    all raises DomainError.
     """
     if params.mode != "windowed":
         raise DomainError("windowed_optimal requires mode='windowed'")
@@ -562,12 +558,17 @@ def windowed_optimal(params: SearchParams) -> OptimalSet:
             radius += 1
             continue
         best, configs, nodes = _run_problem(problem, params)
-        touched = any(
+        # A window holding no non-attacking q-subset grows like a touched one.
+        touched = not configs or any(
             chebyshev_center_distance(board, s) >= radius
             for queens in configs
             for s in queens
         )
         if not touched or radius >= max_radius:
+            if not configs:
+                raise DomainError(
+                    f"B_{params.n} holds no non-attacking configuration of {params.q} queens"
+                )
             return _finish(
                 params, best, configs, nodes, _window_side(radius, board), retries
             )
@@ -598,9 +599,18 @@ def border_certificate(config: Configuration, board: BoardSpec) -> bool:
     return all(field.count(s) <= 1 for s in border_squares(bigger))
 
 
-def canonical_pattern_fingerprint(configs: Iterable[Configuration]) -> str:
-    """Hash of the multiset of translation- and symmetry-normalized patterns."""
-    canon = sorted(pattern_of(c).canonical().offsets for c in configs)
+def canonical_pattern_fingerprint(classes: Iterable[FundamentalClass]) -> str:
+    """Hash of the multiset of translation- and symmetry-normalized patterns.
+
+    The multiset runs over every member of every orbit.  Board symmetries are
+    translations composed with the eight plane symmetries, so all members of
+    an orbit share the representative's normalized pattern: it is computed
+    once per class and counted orbit_size times.
+    """
+    canon = []
+    for c in classes:
+        canon += [pattern_of(c.representative).canonical().offsets] * c.orbit_size
+    canon.sort()
     blob = repr(canon).encode()
     return hashlib.sha256(blob).hexdigest()
 
@@ -678,7 +688,7 @@ def _scan(
                 class_sizes=tuple(
                     sorted((c.orbit_size for c in result.classes), reverse=True)
                 ),
-                pattern_fingerprint=canonical_pattern_fingerprint(result.configurations),
+                pattern_fingerprint=canonical_pattern_fingerprint(result.classes),
             )
         )
     return entries, warnings

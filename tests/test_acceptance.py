@@ -185,12 +185,6 @@ def test_criterion_5_knight_square_finite_verification():
     _report("criterion 5 (knight-square optimal at n=11,12)", started)
 
 
-def _identity_holds(config: Configuration, board: BoardSpec) -> bool:
-    field = attack_field(config, board)
-    e, o = config.parity_counts
-    return field.internal_loss() == crossing_budget(e, o) - field.overlap_concentration()
-
-
 def test_criterion_6_property_suites():
     started = time.perf_counter()
     rng = random.Random(987654321)

@@ -1,6 +1,12 @@
 """Exhaustive and windowed searches, orbit decomposition, thresholds."""
 
+import hashlib
+from itertools import combinations
+from math import comb
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from queencover import (
     BoardSpec,
@@ -17,11 +23,13 @@ from queencover import (
     knight_square,
     loss_minimal_patterns,
     nonattacking_threshold,
+    pattern_of,
     stabilizing_threshold,
     windowed_optimal,
 )
-from queencover.search import canonical_pattern_fingerprint
+from queencover.search import FundamentalClass, canonical_pattern_fingerprint
 
+from conftest import brute_attacks, brute_center_distance, brute_cover
 from expected_sets import Q2_EVEN, Q2_ODD, Q3_EVEN, Q3_ODD
 
 
@@ -113,6 +121,73 @@ def test_budget_refusal_carries_estimate():
     assert err.value.estimate > err.value.budget == 10_000
 
 
+def _brute_argmax(subsets, board):
+    """Plain enumeration: every subset reaching the largest brute-force cover."""
+    scored = [(brute_cover(Configuration.of(s), board), tuple(sorted(s))) for s in subsets]
+    top = max(c for c, _ in scored)
+    return top, sorted(s for c, s in scored if c == top)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.tuples(st.integers(1, 4), st.integers(1, 6)).filter(
+        lambda qn: qn[0] <= qn[1] ** 2 and comb(qn[1] ** 2, qn[0]) <= 2500
+    )
+)
+def test_exhaustive_matches_plain_enumeration(qn):
+    q, n = qn
+    board = BoardSpec(n)
+    top, argmax = _brute_argmax(combinations(list(board.squares()), q), board)
+    result = exhaustive_optimal(SearchParams(q=q, n=n))
+    assert result.max_cover == top
+    assert _as_set(result.configurations) == argmax
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.tuples(st.integers(1, 3), st.integers(3, 7), st.integers(1, 7)).filter(
+        lambda qnw: qnw[2] <= qnw[1]
+    )
+)
+def test_windowed_matches_plain_enumeration(qnw):
+    q, n, window = qnw
+    board = BoardSpec(n)
+
+    def nonattacking_subsets(squares):
+        return [
+            c for c in combinations(squares, q)
+            if not any(brute_attacks(a, b) for a, b in combinations(c, 2))
+        ]
+
+    try:
+        result = windowed_optimal(SearchParams(q=q, n=n, mode="windowed", window=window))
+    except DomainError:
+        assert not nonattacking_subsets(list(board.squares()))
+        return
+    # The final window is a centered box of side window_used; enumerate its
+    # non-attacking q-subsets, counting cover on the whole board.
+    used = result.window_used
+    radius = (used - 1) // 2 if n % 2 else used // 2 - 1
+    box = [s for s in board.squares() if brute_center_distance(board, s) <= radius]
+    top, argmax = _brute_argmax(nonattacking_subsets(box), board)
+    assert result.max_cover == top
+    assert _as_set(result.configurations) == argmax
+
+
+def test_windowed_search_node_count_guard():
+    # The marginal-gain bound keeps this case far below the 5.7M nodes that
+    # a bound ignoring overlap with placed queens visits.
+    result = windowed_optimal(SearchParams(q=6, n=21, mode="windowed", workers=1))
+    assert result.nodes < 200_000
+
+
+def test_node_budget_holds_inside_the_recursion():
+    with pytest.raises(BudgetExceededError) as err:
+        windowed_optimal(SearchParams(q=6, n=21, mode="windowed", budget=1000))
+    assert 1000 < err.value.estimate <= 1000 + 6
+    assert err.value.budget == 1000
+
+
 def test_worker_count_does_not_change_results():
     base = exhaustive_optimal(SearchParams(q=3, n=9, workers=1))
     multi = exhaustive_optimal(SearchParams(q=3, n=9, workers=2))
@@ -128,6 +203,14 @@ def test_windowed_five_queens_matches_known_classes():
     even = windowed_optimal(SearchParams(q=5, n=18, mode="windowed"))
     assert sorted(c.orbit_size for c in even.classes) == [8] * 5
     assert len(even.configurations) == 40
+
+
+def test_windowed_grows_a_window_without_nonattacking_subsets():
+    # The 2x2 center of B_4 holds no non-attacking pair.
+    result = windowed_optimal(SearchParams(q=2, n=4, mode="windowed", window=1))
+    assert result.window_retries >= 1 and result.configurations
+    with pytest.raises(DomainError):
+        windowed_optimal(SearchParams(q=3, n=3, mode="windowed", window=3))
 
 
 def test_windowed_boundary_retry_is_recorded():
@@ -199,8 +282,6 @@ def test_loss_minimal_knight_square_is_optimal_for_four_queens():
 
 def test_loss_route_agrees_with_cover_route():
     # Cross-oracle duality: loss-minimal patterns equal cover-optimal patterns.
-    from queencover import pattern_of
-
     for q, n_odd, n_even, radius in ((2, 13, 14, 3), (3, 13, 14, 4)):
         scan = loss_minimal_patterns(q, radius)
         for parity, n in (("odd", n_odd), ("even", n_even)):
@@ -211,6 +292,16 @@ def test_loss_route_agrees_with_cover_route():
 
 
 def test_pattern_fingerprint_translation_invariance():
-    a = [Configuration.of([(0, 0), (1, 2)])]
-    b = [Configuration.of([(5, -3), (6, -1)])]
+    a = [FundamentalClass(Configuration.of([(0, 0), (1, 2)]), 8, 1)]
+    b = [FundamentalClass(Configuration.of([(5, -3), (6, -1)]), 8, 1)]
     assert canonical_pattern_fingerprint(a) == canonical_pattern_fingerprint(b)
+
+
+def test_pattern_fingerprint_counts_every_orbit_member():
+    # One pattern per class, repeated orbit_size times, hashes the same
+    # multiset as normalizing every configuration of the optimal set.
+    for q, n in ((2, 10), (3, 13), (4, 9)):
+        result = exhaustive_optimal(SearchParams(q=q, n=n))
+        canon = sorted(pattern_of(c).canonical().offsets for c in result.configurations)
+        expected = hashlib.sha256(repr(canon).encode()).hexdigest()
+        assert canonical_pattern_fingerprint(result.classes) == expected, (q, n)
