@@ -24,7 +24,7 @@ from .errors import (
     RecordError,
 )
 from .geometry import BoardSpec
-from .loss import total_loss
+from .loss import stable_board, total_loss
 from .search import (
     DEFAULT_BUDGET,
     OptimalSet,
@@ -169,17 +169,6 @@ def _breakdown_record(config: Configuration, board: BoardSpec) -> dict:
     }
 
 
-def _stable_board_for(config: Configuration, odd: bool) -> BoardSpec:
-    rho = 0
-    for x, y in config.queens:
-        if odd:
-            rho = max(rho, abs(x), abs(y))
-        else:
-            rho = max(rho, max(0, -x, x - 1), max(0, -y, y - 1))
-    n = max(6 * rho + (1 if odd else 2), 9 if odd else 10)
-    return BoardSpec(n)
-
-
 def _cmd_loss(args) -> int:
     config = parse_config(args.config)
     if not config.queens:
@@ -187,7 +176,7 @@ def _cmd_loss(args) -> int:
     if args.n is not None:
         boards = [BoardSpec(args.n)]
     else:
-        boards = [_stable_board_for(config, True), _stable_board_for(config, False)]
+        boards = [stable_board(config, odd=True), stable_board(config, odd=False)]
     breakdowns = [_breakdown_record(config, b) for b in boards]
     record = {
         "schema_version": SCHEMA_VERSION,
@@ -398,10 +387,6 @@ def _add_global_options(parser: argparse.ArgumentParser, suppress: bool) -> None
     )
     parser.add_argument(
         "--cache-dir", default=default(None), help="persistent result cache directory"
-    )
-    parser.add_argument(
-        "--seed", type=int, default=default(None),
-        help="reserved; the exact search does not use randomness",
     )
     parser.add_argument(
         "--budget", type=int, default=default(DEFAULT_BUDGET),

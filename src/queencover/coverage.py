@@ -194,20 +194,19 @@ def pair_crossings(a: Square, b: Square) -> list[Square]:
 
 
 class BoardMasks:
-    """Per-line bitsets over one board for fast cover counting.
+    """Per-line bitsets over one board: the package's only line-mask builder.
 
-    Bit k corresponds to the k-th square in row-major order over B_n.
+    Bit k corresponds to the k-th square of the given order over B_n: the
+    cover count indexes row-major order, the search engine center-out order.
     """
 
-    def __init__(self, board: BoardSpec):
+    def __init__(self, board: BoardSpec, squares: Iterable[Square]):
         self.board = board
-        lo, hi = board.lo, board.hi
-        self.index = {s: k for k, s in enumerate(board.squares())}
         rows: dict[int, int] = {}
         cols: dict[int, int] = {}
         diags: dict[int, int] = {}
         antis: dict[int, int] = {}
-        for (x, y), k in self.index.items():
+        for k, (x, y) in enumerate(squares):
             bit = 1 << k
             rows[y] = rows.get(y, 0) | bit
             cols[x] = cols.get(x, 0) | bit
@@ -236,7 +235,8 @@ class BoardMasks:
 # of boards up to n = 41 holds about 3.7 MB.
 @lru_cache(maxsize=32)
 def _board_masks(n: int) -> BoardMasks:
-    return BoardMasks(BoardSpec(n))
+    board = BoardSpec(n)
+    return BoardMasks(board, board.squares())
 
 
 def cover_count(config: Configuration, board: BoardSpec) -> int:

@@ -46,29 +46,36 @@ def _centered(config: Configuration) -> Configuration:
     return config.translate(-(x0 + x1) // 2, -(y0 + y1) // 2)
 
 
-def stable_board_size(config: Configuration) -> int:
-    """Odd board side large enough that all attack-line crossings are on board."""
-    if not config.queens:
-        return 1
-    x0, y0, x1, y1 = config.bounding_box()
-    span = max(x1 - x0, y1 - y0)
-    rho = (span + 1) // 2
-    return max(6 * rho + 1, 2 * span + 9)
+def stable_board(config: Configuration, odd: bool) -> BoardSpec:
+    """Board of the given parity holding every pair crossing of the queens as placed.
+
+    With every queen within Chebyshev distance rho of the center, each
+    crossing coordinate lies in [-3 rho, 3 rho] on an odd board, so side
+    6 rho + 1 suffices, and in [-3 rho - 1, 3 rho + 2] on an even board,
+    whose center sits between 0 and 1, so side 6 rho + 4 suffices.  Sides
+    below 9 (odd) and 10 (even) are raised to them.  A non-attacking
+    configuration is therefore stable on the returned board.
+    """
+    if odd:
+        rho = max((max(abs(x), abs(y)) for x, y in config.queens), default=0)
+        return BoardSpec(max(6 * rho + 1, 9))
+    rho = max((max(0, -x, x - 1, -y, y - 1) for x, y in config.queens), default=0)
+    return BoardSpec(max(6 * rho + 4, 10))
 
 
 def internal_loss_stable(config: Configuration) -> int:
     """Board-size-independent internal loss of a non-attacking configuration.
 
-    Evaluated with the configuration centered on a board sized by
-    stable_board_size, then certified by recomputing on the next larger board
-    of the same parity and requiring equality.
+    Evaluated with the configuration centered on its odd stable_board, then
+    certified by recomputing on the next larger board of the same parity and
+    requiring equality.
     """
     if not is_nonattacking(config):
         raise UnboundedLossError("internal loss grows with n for attacking configurations")
     if config.q <= 1:
         return 0
     centered = _centered(config)
-    n = stable_board_size(centered)
+    n = stable_board(centered, odd=True).n
     value = internal_loss(centered, BoardSpec(n))
     check = internal_loss(centered, BoardSpec(n + 2))
     if value != check:
@@ -188,6 +195,6 @@ __all__ = [
     "overlap_concentration",
     "predicted_cover",
     "quarter_squares",
-    "stable_board_size",
+    "stable_board",
     "total_loss",
 ]

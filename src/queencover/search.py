@@ -20,6 +20,12 @@ Symmetry is used twice: the first queen of an enumeration may be restricted
 to canonical squares (one per orbit of the board symmetries) without losing
 any orbit of optimal configurations, and the result set is reported as
 fundamental classes (orbits with a lexicographically least representative).
+
+Every centered box is a prefix of the center-out order, so one per-board
+engine (order, center losses, attack masks from coverage.BoardMasks, and the
+canonical-square table) serves the exhaustive search, the windowed search
+and the loss route, which scores non-attacking subsets of a box by internal
+plus center loss and never counts cover.
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ from .geometry import (
     chebyshev_center_distance,
     transform_square,
 )
-from .loss import center_loss_of_square
+from .loss import center_loss_of_square, crossing_budget
 from . import coverage as _coverage
 
 DEFAULT_BUDGET = 10**10
@@ -165,7 +171,11 @@ def fundamental_classes(
 
 
 class _Engine:
-    """Per-board bitboard tables in center-out candidate order."""
+    """Per-board bitboard tables in center-out candidate order.
+
+    in_f[i] marks the canonical squares: no board symmetry maps square i to
+    an earlier one.
+    """
 
     def __init__(self, n: int):
         board = BoardSpec(n)
@@ -176,37 +186,24 @@ class _Engine:
             key=lambda s: (center_loss_of_square(s, board), s),
         )
         self.order = squares
-        self.pos = {s: i for i, s in enumerate(squares)}
         self.cl = [center_loss_of_square(s, board) for s in squares]
         self.cd = [chebyshev_center_distance(board, s) for s in squares]
-        rows: dict[int, int] = {}
-        cols: dict[int, int] = {}
-        diags: dict[int, int] = {}
-        antis: dict[int, int] = {}
-        for s, i in self.pos.items():
-            x, y = s
-            bit = 1 << i
-            rows[y] = rows.get(y, 0) | bit
-            cols[x] = cols.get(x, 0) | bit
-            diags[x - y] = diags.get(x - y, 0) | bit
-            antis[x + y] = antis.get(x + y, 0) | bit
-        self.attack = []
-        for i, (x, y) in enumerate(squares):
-            m = rows[y] | cols[x] | diags[x - y] | antis[x + y]
-            self.attack.append(m & ~(1 << i))
+        masks = _coverage.BoardMasks(board, squares)
+        self.attack = [masks.line_union(s) & ~(1 << i) for i, s in enumerate(squares)]
+        pos = {s: i for i, s in enumerate(squares)}
         p = board.parity_offset
-        self.perms = [
-            [self.pos[transform_square(kind, p, s)] for s in squares]
-            for kind in TRANSFORM_KINDS
+        perms = [
+            [pos[transform_square(kind, p, s)] for s in squares] for kind in TRANSFORM_KINDS
         ]
-        self.in_f = [all(perm[i] >= i for perm in self.perms) for i in range(len(squares))]
+        self.in_f = [all(perm[i] >= i for perm in perms) for i in range(len(squares))]
 
-    def cover_bits(self, queens: Iterable[Square]) -> int:
-        m = 0
-        for s in queens:
-            i = self.pos[s]
-            m |= self.attack[i] | (1 << i)
-        return m
+    def box_size(self, radius: int) -> int:
+        """Squares within Chebyshev distance radius of the center.
+
+        Center loss grows with the distance, so the centered box of any
+        radius is a prefix of the center-out order; this is its length.
+        """
+        return bisect_right(self.cd, radius)
 
 
 @lru_cache(maxsize=6)
@@ -227,12 +224,7 @@ class _Problem:
         self.q = q
         self.radius = radius
         self.require_nonattacking = require_nonattacking
-        # Candidates are the first W squares of the center-out order: center
-        # loss grows with the box radius, so every centered box is a prefix.
-        if radius is None:
-            W = len(eng.order)
-        else:
-            W = sum(1 for d in eng.cd if d <= radius)
+        W = len(eng.order) if radius is None else eng.box_size(radius)
         self.W = W
         self.cl = eng.cl[:W]
         S = 4 * n - 3
@@ -467,12 +459,8 @@ def _run_problem(
 def _orbit_expand(
     configs: list[tuple[Square, ...]], board: BoardSpec
 ) -> list[tuple[Square, ...]]:
-    out: set[tuple[Square, ...]] = set()
-    p = board.parity_offset
-    for queens in configs:
-        for kind in TRANSFORM_KINDS:
-            out.add(_transform_config(kind, p, queens))
-    return sorted(out)
+    orbits = (config_orbit(Configuration(queens), board) for queens in configs)
+    return sorted(set().union(*orbits))
 
 
 def _finish(
@@ -745,38 +733,16 @@ class LossScan:
 
 def _loss_scan_parity(q: int, radius: int, odd: bool, budget: int) -> LossMinimal:
     board = BoardSpec(4 * radius + (9 if odd else 10))
-    squares = [
-        s for s in board.squares() if chebyshev_center_distance(board, s) <= radius
-    ]
-    squares.sort(key=lambda s: (center_loss_of_square(s, board), s))
-    W = len(squares)
+    # The box is a prefix of the engine's center-out order; attack bits at or
+    # beyond W never enter avail, so the engine's masks serve unchanged.
+    eng = _engine(board.n)
+    W = eng.box_size(radius)
     if q > W:
         raise DomainError(f"box of radius {radius} has only {W} squares for q={q}")
-    cl = [center_loss_of_square(s, board) for s in squares]
+    squares, cl, wattack, in_f = eng.order, eng.cl, eng.attack, eng.in_f
     prefix = [0] * (W + 1)
-    for j, c in enumerate(cl):
-        prefix[j + 1] = prefix[j] + c
-    pos = {s: j for j, s in enumerate(squares)}
-    rows: dict[int, int] = {}
-    cols: dict[int, int] = {}
-    diags: dict[int, int] = {}
-    antis: dict[int, int] = {}
-    for j, (x, y) in enumerate(squares):
-        bit = 1 << j
-        rows[y] = rows.get(y, 0) | bit
-        cols[x] = cols.get(x, 0) | bit
-        diags[x - y] = diags.get(x - y, 0) | bit
-        antis[x + y] = antis.get(x + y, 0) | bit
-    wattack = []
-    for j, (x, y) in enumerate(squares):
-        m = rows[y] | cols[x] | diags[x - y] | antis[x + y]
-        wattack.append(m & ~(1 << j))
-    p_off = board.parity_offset
-    perms = [
-        [pos[transform_square(kind, p_off, s)] for s in squares]
-        for kind in TRANSFORM_KINDS
-    ]
-    in_f = [all(pm[j] >= j for pm in perms) for j in range(W)]
+    for j in range(W):
+        prefix[j + 1] = prefix[j] + cl[j]
 
     best: Optional[int] = None
     if q >= 2 and q <= 16:
@@ -800,10 +766,7 @@ def _loss_scan_parity(q: int, radius: int, odd: bool, budget: int) -> LossMinima
     chosen: list[int] = []
     state = {"inloss": 0, "nodes": 0}
     bc = int.bit_count
-    parity = [(x - y) & 1 for x, y in squares]
-
-    def _budget(e: int, o: int) -> int:
-        return 12 * (e * (e - 1) // 2) + 12 * (o * (o - 1) // 2) + 10 * e * o
+    parity = [(x - y) & 1 for x, y in squares[:W]]
 
     @lru_cache(maxsize=None)
     def inloss_floor_final(e: int, o: int, r: int) -> int:
@@ -813,7 +776,7 @@ def _loss_scan_parity(q: int, radius: int, odd: bool, budget: int) -> LossMinima
         pairs it consumes, so inloss = budget - discrepancy >= budget / 2; the
         budget itself is minimized over the parities of the r unplaced queens.
         """
-        low = min(_budget(e + fe, o + r - fe) for fe in range(r + 1))
+        low = min(crossing_budget(e + fe, o + r - fe) for fe in range(r + 1))
         return (low + 1) // 2
 
     def place(j: int) -> list[tuple[Square, int]]:
@@ -901,7 +864,10 @@ def _loss_scan_parity(q: int, radius: int, odd: bool, budget: int) -> LossMinima
         unplace(log)
 
     if best is None:
-        raise InvariantError("loss scan found no non-attacking configuration")
+        raise DomainError(
+            f"box of radius {radius} on B_{board.n} holds no non-attacking "
+            f"configuration of {q} queens"
+        )
     canon = sorted({pattern_of(Configuration.of(c)).canonical().offsets for c in found})
     return LossMinimal(
         parity="odd" if odd else "even",

@@ -1,15 +1,12 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 Run with `pytest tests/test_acceptance.py -v -s`.  The q=8/9 windowed tier
-takes minutes to hours and is opt-in: set QUEENCOVER_HEAVY=1.
+takes about half a minute and runs with the rest.
 """
 
-import os
 import random
 import time
 from itertools import combinations
-
-import pytest
 
 from queencover import (
     BoardSpec,
@@ -39,8 +36,6 @@ from queencover import (
 
 from conftest import brute_attacks, random_nonattacking
 from expected_sets import Q2_EVEN, Q2_ODD, Q3_EVEN, Q3_ODD, Q4_EVEN, Q4_ODD, Q6_ODD_REPRESENTATIVE
-
-HEAVY = os.environ.get("QUEENCOVER_HEAVY") == "1"
 
 TABLE1 = {
     2: (10, 4, 14, 4, 14),
@@ -142,7 +137,6 @@ def test_criterion_3_windowed_tier_standard():
     _report("criterion 3 (windowed tier q=5..7)", started)
 
 
-@pytest.mark.skipif(not HEAVY, reason="q=8,9 tier is opt-in: set QUEENCOVER_HEAVY=1")
 def test_criterion_3_windowed_tier_heavy():
     started = time.perf_counter()
     even8 = windowed_optimal(SearchParams(q=8, n=28, mode="windowed", window=11))

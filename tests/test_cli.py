@@ -93,6 +93,16 @@ def test_loss_reports_both_parities():
     assert all(d["stable"] for d in payload["breakdowns"])
 
 
+def test_loss_default_boards_are_stable_for_both_parities():
+    # The pair crosses at (3, 8), one row above B_14 (rows -6..7).
+    result = run_cli("--format", "structured", "loss", "--config", "(-2,3);(3,2)", check=True)
+    payload = json.loads(result.stdout)
+    by_parity = {d["parity"]: d for d in payload["breakdowns"]}
+    assert by_parity["odd"]["n"] == 19 and by_parity["even"]["n"] == 16
+    assert by_parity["odd"]["internal"] == by_parity["even"]["internal"] == 12
+    assert all(d["stable"] for d in payload["breakdowns"])
+
+
 def test_thresholds_nonattacking():
     result = run_cli(
         "thresholds", "--q", "2", "--kind", "nonattacking", "--n-lo", "4", "--n-hi", "14",

@@ -3,6 +3,8 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from queencover import (
     BoardSpec,
@@ -30,7 +32,9 @@ from queencover import (
     total_loss,
 )
 
-from conftest import brute_center_distance, random_nonattacking
+from queencover.loss import stable_board
+
+from conftest import brute_attacks, brute_center_distance, random_nonattacking
 
 KNIGHT = Configuration.of([(-1, 0), (0, 2), (1, -1), (2, 1)])
 PAIR = Configuration.of([(0, 0), (1, 2)])
@@ -62,6 +66,26 @@ def test_internal_loss_stable_translation_and_symmetry_invariant(rng):
         for t in all_transforms():
             image = Configuration.of(apply_transform(t, board, s) for s in config)
             assert internal_loss_stable(image) == reference
+
+
+def _squares_within(rho):
+    side = st.integers(-rho, rho + 1)
+    return st.lists(st.tuples(side, side), min_size=1, max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 4).flatmap(_squares_within), st.booleans())
+def test_stable_board_holds_every_pair_crossing(squares, odd):
+    # Keep each drawn square that no earlier kept one attacks.  Drawing from
+    # a box with an edge at rho + 1 puts queens where the even rule is tight.
+    kept = []
+    for s in squares:
+        if s not in kept and not any(brute_attacks(s, c) for c in kept):
+            kept.append(s)
+    config = Configuration.of(kept)
+    board = stable_board(config, odd)
+    assert board.is_odd == odd
+    assert is_stable_board(config, board)
 
 
 def test_center_loss_of_square_examples():

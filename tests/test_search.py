@@ -29,7 +29,7 @@ from queencover import (
 )
 from queencover.search import FundamentalClass, canonical_pattern_fingerprint
 
-from conftest import brute_attacks, brute_center_distance, brute_cover
+from conftest import brute_attack_number, brute_attacks, brute_center_distance, brute_cover
 from expected_sets import Q2_EVEN, Q2_ODD, Q3_EVEN, Q3_ODD
 
 
@@ -269,6 +269,52 @@ def test_loss_minimal_small_cases():
     pairs = loss_minimal_patterns(2, 3)
     assert pairs.odd.min_total == 14
     assert pairs.even.min_total == 14
+
+
+def test_loss_minimal_rejects_a_box_without_nonattacking_subsets():
+    # The 3x3 odd box holds no three mutually non-attacking queens.
+    for q in (3, 4):
+        with pytest.raises(DomainError):
+            loss_minimal_patterns(q, 1)
+
+
+def _plain_loss_minimum(q, radius, odd):
+    """Least total loss and its canonical patterns over the box, or None.
+
+    Enumerates the non-attacking q-subsets of the centered box and scores
+    each by the brute attack counter on a region holding every pair
+    crossing (coordinates within [-3r - 1, 3r + 2]) plus the center loss.
+    """
+    board = BoardSpec(4 * radius + (9 if odd else 10))
+    box = [s for s in board.squares() if brute_center_distance(board, s) <= radius]
+    span = range(-3 * radius - 1, 3 * radius + 3)
+    scored = []
+    for queens in combinations(box, q):
+        if any(brute_attacks(a, b) for a, b in combinations(queens, 2)):
+            continue
+        config = Configuration.of(queens)
+        internal = sum(
+            max(brute_attack_number(config, (x, y)) - 1, 0) for x in span for y in span
+        )
+        central = sum((0 if odd else 1) + 2 * brute_center_distance(board, s) for s in queens)
+        scored.append((internal + central, pattern_of(config).canonical().offsets))
+    if not scored:
+        return None
+    top = min(t for t, _ in scored)
+    return top, sorted({p for t, p in scored if t == top})
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 2))
+def test_loss_route_matches_plain_enumeration(q, radius):
+    plain = {odd: _plain_loss_minimum(q, radius, odd) for odd in (True, False)}
+    if None in plain.values():
+        with pytest.raises(DomainError):
+            loss_minimal_patterns(q, radius)
+        return
+    scan = loss_minimal_patterns(q, radius)
+    for odd, side in ((True, scan.odd), (False, scan.even)):
+        assert (side.min_total, [p.offsets for p in side.patterns]) == plain[odd]
 
 
 def test_loss_minimal_knight_square_is_optimal_for_four_queens():
