@@ -24,8 +24,20 @@ fundamental classes (orbits with a lexicographically least representative).
 Every centered box is a prefix of the center-out order, so one per-board
 engine (order, center losses, attack masks from coverage.BoardMasks, and the
 canonical-square table) serves the exhaustive search, the windowed search
-and the loss route, which scores non-attacking subsets of a box by internal
-plus center loss and never counts cover.
+and the loss route.
+
+The loss route scores non-attacking subsets of a box by internal plus
+center loss and never counts cover.  Each square where two non-attacking
+box queens' lines cross gets one bit, and cross[j] is the union of j's pair
+crossings with all its non-attacking partners in the box.  Two non-attacking
+queens' lines meet exactly on their pair crossings, so cross[i] & cross[j]
+is exactly the crossings of i and j.  A square's internal loss is the number
+of queens attacking it beyond the first, so placing j on queens whose masks
+OR to `lines` raises the internal loss by exactly popcount(lines & cross[j]):
+every square counted is attacked by a placed queen already, and j adds one
+attacker to it.  Each child is cut on that exact delta plus 10 for every
+queen still to place (a non-attacking pair crosses on at least 10 distinct
+squares) plus the least center loss of the remaining candidates.
 """
 
 from __future__ import annotations
@@ -50,7 +62,7 @@ from .geometry import (
     chebyshev_center_distance,
     transform_square,
 )
-from .loss import center_loss_of_square, crossing_budget
+from .loss import center_loss_of_square
 from . import coverage as _coverage
 
 DEFAULT_BUDGET = 10**10
@@ -723,152 +735,100 @@ class LossMinimal:
 
 @dataclass(frozen=True)
 class LossScan:
-    """Loss-minimal non-attacking patterns within a centered box, per parity."""
+    """Loss-minimal non-attacking patterns within a centered box, per parity.
+
+    A parity is None when its box holds no non-attacking q-subset.
+    """
 
     q: int
     radius: int
-    odd: LossMinimal
-    even: LossMinimal
+    odd: Optional[LossMinimal]
+    even: Optional[LossMinimal]
 
 
-def _loss_scan_parity(q: int, radius: int, odd: bool, budget: int) -> LossMinimal:
+def _loss_scan_parity(q: int, radius: int, odd: bool, budget: int) -> Optional[LossMinimal]:
     board = BoardSpec(4 * radius + (9 if odd else 10))
     # The box is a prefix of the engine's center-out order; attack bits at or
     # beyond W never enter avail, so the engine's masks serve unchanged.
     eng = _engine(board.n)
     W = eng.box_size(radius)
-    if q > W:
-        raise DomainError(f"box of radius {radius} has only {W} squares for q={q}")
-    squares, cl, wattack, in_f = eng.order, eng.cl, eng.attack, eng.in_f
+    squares, cl, attack, in_f = eng.order, eng.cl, eng.attack, eng.in_f
+    # prefix[j + r] - prefix[j] is the least center loss of r candidates from j
+    # on, because the order sorts by center loss.
     prefix = [0] * (W + 1)
     for j in range(W):
         prefix[j + 1] = prefix[j] + cl[j]
 
-    best: Optional[int] = None
-    if q >= 2 and q <= 16:
+    best = math.inf
+    if 2 <= q <= 16:
         build = stairs_details(q)
-        seed_total = build.internal + (build.center_odd if odd else build.center_even)
-        for c in centralize(build.pattern, board):
-            if c.radius(board) <= radius:
-                best = seed_total
-                break
+        if any(c.radius(board) <= radius for c in centralize(build.pattern, board)):
+            best = build.internal + (build.center_odd if odd else build.center_even)
 
-    crossings_of: dict[tuple[int, int], tuple[Square, ...]] = {}
-    for lo_j, hi_j in combinations(range(W), 2):
-        if not (wattack[lo_j] >> hi_j) & 1:
-            crossings_of[(lo_j, hi_j)] = tuple(
-                pair_crossings(squares[lo_j], squares[hi_j])
-            )
+    # One bit per crossing square of a non-attacking box pair; cross[j] is the
+    # union of j's crossings with all its non-attacking partners in the box.
+    bit: dict[Square, int] = {}
+    cross = [0] * W
+    for lo, hi in combinations(range(W), 2):
+        if not (attack[lo] >> hi) & 1:
+            mask = 0
+            for s in pair_crossings(squares[lo], squares[hi]):
+                mask |= 1 << bit.setdefault(s, len(bit))
+            cross[lo] |= mask
+            cross[hi] |= mask
 
-    found: list[tuple[Square, ...]] = []
-    # attackers[s] is a bitmask over the depths of chosen queens attacking s
-    attackers: dict[Square, int] = {}
-    chosen: list[int] = []
-    state = {"inloss": 0, "nodes": 0}
-    bc = int.bit_count
-    parity = [(x - y) & 1 for x, y in squares[:W]]
+    found: list[tuple[int, ...]] = []
+    nodes = 0
 
-    @lru_cache(maxsize=None)
-    def inloss_floor_final(e: int, o: int, r: int) -> int:
-        """Least possible final internal loss given parity counts so far.
-
-        The discrepancy of a square attacked a <= 4 times is at most half the
-        pairs it consumes, so inloss = budget - discrepancy >= budget / 2; the
-        budget itself is minimized over the parities of the r unplaced queens.
-        """
-        low = min(crossing_budget(e + fe, o + r - fe) for fe in range(r + 1))
-        return (low + 1) // 2
-
-    def place(j: int) -> list[tuple[Square, int]]:
-        log: list[tuple[Square, int]] = []
-        new_bit = 1 << len(chosen)
-        for depth, prev in enumerate(chosen):
-            pair = (prev, j) if prev < j else (j, prev)
-            both = new_bit | (1 << depth)
-            for s in crossings_of[pair]:
-                old = attackers.get(s, 0)
-                new = old | both
-                if new != old:
-                    log.append((s, old))
-                    attackers[s] = new
-                    state["inloss"] += bc(new) - max(bc(old), 1)
-        chosen.append(j)
-        return log
-
-    def unplace(log: list[tuple[Square, int]]):
-        chosen.pop()
-        for s, old in reversed(log):
-            new = attackers[s]
-            state["inloss"] -= bc(new) - max(bc(old), 1)
-            if old:
-                attackers[s] = old
-            else:
-                del attackers[s]
-
-    def rec(avail: int, k: int, cen: int, e: int, o: int):
-        nonlocal best
-        r = q - k
-        if r == 0:
-            total = state["inloss"] + cen
-            config = tuple(squares[j] for j in chosen)
-            if best is None or total < best:
-                best = total
-                found.clear()
-                found.append(config)
-            elif total == best:
-                found.append(config)
-            return
+    def rec(avail: int, r: int, lines: int, inloss: int, cen: int, sel: tuple[int, ...]):
+        # r >= 1 queens still to place on top of sel, whose crossing masks OR
+        # to lines; every future queen adds at least the 10 distinct crossings
+        # it shares with one placed queen.
+        nonlocal best, nodes
         a = avail
-        # Two admissible floors on the final internal loss: every future queen
-        # pairs with a placed one and a non-attacking pair crosses on at least
-        # 10 distinct squares (crossings accumulate square by square), and the
-        # parity-budget floor above.
-        inloss_floor = max(state["inloss"] + 10 * r, inloss_floor_final(e, o, r))
         while a:
             lsb = a & -a
             j = lsb.bit_length() - 1
             a ^= lsb
             if a.bit_count() + 1 < r:
                 break
-            lb = inloss_floor + cen + cl[j] + (prefix[min(j + r, W)] - prefix[j + 1])
-            if best is not None and lb > best:
-                break
-            state["nodes"] += 1
-            if state["nodes"] > budget:
+            rest = 10 * (r - 1) + cen + prefix[j + r] - prefix[j]
+            if inloss + 10 + rest > best:
+                break  # monotone in j: every later sibling is cut as well
+            loss = inloss + (lines & cross[j]).bit_count()
+            if loss + rest > best:
+                continue
+            nodes += 1
+            if nodes > budget:
                 raise BudgetExceededError(
-                    f"loss scan aborted after {state['nodes']} nodes",
-                    state["nodes"],
-                    budget,
+                    f"loss scan aborted after {nodes} nodes", nodes, budget
                 )
-            log = place(j)
-            rec(
-                a & ~wattack[j],
-                k + 1,
-                cen + cl[j],
-                e + (1 - parity[j]),
-                o + parity[j],
-            )
-            unplace(log)
+            if r > 1:
+                rec(a & ~attack[j], r - 1, lines | cross[j], loss, cen + cl[j], sel + (j,))
+            elif loss + rest < best:
+                best = loss + rest
+                found[:] = [sel + (j,)]
+            else:
+                found.append(sel + (j,))
 
     all_bits = (1 << W) - 1
     for j0 in range(W - q + 1):
         if not in_f[j0]:
             continue
-        floor0 = max(10 * (q - 1), inloss_floor_final(0, 0, q))
-        floor0 += cl[j0] + (prefix[j0 + q] - prefix[j0 + 1])
-        if best is not None and floor0 > best:
+        if 10 * (q - 1) + prefix[j0 + q] - prefix[j0] > best:
             break
-        log = place(j0)
-        avail = (all_bits >> (j0 + 1)) << (j0 + 1)
-        rec(avail & ~wattack[j0], 1, cl[j0], 1 - parity[j0], parity[j0])
-        unplace(log)
+        if q == 1:
+            best = cl[j0]
+            found.append((j0,))
+        else:
+            avail = (all_bits >> (j0 + 1)) << (j0 + 1)
+            rec(avail & ~attack[j0], q - 1, cross[j0], 0, cl[j0], (j0,))
 
-    if best is None:
-        raise DomainError(
-            f"box of radius {radius} on B_{board.n} holds no non-attacking "
-            f"configuration of {q} queens"
-        )
-    canon = sorted({pattern_of(Configuration.of(c)).canonical().offsets for c in found})
+    if not found:
+        return None
+    canon = sorted(
+        {pattern_of(Configuration.of([squares[j] for j in sel])).canonical().offsets for sel in found}
+    )
     return LossMinimal(
         parity="odd" if odd else "even",
         min_total=best,
@@ -879,21 +839,28 @@ def _loss_scan_parity(q: int, radius: int, odd: bool, budget: int) -> LossMinima
 def loss_minimal_patterns(q: int, radius: int, budget: int = DEFAULT_BUDGET) -> LossScan:
     """Non-attacking patterns of minimal board-independent loss, per parity.
 
-    Enumerates non-attacking q-subsets of a centered box, scoring each by
-    center loss plus the internal loss accumulated from pairwise attack-line
-    crossings.  This route never counts cover, so it can cross-validate the
-    cover searches through the loss/cover identity.
+    Enumerates the non-attacking q-subsets of the centered box of the given
+    radius on B_{4r+9} (odd) and B_{4r+10} (even), scoring each by center
+    loss plus internal loss.  Two non-attacking queens' lines meet exactly on
+    their pair crossings, and a square's internal loss is the number of
+    queens attacking it beyond the first, so a new queen raises the internal
+    loss by the number of distinct squares it crosses with the placed ones:
+    one AND and popcount of crossing-square bitmasks per candidate.  The
+    route never counts cover, so it cross-validates the cover searches
+    through the loss/cover identity.  A parity whose box holds no
+    non-attacking q-subset is None; DomainError is raised when both are.
     """
     if q < 1:
         raise DomainError(f"q must be >= 1, got {q}")
     if radius < 0:
         raise DomainError(f"radius must be >= 0, got {radius}")
-    return LossScan(
-        q=q,
-        radius=radius,
-        odd=_loss_scan_parity(q, radius, True, budget),
-        even=_loss_scan_parity(q, radius, False, budget),
-    )
+    odd = _loss_scan_parity(q, radius, True, budget)
+    even = _loss_scan_parity(q, radius, False, budget)
+    if odd is None and even is None:
+        raise DomainError(
+            f"no centered box of radius {radius} holds {q} mutually non-attacking queens"
+        )
+    return LossScan(q=q, radius=radius, odd=odd, even=even)
 
 
 def stabilizing_threshold(

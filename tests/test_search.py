@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import queencover.coverage
+import queencover.search
 from queencover import (
     BoardSpec,
     BudgetExceededError,
@@ -272,10 +274,34 @@ def test_loss_minimal_small_cases():
 
 
 def test_loss_minimal_rejects_a_box_without_nonattacking_subsets():
-    # The 3x3 odd box holds no three mutually non-attacking queens.
-    for q in (3, 4):
-        with pytest.raises(DomainError):
-            loss_minimal_patterns(q, 1)
+    # The 3x3 odd box holds no three mutually non-attacking queens, but the
+    # 4x4 even box does; only when neither parity has one is the call refused.
+    for q, even_total in ((3, 34), (4, 60)):
+        scan = loss_minimal_patterns(q, 1)
+        assert scan.odd is None
+        assert scan.even.min_total == even_total
+    with pytest.raises(DomainError):
+        loss_minimal_patterns(5, 1)
+
+
+def test_loss_route_budget_holds_inside_the_recursion():
+    with pytest.raises(BudgetExceededError) as err:
+        loss_minimal_patterns(5, 4, budget=1000)
+    assert 1000 < err.value.estimate <= 1001
+    assert err.value.budget == 1000
+
+
+def test_loss_route_never_counts_cover(monkeypatch):
+    # The loss route is an independent oracle: it must reach its answer
+    # without the cover kernel (the stairs seed may still use attack_field).
+    expected = loss_minimal_patterns(4, 3)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the loss route counted cover")
+
+    monkeypatch.setattr(queencover.search, "cover_count", refuse)
+    monkeypatch.setattr(queencover.coverage, "cover_count", refuse)
+    assert loss_minimal_patterns(4, 3) == expected
 
 
 def _plain_loss_minimum(q, radius, odd):
@@ -308,13 +334,14 @@ def _plain_loss_minimum(q, radius, odd):
 @given(st.integers(1, 4), st.integers(0, 2))
 def test_loss_route_matches_plain_enumeration(q, radius):
     plain = {odd: _plain_loss_minimum(q, radius, odd) for odd in (True, False)}
-    if None in plain.values():
+    if plain[True] is None and plain[False] is None:
         with pytest.raises(DomainError):
             loss_minimal_patterns(q, radius)
         return
     scan = loss_minimal_patterns(q, radius)
     for odd, side in ((True, scan.odd), (False, scan.even)):
-        assert (side.min_total, [p.offsets for p in side.patterns]) == plain[odd]
+        got = None if side is None else (side.min_total, [p.offsets for p in side.patterns])
+        assert got == plain[odd]
 
 
 def test_loss_minimal_knight_square_is_optimal_for_four_queens():
