@@ -1,7 +1,7 @@
 """Command-line interface: searches, loss reports, rendering and verification.
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage or input error,
-3 refused budget, 4 internal invariant breach.
+3 search aborted over its node budget, 4 internal invariant breach.
 """
 
 from __future__ import annotations
@@ -104,7 +104,8 @@ def _classes_text(result: OptimalSet) -> str:
     ]
     if result.window_used is not None:
         lines.append(
-            f"window used: {result.window_used} (retries: {result.window_retries})"
+            f"window used: {result.window_used} (retries: {result.window_retries}); "
+            f"optimum within the window, not certified for B_{result.params.n}"
         )
     for i, cls in enumerate(result.classes):
         lines.append(
@@ -202,7 +203,6 @@ def _cmd_search(args) -> int:
         n=args.n,
         mode=args.mode,
         window=args.window,
-        require_nonattacking=args.require_nonattacking,
         workers=args.workers,
         budget=args.budget,
     )
@@ -239,7 +239,6 @@ def _cmd_thresholds(args) -> int:
         "entries": [
             {
                 "n": e.n,
-                "mode": e.mode,
                 "max_cover": e.max_cover,
                 "optimal_count": e.optimal_count,
                 "all_nonattacking": e.all_nonattacking,
@@ -255,7 +254,7 @@ def _cmd_thresholds(args) -> int:
     ]
     for e in report.entries:
         lines.append(
-            f"  n={e.n} [{e.mode}] max_cover={e.max_cover} optima={e.optimal_count} "
+            f"  n={e.n} max_cover={e.max_cover} optima={e.optimal_count} "
             f"nonattacking={e.all_nonattacking} classes={list(e.class_sizes)}"
         )
     if report.kind == "nonattacking":
@@ -390,7 +389,7 @@ def _add_global_options(parser: argparse.ArgumentParser, suppress: bool) -> None
     )
     parser.add_argument(
         "--budget", type=int, default=default(DEFAULT_BUDGET),
-        help="search node budget; exhaustive runs are refused above it",
+        help="search node budget; a search that spends more nodes aborts",
     )
 
 
@@ -423,7 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--mode", choices=("exhaustive", "windowed"), default="exhaustive")
     p.add_argument("--window", type=int, default=None, help="windowed-mode box side (default q+3)")
-    p.add_argument("--require-nonattacking", action="store_true")
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("thresholds", parents=[common], help="empirical threshold scans over a range of n")
@@ -460,7 +458,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         return args.func(args)
     except BudgetExceededError as e:
-        print(f"refused: {e}", file=sys.stderr)
+        print(f"error: {e}", file=sys.stderr)
         return 3
     except (DomainError, RecordError, NotStableError) as e:
         print(f"error: {e}", file=sys.stderr)

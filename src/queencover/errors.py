@@ -28,11 +28,11 @@ class NotStableError(QueenCoverError):
 
 
 class BudgetExceededError(QueenCoverError):
-    """A search was refused or aborted because it exceeds the configured budget."""
+    """A search spent more nodes than its budget and aborted; nodes is the count spent."""
 
-    def __init__(self, message: str, estimate: int, budget: int):
+    def __init__(self, message: str, nodes: int, budget: int):
         super().__init__(message)
-        self.estimate = estimate
+        self.nodes = nodes
         self.budget = budget
 
 

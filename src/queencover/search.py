@@ -14,7 +14,9 @@ heuristic, and all argmax configurations are returned.  The first queen is
 the least-indexed one and uses the same bound with the unobstructed gains
 (4n - 3) - center_loss(s).  Windowed mode restricts the candidates to a
 centered box while counting cover on the full board and considers only
-non-attacking placements.
+non-attacking placements, so its optimum is relative to the window.  The node
+budget, checked at every node, is the only thing that stops a search; a
+call's successive windows, or the loss route's two parities, share it.
 
 Symmetry is used twice: the first queen of an enumeration may be restricted
 to canonical squares (one per orbit of the board symmetries) without losing
@@ -78,7 +80,6 @@ class SearchParams:
     n: int
     mode: str = "exhaustive"
     window: Optional[int] = None
-    require_nonattacking: bool = False
     workers: int = 1
     budget: int = DEFAULT_BUDGET
 
@@ -100,7 +101,6 @@ class SearchParams:
             if window > self.n:
                 raise DomainError(f"window {window} exceeds board side {self.n}")
             object.__setattr__(self, "window", window)
-            object.__setattr__(self, "require_nonattacking", True)
         else:
             object.__setattr__(self, "window", None)
 
@@ -111,7 +111,6 @@ class SearchParams:
             "n": self.n,
             "mode": self.mode,
             "window": self.window,
-            "require_nonattacking": self.require_nonattacking,
         }
 
 
@@ -134,8 +133,11 @@ class FundamentalClass:
 class OptimalSet:
     """All cover-maximal configurations for one search, orbit-decomposed.
 
-    nodes is exploration metadata; it varies with worker scheduling and is
-    excluded from stable serialization.
+    A windowed result (window_used set) is the optimum within the final
+    window, not certified as the optimum of B_n: optima that attack each
+    other or leave the window are never seen.  nodes counts every window of
+    the call; it is exploration metadata, varies with worker scheduling and
+    is excluded from stable serialization.
     """
 
     params: SearchParams
@@ -228,14 +230,17 @@ def _neg_gain(entry: tuple[int, int]) -> int:
 
 
 class _Problem:
-    """One search instance: candidate squares, masks and bound tables."""
+    """One search instance: candidate squares, masks and bound tables.
 
-    def __init__(self, n: int, q: int, radius: Optional[int], require_nonattacking: bool):
+    A radius restricts the search to non-attacking subsets of that centered
+    box; radius None searches the whole board with attacks allowed.
+    """
+
+    def __init__(self, n: int, q: int, radius: Optional[int]):
         eng = _engine(n)
         self.engine = eng
         self.q = q
         self.radius = radius
-        self.require_nonattacking = require_nonattacking
         W = len(eng.order) if radius is None else eng.box_size(radius)
         self.W = W
         self.cl = eng.cl[:W]
@@ -247,7 +252,7 @@ class _Problem:
         self.battack = [eng.attack[j] | (1 << j) for j in range(W)]
         self.in_f = eng.in_f[:W]
         # free[j]: the candidates that a queen on candidate j does not attack.
-        if require_nonattacking:
+        if radius is not None:
             self.free = [
                 frozenset(i for i in range(W) if i != j and not (eng.attack[j] >> i) & 1)
                 for j in range(W)
@@ -266,21 +271,22 @@ class _Problem:
         level0: list[int],
         seed: int,
         node_budget: int,
+        spent: int = 0,
         shared=None,
     ) -> tuple[int, list[tuple[int, ...]], int]:
         """Best cover, argmax selections and node count over one shard.
 
         The shared value, when present, is a monotone cross-shard incumbent
-        hint; stale reads only weaken pruning, never correctness.  The node
-        budget is checked at every node, so an abort spends at most
-        node_budget + 1 nodes.
+        hint; stale reads only weaken pruning, never correctness.  Counting
+        starts at spent, the nodes of the call's earlier windows, and the
+        budget is checked against the total at every node.
         """
         q, W, S = self.q, self.W, self.S
         cl, P, battack = self.cl, self.gain_prefix, self.battack
         free = self.free
         best = seed
         found: list[tuple[int, ...]] = []
-        nodes = 0
+        nodes = spent
         bc = int.bit_count
 
         def note(cov: int, sel: tuple[int, ...]):
@@ -370,21 +376,14 @@ class _Problem:
 _POOL_STATE: dict = {}
 
 
-def _pool_init(n, q, radius, require_nonattacking, seed, node_budget, shared):
-    _POOL_STATE["problem"] = _Problem(n, q, radius, require_nonattacking)
-    _POOL_STATE["seed"] = seed
-    _POOL_STATE["node_budget"] = node_budget
-    _POOL_STATE["shared"] = shared
+def _pool_init(n, q, radius, *shard_args):
+    """shard_args: search_shard's seed, node_budget, spent and shared."""
+    _POOL_STATE["problem"] = _Problem(n, q, radius)
+    _POOL_STATE["shard_args"] = shard_args
 
 
 def _pool_run(level0_chunk: list[int]):
-    p = _POOL_STATE["problem"]
-    return p.search_shard(
-        level0_chunk,
-        _POOL_STATE["seed"],
-        _POOL_STATE["node_budget"],
-        _POOL_STATE["shared"],
-    )
+    return _POOL_STATE["problem"].search_shard(level0_chunk, *_POOL_STATE["shard_args"])
 
 
 def _greedy_cover(problem: _Problem) -> int:
@@ -432,8 +431,12 @@ def _seed_cover(problem: _Problem, board: BoardSpec) -> int:
 
 
 def _run_problem(
-    problem: _Problem, params: SearchParams
+    problem: _Problem, params: SearchParams, spent: int = 0
 ) -> tuple[int, list[tuple[Square, ...]], int]:
+    """Best cover, argmax configurations and nodes, counting on from spent.
+
+    Each pool shard may spend the rest of the budget on its own.
+    """
     board = problem.engine.board
     seed = _seed_cover(problem, board)
     level0 = problem.level0()
@@ -449,9 +452,9 @@ def _run_problem(
                 problem.engine.n,
                 problem.q,
                 problem.radius,
-                problem.require_nonattacking,
                 seed,
                 node_budget,
+                spent,
                 shared,
             ),
         ) as pool:
@@ -461,9 +464,9 @@ def _run_problem(
         for b, found, _ in results:
             if b == best:
                 sels.extend(found)
-        nodes = sum(nd for _, _, nd in results)
+        nodes = spent + sum(nd - spent for _, _, nd in results)
     else:
-        best, sels, nodes = problem.search_shard(level0, seed, node_budget)
+        best, sels, nodes = problem.search_shard(level0, seed, node_budget, spent)
     configs = sorted({problem.config_at(sel) for sel in sels})
     return best, configs, nodes
 
@@ -511,15 +514,7 @@ def exhaustive_optimal(params: SearchParams) -> OptimalSet:
     """Exact maximum cover over all q-subsets of the board (attacks allowed)."""
     if params.mode != "exhaustive":
         raise DomainError("exhaustive_optimal requires mode='exhaustive'")
-    estimate = math.comb(params.n * params.n, params.q)
-    if estimate > params.budget:
-        raise BudgetExceededError(
-            f"C({params.n * params.n}, {params.q}) = {estimate} subsets exceeds "
-            f"budget {params.budget}",
-            estimate,
-            params.budget,
-        )
-    problem = _Problem(params.n, params.q, None, params.require_nonattacking)
+    problem = _Problem(params.n, params.q, None)
     best, configs, nodes = _run_problem(problem, params)
     return _finish(params, best, configs, nodes, None, 0)
 
@@ -538,12 +533,14 @@ def _window_side(radius: int, board: BoardSpec) -> int:
 def windowed_optimal(params: SearchParams) -> OptimalSet:
     """Maximum cover over non-attacking q-subsets of a centered window.
 
-    Cover is counted on the full board.  The result is exact relative to the
-    window restriction; if any optimum touches the window boundary, or the
-    window holds no non-attacking q-subset, the search re-runs with a larger
-    window (recorded in window_retries) until optima clear the boundary or
-    the window covers the board.  A board with no non-attacking q-subset at
-    all raises DomainError.
+    Cover is counted on the full board.  The result is the optimum within the
+    window, not certified as the optimum of B_n: an attacking configuration
+    or one reaching beyond the window may cover more.  If any optimum touches
+    the window boundary, or the window holds no non-attacking q-subset, the
+    search re-runs with a larger window (recorded in window_retries) until
+    optima clear the boundary or the window covers the board.  All windows
+    draw from one node budget, and nodes counts them all.  A board with no
+    non-attacking q-subset at all raises DomainError.
     """
     if params.mode != "windowed":
         raise DomainError("windowed_optimal requires mode='windowed'")
@@ -551,13 +548,14 @@ def windowed_optimal(params: SearchParams) -> OptimalSet:
     radius = _window_radius(params.window, board)
     max_radius = board.max_center_distance()
     retries = 0
+    nodes = 0
     while True:
         radius = min(radius, max_radius)
-        problem = _Problem(params.n, params.q, radius, True)
+        problem = _Problem(params.n, params.q, radius)
         if problem.W < params.q:
             radius += 1
             continue
-        best, configs, nodes = _run_problem(problem, params)
+        best, configs, nodes = _run_problem(problem, params, nodes)
         # A window holding no non-attacking q-subset grows like a touched one.
         touched = not configs or any(
             chebyshev_center_distance(board, s) >= radius
@@ -620,7 +618,6 @@ class ScanEntry:
     """Summary of the optimal set at one board size during a threshold scan."""
 
     n: int
-    mode: str
     max_cover: int
     optimal_count: int
     all_nonattacking: bool
@@ -656,6 +653,10 @@ def _scan(
     budget: int,
     runner: Optional[Runner],
 ) -> tuple[list[ScanEntry], list[str]]:
+    """Summaries of the exact optimal sets (attacks allowed) for n in [n_lo, n_hi].
+
+    A board whose search exceeds the node budget raises BudgetExceededError.
+    """
     if n_lo > n_hi:
         raise DomainError(f"empty scan range [{n_lo}, {n_hi}]")
     run = runner or run_search
@@ -665,21 +666,10 @@ def _scan(
         if q > n * n:
             warnings.append(f"skipped n={n}: more queens than squares")
             continue
-        if math.comb(n * n, q) <= budget:
-            params = SearchParams(q=q, n=n, mode="exhaustive", workers=workers, budget=budget)
-        else:
-            params = SearchParams(
-                q=q, n=n, mode="windowed", workers=workers, budget=budget
-            )
-            warnings.append(
-                f"n={n}: exhaustive search over budget; windowed scan cannot rule "
-                f"out attacking optima"
-            )
-        result = run(params)
+        result = run(SearchParams(q=q, n=n, workers=workers, budget=budget))
         entries.append(
             ScanEntry(
                 n=n,
-                mode=params.mode,
                 max_cover=result.max_cover,
                 optimal_count=len(result.configurations),
                 all_nonattacking=all(
@@ -702,7 +692,7 @@ def nonattacking_threshold(
     budget: int = DEFAULT_BUDGET,
     runner: Optional[Runner] = None,
 ) -> ThresholdReport:
-    """Scan for the least n from which every optimum is non-attacking."""
+    """Scan for the least n from which every optimum is non-attacking (exact, see _scan)."""
     entries, warnings = _scan(q, n_lo, n_hi, workers, budget, runner)
     n1 = None
     for e in reversed(entries):
@@ -746,7 +736,10 @@ class LossScan:
     even: Optional[LossMinimal]
 
 
-def _loss_scan_parity(q: int, radius: int, odd: bool, budget: int) -> Optional[LossMinimal]:
+def _loss_scan_parity(
+    q: int, radius: int, odd: bool, budget: int, spent: int
+) -> tuple[Optional[LossMinimal], int]:
+    """One parity's loss-minimal patterns and nodes, counting on from spent."""
     board = BoardSpec(4 * radius + (9 if odd else 10))
     # The box is a prefix of the engine's center-out order; attack bits at or
     # beyond W never enter avail, so the engine's masks serve unchanged.
@@ -778,7 +771,7 @@ def _loss_scan_parity(q: int, radius: int, odd: bool, budget: int) -> Optional[L
             cross[hi] |= mask
 
     found: list[tuple[int, ...]] = []
-    nodes = 0
+    nodes = spent
 
     def rec(avail: int, r: int, lines: int, inloss: int, cen: int, sel: tuple[int, ...]):
         # r >= 1 queens still to place on top of sel, whose crossing masks OR
@@ -825,7 +818,7 @@ def _loss_scan_parity(q: int, radius: int, odd: bool, budget: int) -> Optional[L
             rec(avail & ~attack[j0], q - 1, cross[j0], 0, cl[j0], (j0,))
 
     if not found:
-        return None
+        return None, nodes
     canon = sorted(
         {pattern_of(Configuration.of([squares[j] for j in sel])).canonical().offsets for sel in found}
     )
@@ -833,7 +826,7 @@ def _loss_scan_parity(q: int, radius: int, odd: bool, budget: int) -> Optional[L
         parity="odd" if odd else "even",
         min_total=best,
         patterns=tuple(Pattern(offs) for offs in canon),
-    )
+    ), nodes
 
 
 def loss_minimal_patterns(q: int, radius: int, budget: int = DEFAULT_BUDGET) -> LossScan:
@@ -849,13 +842,14 @@ def loss_minimal_patterns(q: int, radius: int, budget: int = DEFAULT_BUDGET) -> 
     route never counts cover, so it cross-validates the cover searches
     through the loss/cover identity.  A parity whose box holds no
     non-attacking q-subset is None; DomainError is raised when both are.
+    Both parities draw from one node budget.
     """
     if q < 1:
         raise DomainError(f"q must be >= 1, got {q}")
     if radius < 0:
         raise DomainError(f"radius must be >= 0, got {radius}")
-    odd = _loss_scan_parity(q, radius, True, budget)
-    even = _loss_scan_parity(q, radius, False, budget)
+    odd, spent = _loss_scan_parity(q, radius, True, budget, 0)
+    even, _ = _loss_scan_parity(q, radius, False, budget, spent)
     if odd is None and even is None:
         raise DomainError(
             f"no centered box of radius {radius} holds {q} mutually non-attacking queens"
@@ -874,7 +868,8 @@ def stabilizing_threshold(
     """Scan for the least n from which the optimal pattern multiset is constant.
 
     Placements shift with board parity, so constancy is measured per parity via
-    translation- and symmetry-normalized pattern fingerprints.
+    translation- and symmetry-normalized pattern fingerprints.  Every board is
+    searched exactly within the node budget (see _scan).
     """
     entries, warnings = _scan(q, n_lo, n_hi, workers, budget, runner)
     per_parity: dict[int, Optional[int]] = {0: None, 1: None}

@@ -163,7 +163,6 @@ def record_to_optimal_set(record: dict) -> OptimalSet:
         n=p["n"],
         mode=p["mode"],
         window=p.get("window"),
-        require_nonattacking=bool(p.get("require_nonattacking", False)),
     )
     configurations = tuple(
         _decode_config(payload, "configurations") for payload in record["configurations"]

@@ -49,6 +49,20 @@ def test_search_reports_two_classes():
     assert result.stdout.count("orbit 8") == 2
 
 
+def test_windowed_search_is_labelled_window_relative():
+    result = run_cli("search", "--q", "5", "--n", "17", "--mode", "windowed", check=True)
+    assert "max cover: 233" in result.stdout
+    label = next(line for line in result.stdout.splitlines() if line.startswith("window used"))
+    assert "within the window" in label and "not certified for B_17" in label
+    exact = run_cli("search", "--q", "5", "--n", "17", check=True)
+    assert "window used" not in exact.stdout
+
+
+def test_search_has_no_require_nonattacking_flag():
+    result = run_cli("search", "--q", "2", "--n", "10", "--require-nonattacking")
+    assert result.returncode == 2
+
+
 def test_search_structured_deterministic():
     args = ("--format", "structured", "search", "--q", "3", "--n", "9")
     first = run_cli(*args, check=True).stdout
@@ -150,7 +164,7 @@ def test_fundamentals_prints_class_table(tmp_path):
 def test_exit_codes():
     assert run_cli("no-such-command").returncode == 2
     assert run_cli("cover", "--config", "(1;2)", "--n", "5").returncode == 2
-    assert run_cli("search", "--q", "4", "--n", "30", "--budget", "1000").returncode == 3
+    assert run_cli("search", "--q", "6", "--n", "21", "--budget", "1000").returncode == 3
     assert run_cli("cover", "--config", "(0,0)", "--n", "0").returncode == 2
     assert run_cli("verify", "--input", "/nonexistent/file").returncode == 2
 

@@ -1,6 +1,8 @@
 """Attack relations, attack fields and cover counting."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from queencover import (
     BoardSpec,
@@ -133,3 +135,17 @@ def test_nonattacking_attack_numbers_bounded_by_four(rng):
         for _ in range(10):
             config = random_nonattacking(rng, q)
             assert attack_field(config, board).max_count() <= 4
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_cover_count_matches_attack_field(data):
+    # Sizes run over 1..40, more than the 32 boards the mask cache holds, and
+    # change within an example, so cached and rebuilt masks are both checked.
+    for _ in range(data.draw(st.integers(1, 6))):
+        board = BoardSpec(data.draw(st.integers(1, 40)))
+        coord = st.integers(board.lo - 2, board.hi + 2)
+        config = Configuration.of(data.draw(st.sets(st.tuples(coord, coord), max_size=9)))
+        field = attack_field(config, board)
+        expected = sum(1 for s in board.squares() if field.count(s) >= 1 or s in config)
+        assert cover_count(config, board) == expected

@@ -1,5 +1,6 @@
 """Exhaustive and windowed searches, orbit decomposition, thresholds."""
 
+import functools
 import hashlib
 from itertools import combinations
 from math import comb
@@ -21,6 +22,7 @@ from queencover import (
     border_certificate,
     exhaustive_optimal,
     fundamental_classes,
+    run_search,
     is_nonattacking,
     knight_square,
     loss_minimal_patterns,
@@ -29,7 +31,12 @@ from queencover import (
     stabilizing_threshold,
     windowed_optimal,
 )
-from queencover.search import FundamentalClass, canonical_pattern_fingerprint
+from queencover.search import (
+    DEFAULT_BUDGET,
+    FundamentalClass,
+    _loss_scan_parity,
+    canonical_pattern_fingerprint,
+)
 
 from conftest import brute_attack_number, brute_attacks, brute_center_distance, brute_cover
 from expected_sets import Q2_EVEN, Q2_ODD, Q3_EVEN, Q3_ODD
@@ -53,7 +60,7 @@ def test_params_validation():
     with pytest.raises(DomainError):
         SearchParams(q=2, n=5, mode="annealed")
     p = SearchParams(q=2, n=12, mode="windowed")
-    assert p.window == 5 and p.require_nonattacking
+    assert p.window == 5
     assert SearchParams(q=2, n=12).window is None
 
 
@@ -117,10 +124,21 @@ def test_optimal_sets_closed_under_symmetry():
             assert image in members
 
 
-def test_budget_refusal_carries_estimate():
+def test_exhaustive_budget_holds_inside_the_recursion():
+    # No subset-count estimate refuses the search up front: it runs until the
+    # node budget is spent (the last level may add up to q ties at once).
     with pytest.raises(BudgetExceededError) as err:
-        exhaustive_optimal(SearchParams(q=4, n=30, budget=10_000))
-    assert err.value.estimate > err.value.budget == 10_000
+        exhaustive_optimal(SearchParams(q=6, n=21, budget=1000))
+    assert 1000 < err.value.nodes <= 1000 + 6
+    assert err.value.budget == 1000
+
+
+def test_exhaustive_search_is_not_refused_by_subset_count():
+    # C(900, 4) is about 2.7e10 subsets, yet the bound finishes in a few
+    # hundred nodes.
+    result = exhaustive_optimal(SearchParams(q=4, n=30, budget=10_000))
+    assert result.nodes <= 10_000
+    assert all(brute_cover(c, BoardSpec(30)) == result.max_cover for c in result.configurations)
 
 
 def _brute_argmax(subsets, board):
@@ -186,8 +204,21 @@ def test_windowed_search_node_count_guard():
 def test_node_budget_holds_inside_the_recursion():
     with pytest.raises(BudgetExceededError) as err:
         windowed_optimal(SearchParams(q=6, n=21, mode="windowed", budget=1000))
-    assert 1000 < err.value.estimate <= 1000 + 6
+    assert 1000 < err.value.nodes <= 1000 + 6
     assert err.value.budget == 1000
+
+
+def test_window_retries_share_one_node_budget():
+    grown = windowed_optimal(SearchParams(q=6, n=21, mode="windowed"))
+    last = windowed_optimal(
+        SearchParams(q=6, n=21, mode="windowed", window=grown.window_used)
+    )
+    assert grown.window_retries == 1 and last.window_retries == 0
+    # The grown search ran the final window after a smaller one and counts both.
+    assert grown.nodes > last.nodes
+    with pytest.raises(BudgetExceededError) as err:
+        windowed_optimal(SearchParams(q=6, n=21, mode="windowed", budget=last.nodes))
+    assert last.nodes < err.value.nodes <= last.nodes + 6
 
 
 def test_worker_count_does_not_change_results():
@@ -205,6 +236,27 @@ def test_windowed_five_queens_matches_known_classes():
     even = windowed_optimal(SearchParams(q=5, n=18, mode="windowed"))
     assert sorted(c.orbit_size for c in even.classes) == [8] * 5
     assert len(even.configurations) == 40
+
+
+def test_full_board_five_queens_on_17x17():
+    # The side-7 window sees 10 of these; the other 10 sit at radius 6.
+    result = exhaustive_optimal(SearchParams(q=5, n=17))
+    assert result.max_cover == 233
+    assert len(result.configurations) == 20
+    assert sorted(c.orbit_size for c in result.classes) == [2, 2, 8, 8]
+    board = BoardSpec(17)
+    assert all(brute_cover(c, board) == 233 for c in result.configurations)
+
+
+def test_full_board_six_queens_on_21x21_beats_the_window():
+    # Each optimum is a central five-queen cluster plus one corner queen,
+    # outside every window the windowed search grows to.
+    result = exhaustive_optimal(SearchParams(q=6, n=21))
+    assert result.max_cover == 347
+    assert len(result.configurations) == 16 and len(result.classes) == 2
+    board = BoardSpec(21)
+    assert all(brute_cover(c, board) == 347 for c in result.configurations)
+    assert windowed_optimal(SearchParams(q=6, n=21, mode="windowed")).max_cover == 346
 
 
 def test_windowed_grows_a_window_without_nonattacking_subsets():
@@ -264,6 +316,18 @@ def test_stabilizing_threshold_q2():
     assert report.n2_odd == 11
 
 
+def test_exact_threshold_scans_q5():
+    # Empirical, valid only within [9, 21]: n=9 has attacking optima, and the
+    # 20 optima of n=17 (10 outside the side-7 window) keep odd N2 at 19.
+    run = functools.lru_cache(maxsize=None)(run_search)
+    n1 = nonattacking_threshold(5, 9, 21, runner=run)
+    assert n1.empirical and n1.n1_candidate == 10
+    n2 = stabilizing_threshold(5, 9, 21, runner=run)
+    assert n2.empirical
+    assert (n2.n2_even, n2.n2_odd, n2.n2_combined) == (18, 19, 18)
+    assert n1.warnings == n2.warnings == ()
+
+
 def test_loss_minimal_small_cases():
     single = loss_minimal_patterns(1, 2)
     assert single.odd.min_total == 0
@@ -287,8 +351,19 @@ def test_loss_minimal_rejects_a_box_without_nonattacking_subsets():
 def test_loss_route_budget_holds_inside_the_recursion():
     with pytest.raises(BudgetExceededError) as err:
         loss_minimal_patterns(5, 4, budget=1000)
-    assert 1000 < err.value.estimate <= 1001
+    assert 1000 < err.value.nodes <= 1001
     assert err.value.budget == 1000
+
+
+def test_loss_route_parities_share_one_node_budget():
+    # Each parity's scan alone fits the budget (on (5,4) the odd one takes
+    # 9,414 nodes and the even one 11,676), but the call must count both.
+    _, odd = _loss_scan_parity(5, 4, True, DEFAULT_BUDGET, 0)
+    _, both = _loss_scan_parity(5, 4, False, DEFAULT_BUDGET, odd)
+    budget = max(odd, both - odd)
+    with pytest.raises(BudgetExceededError) as err:
+        loss_minimal_patterns(5, 4, budget=budget)
+    assert err.value.nodes == budget + 1
 
 
 def test_loss_route_never_counts_cover(monkeypatch):
