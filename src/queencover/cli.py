@@ -1,12 +1,15 @@
 """Command-line interface: searches, loss reports, rendering and verification.
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage or input error,
-3 search aborted over its node budget, 4 internal invariant breach.
+3 search aborted over its node budget, 4 internal invariant breach.  When
+standard output closes early (e.g. piped into ``head``), the command stops
+quietly with exit code 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 from pathlib import Path
@@ -456,7 +459,15 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader went away.  Point stdout at devnull so that the flush at
+        # interpreter exit cannot raise again, and stop quietly.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 0
     except BudgetExceededError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3

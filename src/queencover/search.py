@@ -29,17 +29,20 @@ canonical-square table) serves the exhaustive search, the windowed search
 and the loss route.
 
 The loss route scores non-attacking subsets of a box by internal plus
-center loss and never counts cover.  Each square where two non-attacking
-box queens' lines cross gets one bit, and cross[j] is the union of j's pair
-crossings with all its non-attacking partners in the box.  Two non-attacking
-queens' lines meet exactly on their pair crossings, so cross[i] & cross[j]
-is exactly the crossings of i and j.  A square's internal loss is the number
-of queens attacking it beyond the first, so placing j on queens whose masks
-OR to `lines` raises the internal loss by exactly popcount(lines & cross[j]):
-every square counted is attacked by a placed queen already, and j adds one
-attacker to it.  Each child is cut on that exact delta plus 10 for every
-queen still to place (a non-attacking pair crosses on at least 10 distinct
-squares) plus the least center loss of the remaining candidates.
+center loss and never counts cover.  Two non-attacking queens' lines meet
+exactly on their pair crossings, and neither queen's square lies on the
+other's lines, so on the box's stable board (which holds every crossing)
+cross[j] = L(j) & OR of L(k) over j's non-attacking box partners k, with L
+the on-board line union of coverage.BoardMasks, is the union of j's pair
+crossings, and cross[i] & cross[j] is exactly the crossings of i and j.  A
+square's internal loss is the number of queens attacking it beyond the
+first, so placing j on queens whose masks OR to `lines` raises the internal
+loss by exactly popcount(lines & cross[j]): every square counted is attacked
+by a placed queen already, and j adds one attacker to it.  That delta only
+grows as queens are added, the loss-side twin of the shrinking marginal
+gain: children are tried in ascending delta + center loss, each excluding
+its earlier siblings, and child p is cut once the scores at ranks
+p .. p + r - 1 exceed the incumbent, strictly, so ties survive.
 """
 
 from __future__ import annotations
@@ -48,13 +51,14 @@ import hashlib
 import math
 import multiprocessing
 from bisect import bisect_right
-from itertools import combinations
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Optional
 
 from .constructions import Pattern, centralize, pattern_of, stairs, stairs_details
-from .coverage import Configuration, cover_count, is_nonattacking, pair_crossings
+from .coverage import Configuration, cover_count, is_nonattacking
+# Unused here, but perfbench/tracer.py wraps search.pair_crossings by name.
+from .coverage import pair_crossings  # noqa: F401
 from .errors import BudgetExceededError, DomainError, InvariantError
 from .geometry import (
     BoardSpec,
@@ -64,7 +68,7 @@ from .geometry import (
     chebyshev_center_distance,
     transform_square,
 )
-from .loss import center_loss_of_square
+from .loss import center_loss_of_square, stable_board
 from . import coverage as _coverage
 
 DEFAULT_BUDGET = 10**10
@@ -736,6 +740,29 @@ class LossScan:
     even: Optional[LossMinimal]
 
 
+def _crossing_masks(squares: list[Square], attack: list[int], odd: bool) -> list[int]:
+    """Each square's pair crossings with the squares it does not attack.
+
+    cross[j] is the union of pair_crossings(squares[j], squares[k]) over every
+    k whose bit is clear in attack[j], as a bitmask over the row-major squares
+    of the squares' stable board at the given parity, which holds every
+    crossing.  Two non-attacking queens' lines meet exactly on their pair
+    crossings and neither queen's square lies on the other's lines, so
+    cross[j] = L(j) & OR of L(k), with L the on-board line union.
+    """
+    board = stable_board(Configuration.of(squares), odd)
+    masks = _coverage._board_masks(board.n)
+    lines = [masks.line_union(s) for s in squares]
+    cross = []
+    for j, line in enumerate(lines):
+        partners = 0
+        for k, other in enumerate(lines):
+            if k != j and not (attack[j] >> k) & 1:
+                partners |= other
+        cross.append(line & partners)
+    return cross
+
+
 def _loss_scan_parity(
     q: int, radius: int, odd: bool, budget: int, spent: int
 ) -> tuple[Optional[LossMinimal], int]:
@@ -758,64 +785,62 @@ def _loss_scan_parity(
         if any(c.radius(board) <= radius for c in centralize(build.pattern, board)):
             best = build.internal + (build.center_odd if odd else build.center_even)
 
-    # One bit per crossing square of a non-attacking box pair; cross[j] is the
-    # union of j's crossings with all its non-attacking partners in the box.
-    bit: dict[Square, int] = {}
-    cross = [0] * W
-    for lo, hi in combinations(range(W), 2):
-        if not (attack[lo] >> hi) & 1:
-            mask = 0
-            for s in pair_crossings(squares[lo], squares[hi]):
-                mask |= 1 << bit.setdefault(s, len(bit))
-            cross[lo] |= mask
-            cross[hi] |= mask
+    cross = _crossing_masks(squares[:W], attack, odd)
 
     found: list[tuple[int, ...]] = []
     nodes = spent
 
-    def rec(avail: int, r: int, lines: int, inloss: int, cen: int, sel: tuple[int, ...]):
-        # r >= 1 queens still to place on top of sel, whose crossing masks OR
-        # to lines; every future queen adds at least the 10 distinct crossings
-        # it shares with one placed queen.
+    def rec(avail: list[int], r: int, lines: int, inloss: int, cen: int, sel: tuple[int, ...]):
+        # r >= 1 queens still to place from avail on top of sel, whose crossing
+        # masks OR to lines.  A candidate's delta popcount(lines & cross[j])
+        # only grows as queens are added (lines only gains bits), so the r
+        # least scores v = delta + cl[j] bound the rest of the total.
+        # Children go in ascending v, each excluding its earlier siblings, so
+        # child p is cut, and with it every later sibling, once the scores at
+        # ranks p .. p + r - 1 exceed best; the cut is strict, so ties
+        # survive.  Every delta already counts the at least 10 squares the
+        # candidate crosses each placed queen on, so this is tighter than a
+        # flat 10 per queen still to place.
         nonlocal best, nodes
-        a = avail
-        while a:
-            lsb = a & -a
-            j = lsb.bit_length() - 1
-            a ^= lsb
-            if a.bit_count() + 1 < r:
-                break
-            rest = 10 * (r - 1) + cen + prefix[j + r] - prefix[j]
-            if inloss + 10 + rest > best:
-                break  # monotone in j: every later sibling is cut as well
-            loss = inloss + (lines & cross[j]).bit_count()
-            if loss + rest > best:
-                continue
+        ranked = sorted([((lines & cross[j]).bit_count() + cl[j], j) for j in avail])
+        window = inloss + cen + sum(v for v, _ in ranked[:r])
+        last = len(ranked) - r
+        for p in range(last + 1):
+            if window > best:
+                return
+            v, j = ranked[p]
             nodes += 1
             if nodes > budget:
                 raise BudgetExceededError(
                     f"loss scan aborted after {nodes} nodes", nodes, budget
                 )
-            if r > 1:
-                rec(a & ~attack[j], r - 1, lines | cross[j], loss, cen + cl[j], sel + (j,))
-            elif loss + rest < best:
-                best = loss + rest
-                found[:] = [sel + (j,)]
+            if r == 1:
+                if window < best:
+                    best = window
+                    found[:] = [sel + (j,)]
+                else:
+                    found.append(sel + (j,))
             else:
-                found.append(sel + (j,))
+                aj = attack[j]
+                rest = [i for _, i in ranked[p + 1 :] if not (aj >> i) & 1]
+                if len(rest) >= r - 1:
+                    rec(rest, r - 1, lines | cross[j], inloss + v - cl[j], cen + cl[j], sel + (j,))
+            if p < last:
+                window += ranked[p + r][0] - v
 
-    all_bits = (1 << W) - 1
     for j0 in range(W - q + 1):
         if not in_f[j0]:
             continue
+        # Every later queen crosses j0 on at least 10 distinct squares.
         if 10 * (q - 1) + prefix[j0 + q] - prefix[j0] > best:
             break
         if q == 1:
             best = cl[j0]
             found.append((j0,))
         else:
-            avail = (all_bits >> (j0 + 1)) << (j0 + 1)
-            rec(avail & ~attack[j0], q - 1, cross[j0], 0, cl[j0], (j0,))
+            aj = attack[j0]
+            avail = [i for i in range(j0 + 1, W) if not (aj >> i) & 1]
+            rec(avail, q - 1, cross[j0], 0, cl[j0], (j0,))
 
     if not found:
         return None, nodes
@@ -835,14 +860,19 @@ def loss_minimal_patterns(q: int, radius: int, budget: int = DEFAULT_BUDGET) -> 
     Enumerates the non-attacking q-subsets of the centered box of the given
     radius on B_{4r+9} (odd) and B_{4r+10} (even), scoring each by center
     loss plus internal loss.  Two non-attacking queens' lines meet exactly on
-    their pair crossings, and a square's internal loss is the number of
-    queens attacking it beyond the first, so a new queen raises the internal
-    loss by the number of distinct squares it crosses with the placed ones:
-    one AND and popcount of crossing-square bitmasks per candidate.  The
-    route never counts cover, so it cross-validates the cover searches
-    through the loss/cover identity.  A parity whose box holds no
-    non-attacking q-subset is None; DomainError is raised when both are.
-    Both parities draw from one node budget.
+    their pair crossings, so on a board holding every crossing a square's
+    crossing mask is cross[j] = L(j) & OR of L(k) over its non-attacking box
+    partners k, with L the square's line union.  A square's internal loss is
+    the number of queens attacking it beyond the first, so a new queen raises
+    the internal loss by the number of distinct squares it crosses with the
+    placed ones: one AND and popcount per candidate.  That delta only grows
+    as queens are added, so the r least current values of delta + center
+    loss bound the rest of a node's total; children go in ascending value
+    and are cut once that ranked window exceeds the incumbent (strictly, so
+    every tie is kept).  The route never counts cover, so it cross-validates
+    the cover searches through the loss/cover identity.  A parity whose box
+    holds no non-attacking q-subset is None; DomainError is raised when both
+    are.  Both parities draw from one node budget.
     """
     if q < 1:
         raise DomainError(f"q must be >= 1, got {q}")

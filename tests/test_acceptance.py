@@ -109,12 +109,27 @@ def test_criterion_2_exhaustive_tier():
     _report("criterion 2 (exhaustive tier q<=4)", started)
 
 
+def _assert_loss_duality(q, radius, odd_result, even_result):
+    """Cross-oracle duality: the cover-free loss route finds the same patterns.
+
+    On each parity, min_total == (4n - 3) q - max_cover, and the loss-minimal
+    patterns are the canonical patterns of the windowed optima.
+    """
+    scan = loss_minimal_patterns(q, radius)
+    for side, result in ((scan.odd, odd_result), (scan.even, even_result)):
+        n = result.params.n
+        assert side.min_total == (4 * n - 3) * q - result.max_cover, (q, n)
+        cover_patterns = {pattern_of(c).canonical().offsets for c in result.configurations}
+        assert cover_patterns == {p.offsets for p in side.patterns}, (q, n)
+
+
 def test_criterion_3_windowed_tier_standard():
     started = time.perf_counter()
     odd5 = windowed_optimal(SearchParams(q=5, n=17, mode="windowed"))
     assert _sizes(odd5) == [8, 2] and len(odd5.configurations) == 10
     even5 = windowed_optimal(SearchParams(q=5, n=18, mode="windowed"))
     assert _sizes(even5) == [8] * 5 and len(even5.configurations) == 40
+    _assert_loss_duality(5, 4, odd5, even5)
 
     odd6 = windowed_optimal(SearchParams(q=6, n=21, mode="windowed"))
     assert odd6.max_cover == 346
@@ -123,17 +138,13 @@ def test_criterion_3_windowed_tier_standard():
     even6 = windowed_optimal(SearchParams(q=6, n=22, mode="windowed"))
     assert even6.max_cover == 370
     assert _sizes(even6) == [8] * 4 and len(even6.configurations) == 32
-
-    # Cross-oracle duality: the loss-only route finds the same q=6 patterns.
-    scan = loss_minimal_patterns(6, 5)
-    assert scan.odd.min_total == (4 * 21 - 3) * 6 - 346
-    cover_patterns = {pattern_of(c).canonical().offsets for c in odd6.configurations}
-    assert cover_patterns == {p.offsets for p in scan.odd.patterns}
+    _assert_loss_duality(6, 5, odd6, even6)
 
     odd7 = windowed_optimal(SearchParams(q=7, n=25, mode="windowed"))
     assert _sizes(odd7) == [8, 8, 8, 4, 4] and len(odd7.configurations) == 32
     even7 = windowed_optimal(SearchParams(q=7, n=24, mode="windowed"))
     assert len(even7.configurations) == 128
+    _assert_loss_duality(7, 5, odd7, even7)
     _report("criterion 3 (windowed tier q=5..7)", started)
 
 
@@ -149,6 +160,9 @@ def test_criterion_3_windowed_tier_heavy():
     assert _sizes(odd9) == [8] * 7 + [4, 4]
     even9 = windowed_optimal(SearchParams(q=9, n=28, mode="windowed"))
     assert len(even9.configurations) == 256
+
+    _assert_loss_duality(8, 5, odd8, even8)
+    _assert_loss_duality(9, 5, odd9, even9)
     _report("criterion 3 heavy (windowed tier q=8..9)", started)
 
 

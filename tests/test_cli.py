@@ -1,12 +1,22 @@
 """End-to-end CLI behavior via subprocess: formats, cache, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 KNIGHT = "(-1,0);(0,2);(1,-1);(2,1)"
+
+# The subprocess imports queencover from this checkout's src, ahead of any
+# other copy, whether or not pytest itself was started with it on the path.
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH")))),
+}
 
 
 def run_cli(*args, check=False):
@@ -15,6 +25,7 @@ def run_cli(*args, check=False):
         capture_output=True,
         text=True,
         timeout=300,
+        env=ENV,
     )
     if check and result.returncode != 0:
         raise AssertionError(f"CLI failed ({result.returncode}): {result.stderr}")
@@ -191,3 +202,19 @@ def test_unsupported_schema_version(tmp_path):
     result = run_cli("verify", "--input", str(path))
     assert result.returncode == 2
     assert "schema_version" in result.stderr
+
+
+def test_closed_stdout_exits_quietly():
+    # About 320 KB of output, more than a pipe holds, so the CLI is still
+    # writing when the reader closes the pipe after the first line.
+    with subprocess.Popen(
+        [sys.executable, "-m", "queencover", "render", "--config", "(0,0)", "--n", "400"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=ENV,
+    ) as proc:
+        assert proc.stdout.readline().strip()
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=60) == 0
+    assert stderr == b""

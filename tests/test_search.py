@@ -31,9 +31,11 @@ from queencover import (
     stabilizing_threshold,
     windowed_optimal,
 )
+from queencover.loss import stable_board
 from queencover.search import (
     DEFAULT_BUDGET,
     FundamentalClass,
+    _crossing_masks,
     _loss_scan_parity,
     canonical_pattern_fingerprint,
 )
@@ -357,13 +359,42 @@ def test_loss_route_budget_holds_inside_the_recursion():
 
 def test_loss_route_parities_share_one_node_budget():
     # Each parity's scan alone fits the budget (on (5,4) the odd one takes
-    # 9,414 nodes and the even one 11,676), but the call must count both.
+    # 834 nodes and the even one 911), but the call must count both.
     _, odd = _loss_scan_parity(5, 4, True, DEFAULT_BUDGET, 0)
     _, both = _loss_scan_parity(5, 4, False, DEFAULT_BUDGET, odd)
     budget = max(odd, both - odd)
     with pytest.raises(BudgetExceededError) as err:
         loss_minimal_patterns(5, 4, budget=budget)
     assert err.value.nodes == budget + 1
+
+
+def test_loss_route_node_count_guard():
+    # The ranked-window bound keeps (6,5) near 22k nodes over both parities;
+    # the flat 10-per-queen bound it replaced took 878,466.
+    _, odd = _loss_scan_parity(6, 5, True, DEFAULT_BUDGET, 0)
+    _, both = _loss_scan_parity(6, 5, False, DEFAULT_BUDGET, odd)
+    assert both < 100_000
+
+
+def test_crossing_masks_match_pair_crossings():
+    # The line-mask derivation of cross[j] against the geometric formula:
+    # the union of pair_crossings over j's non-attacking partners in the box.
+    for odd in (True, False):
+        for radius in range(4):
+            board = BoardSpec(4 * radius + (9 if odd else 10))
+            box = [s for s in board.squares() if brute_center_distance(board, s) <= radius]
+            attack = [
+                sum(1 << k for k, b in enumerate(box) if brute_attacks(a, b)) for a in box
+            ]
+            cross = _crossing_masks(box, attack, odd)
+            squares = list(stable_board(Configuration.of(box), odd).squares())
+            for a, mask in zip(box, cross):
+                expected = set()
+                for b in box:
+                    if b != a and not brute_attacks(a, b):
+                        expected.update(queencover.coverage.pair_crossings(a, b))
+                got = {s for k, s in enumerate(squares) if (mask >> k) & 1}
+                assert got == expected, (odd, radius, a)
 
 
 def test_loss_route_never_counts_cover(monkeypatch):
