@@ -74,15 +74,16 @@ def render_board(config: Configuration, board: BoardSpec, annotate: str = "none"
         raise DomainError(f"annotate must be 'none' or 'attack-numbers', got {annotate!r}")
     if not config.is_feasible(board):
         raise DomainError("render requires a board-feasible configuration")
-    field = attack_field(config, board) if annotate == "attack-numbers" else None
+    lo = board.lo
+    counts = attack_field(config, board).as_array() if annotate == "attack-numbers" else None
     lines = []
-    for y in range(board.hi, board.lo - 1, -1):
+    for y in range(board.hi, lo - 1, -1):
         cells = []
-        for x in range(board.lo, board.hi + 1):
+        for x in range(lo, board.hi + 1):
             if (x, y) in config:
                 cells.append("Q")
-            elif field is not None:
-                a = field.count((x, y))
+            elif counts is not None:
+                a = int(counts[x - lo, y - lo])
                 cells.append(str(a) if 2 <= a <= 9 else "*" if a > 9 else ".")
             else:
                 cells.append(".")

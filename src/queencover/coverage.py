@@ -9,7 +9,7 @@ off-board queens still count on the on-board squares they cross.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -84,24 +84,37 @@ def attacks(a: Square, b: Square) -> bool:
 
 
 def is_nonattacking(config: Configuration) -> bool:
+    """True iff no two queens share a column, a row or a diagonal.
+
+    The queens are distinct squares, so they attack pairwise iff one of the
+    four line coordinates x, y, x - y, x + y repeats.
+    """
     qs = config.queens
-    for i in range(len(qs)):
-        for j in range(i + 1, len(qs)):
-            if attacks(qs[i], qs[j]):
-                return False
-    return True
+    q = len(qs)
+    return (
+        len({x for x, _ in qs}) == q
+        and len({y for _, y in qs}) == q
+        and len({x - y for x, y in qs}) == q
+        and len({x + y for x, y in qs}) == q
+    )
 
 
 class AttackField:
     """Dense per-square attacking numbers a(s) over one board.
 
-    Immutable after construction; the underlying array is read-only.
+    Immutable after construction; the underlying array is read-only.  Every
+    statistic derives from one histogram of the counts, built on first use.
     """
 
     def __init__(self, board: BoardSpec, counts: np.ndarray):
         counts.flags.writeable = False
         self.board = board
         self._counts = counts  # shape (n, n), indexed [x - lo, y - lo]
+
+    @cached_property
+    def _freqs(self) -> list[int]:
+        """_freqs[a]: the number of squares attacked exactly a times."""
+        return np.bincount(self._counts.ravel()).tolist()
 
     def count(self, square: Square) -> int:
         if not board_contains(self.board, square):
@@ -112,52 +125,64 @@ class AttackField:
 
     def histogram(self) -> dict[int, int]:
         """Multiplicity histogram {attacking number: square count}, zeros omitted."""
-        values, freqs = np.unique(self._counts, return_counts=True)
-        return {int(v): int(f) for v, f in zip(values, freqs) if v > 0}
+        return {a: f for a, f in enumerate(self._freqs) if a > 0 and f > 0}
 
     def max_count(self) -> int:
-        return int(self._counts.max()) if self._counts.size else 0
-
-    def attacked_squares(self) -> int:
-        return int((self._counts >= 1).sum())
+        return len(self._freqs) - 1
 
     def internal_loss(self) -> int:
         """Sum of a(s) - 1 over attacked squares."""
-        pos = self._counts[self._counts >= 1]
-        return int((pos - 1).sum())
+        return sum((a - 1) * f for a, f in enumerate(self._freqs) if a > 0)
 
     def overlap_concentration(self) -> int:
         """Sum of C(a(s), 2) - (a(s) - 1) over attacked squares."""
-        a = self._counts[self._counts >= 1].astype(np.int64)
-        return int((a * (a - 1) // 2 - (a - 1)).sum())
+        return sum((a * (a - 1) // 2 - (a - 1)) * f for a, f in enumerate(self._freqs) if a > 0)
 
     def as_array(self) -> np.ndarray:
         return self._counts
 
 
 def attack_field(config: Configuration, board: BoardSpec) -> AttackField:
-    """Attacking numbers of every board square; queens may sit off board."""
-    n = board.n
-    lo, hi = board.lo, board.hi
-    counts = np.zeros((n, n), dtype=np.int32)
+    """Attacking numbers of every board square; queens may sit off board.
+
+    Two distinct squares share at most one line, so a square's attacking
+    number is a sum over its four lines:
+
+        a(s) = col(x) + row(y) + diag(x - y) + anti(x + y) - 4 [s occupied]
+
+    where each term counts the queens on that line (a queen on s lies on all
+    four of s's lines but does not attack s).  One pass over the queens
+    counts them per line; the field is one broadcast sum of four vectors.
+    """
+    n, lo = board.n, board.lo
+    # One vector of per-line counts, by board index ix = x - lo, iy = y - lo:
+    # columns at ix, rows at n + iy, diagonals at 3n - 1 - (ix - iy) (so in
+    # [2n, 4n - 2]) and antidiagonals at 4n - 1 + (ix + iy) (in [4n - 1, 6n - 3]).
+    lines = []
+    occupied = []
     for x, y in config.queens:
         ix, iy = x - lo, y - lo
-        if 0 <= iy < n:
-            counts[:, iy] += 1
         if 0 <= ix < n:
-            counts[ix, :] += 1
-        d = x - y  # diagonal: squares (t, t - d)
-        t0, t1 = max(lo, lo + d), min(hi, hi + d)
-        if t0 <= t1:
-            ii = np.arange(t0 - lo, t1 - lo + 1)
-            counts[ii, ii - d] += 1
-        s = x + y  # antidiagonal: squares (t, s - t)
-        t0, t1 = max(lo, s - hi), min(hi, s - lo)
-        if t0 <= t1:
-            ii = np.arange(t0 - lo, t1 - lo + 1)
-            counts[ii, (s - 2 * lo) - ii] += 1
-        if 0 <= ix < n and 0 <= iy < n:
-            counts[ix, iy] -= 4  # a queen does not attack her own square
+            lines.append(ix)
+            if 0 <= iy < n:
+                occupied.append((ix, iy))
+        if 0 <= iy < n:
+            lines.append(n + iy)
+        if -n < ix - iy < n:
+            lines.append(3 * n - 1 - (ix - iy))
+        if 0 <= ix + iy <= 2 * n - 2:
+            lines.append(4 * n - 1 + ix + iy)
+    per_line = np.bincount(lines, minlength=6 * n - 2).astype(np.int32)
+    # Strided views of per_line: [ix, iy] reads the diagonal entry
+    # 3n - 1 - ix + iy and the antidiagonal entry 4n - 1 + ix + iy.
+    item = per_line.itemsize
+    diag = np.ndarray((n, n), np.int32, per_line, (3 * n - 1) * item, (-item, item))
+    anti = np.ndarray((n, n), np.int32, per_line, (4 * n - 1) * item, (item, item))
+    counts = diag + anti
+    counts += per_line[:n, None]
+    counts += per_line[n : 2 * n]
+    for ix, iy in occupied:
+        counts[ix, iy] -= 4
     return AttackField(board, counts)
 
 

@@ -35,6 +35,10 @@ class BudgetExceededError(QueenCoverError):
         self.nodes = nodes
         self.budget = budget
 
+    def __reduce__(self):
+        # Pool workers pickle the error back to the parent process.
+        return type(self), (str(self), self.nodes, self.budget)
+
 
 class InvariantError(QueenCoverError):
     """An internal invariant was violated; indicates a bug, not a usage error."""

@@ -131,11 +131,12 @@ def is_stable_board(config: Configuration, board: BoardSpec) -> bool:
         return True
     if not is_nonattacking(config):
         return False
+    lo, hi = board.lo, board.hi
     qs = config.queens
     for i in range(len(qs)):
         for j in range(i + 1, len(qs)):
-            for s in pair_crossings(qs[i], qs[j]):
-                if not board_contains(board, s):
+            for x, y in pair_crossings(qs[i], qs[j]):
+                if not (lo <= x <= hi and lo <= y <= hi):
                     return False
     return True
 

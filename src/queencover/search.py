@@ -64,7 +64,6 @@ from .geometry import (
     BoardSpec,
     Square,
     TRANSFORM_KINDS,
-    border_squares,
     chebyshev_center_distance,
     transform_square,
 )
@@ -277,13 +276,19 @@ class _Problem:
         node_budget: int,
         spent: int = 0,
         shared=None,
+        tally=None,
     ) -> tuple[int, list[tuple[int, ...]], int]:
         """Best cover, argmax selections and node count over one shard.
 
         The shared value, when present, is a monotone cross-shard incumbent
         hint; stale reads only weaken pruning, never correctness.  Counting
         starts at spent, the nodes of the call's earlier windows, and the
-        budget is checked against the total at every node.
+        budget is checked against the total at every node.  The tally, when
+        present, is the node total of all pool shards: each shard adds its
+        nodes to it every _TALLY_BATCH nodes and checks the budget against
+        the tally it last saw plus its own unadded nodes, so the shards spend
+        one budget, overshooting it by less than a batch per other running
+        shard.
         """
         q, W, S = self.q, self.W, self.S
         cl, P, battack = self.cl, self.gain_prefix, self.battack
@@ -291,6 +296,8 @@ class _Problem:
         best = seed
         found: list[tuple[int, ...]] = []
         nodes = spent
+        seen = tally.value if tally is not None else 0  # the tally when last read
+        unadded = 0  # nodes counted here, not yet added to the tally
         bc = int.bit_count
 
         def note(cov: int, sel: tuple[int, ...]):
@@ -314,11 +321,20 @@ class _Problem:
             return best
 
         def spend(count: int):
-            nonlocal nodes
+            nonlocal nodes, seen, unadded
             nodes += count
-            if nodes > node_budget:
+            total = nodes
+            if tally is not None:
+                unadded += count
+                if unadded >= _TALLY_BATCH:
+                    with tally.get_lock():
+                        tally.value += unadded
+                        seen = tally.value
+                    unadded = 0
+                total = seen + unadded
+            if total > node_budget:
                 raise BudgetExceededError(
-                    f"search aborted after {nodes} nodes", nodes, node_budget
+                    f"search aborted after {total} nodes", total, node_budget
                 )
 
         def rec(avail: list[int], r: int, m: int, cov: int, sel: tuple[int, ...]):
@@ -374,14 +390,20 @@ class _Problem:
             if len(avail) >= q - 1:
                 rec(avail, q - 1, m0, bc(m0), (j0,))
 
+        if tally is not None and unadded:
+            with tally.get_lock():
+                tally.value += unadded
         return best, found, nodes
 
 
 _POOL_STATE: dict = {}
+# Nodes a pool shard counts before adding them to the shared tally; small
+# against any budget worth sharding, large enough that the lock stays cold.
+_TALLY_BATCH = 256
 
 
 def _pool_init(n, q, radius, *shard_args):
-    """shard_args: search_shard's seed, node_budget, spent and shared."""
+    """shard_args: search_shard's seed, node_budget, spent, shared and tally."""
     _POOL_STATE["problem"] = _Problem(n, q, radius)
     _POOL_STATE["shard_args"] = shard_args
 
@@ -439,7 +461,7 @@ def _run_problem(
 ) -> tuple[int, list[tuple[Square, ...]], int]:
     """Best cover, argmax configurations and nodes, counting on from spent.
 
-    Each pool shard may spend the rest of the budget on its own.
+    Pool shards count their nodes against one shared tally (see search_shard).
     """
     board = problem.engine.board
     seed = _seed_cover(problem, board)
@@ -449,6 +471,7 @@ def _run_problem(
         chunks = [level0[i :: params.workers * 4] for i in range(params.workers * 4)]
         chunks = [c for c in chunks if c]
         shared = multiprocessing.Value("q", seed)
+        tally = multiprocessing.Value("q", spent)
         with multiprocessing.get_context("fork").Pool(
             processes=params.workers,
             initializer=_pool_init,
@@ -460,6 +483,7 @@ def _run_problem(
                 node_budget,
                 spent,
                 shared,
+                tally,
             ),
         ) as pool:
             results = pool.map(_pool_run, chunks)
@@ -596,9 +620,9 @@ def border_certificate(config: Configuration, board: BoardSpec) -> bool:
         raise DomainError("border certificate requires a board-feasible configuration")
     if not is_nonattacking(config):
         raise DomainError("border certificate requires a non-attacking configuration")
-    bigger = BoardSpec(board.n + 2)
-    field = _coverage.attack_field(config, bigger)
-    return all(field.count(s) <= 1 for s in border_squares(bigger))
+    a = _coverage.attack_field(config, BoardSpec(board.n + 2)).as_array()
+    # The ring is the first and last column and row of the bigger board.
+    return int(max(a[0].max(), a[-1].max(), a[:, 0].max(), a[:, -1].max())) <= 1
 
 
 def canonical_pattern_fingerprint(classes: Iterable[FundamentalClass]) -> str:

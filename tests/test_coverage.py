@@ -17,7 +17,7 @@ from queencover import (
     is_nonattacking,
 )
 
-from conftest import brute_attack_number, brute_cover, random_config, random_nonattacking
+from conftest import brute_attack_number, brute_attacks, brute_cover, random_config, random_nonattacking
 
 KNIGHT = Configuration.of([(-1, 0), (0, 2), (1, -1), (2, 1)])
 
@@ -149,3 +149,36 @@ def test_cover_count_matches_attack_field(data):
         field = attack_field(config, board)
         expected = sum(1 for s in board.squares() if field.count(s) >= 1 or s in config)
         assert cover_count(config, board) == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_attack_field_matches_brute_attack_numbers(data):
+    # Sides run over 1..45, beyond the 32 boards of the mask cache, with
+    # queens up to two squares off board on every side.
+    board = BoardSpec(data.draw(st.integers(1, 45)))
+    coord = st.integers(board.lo - 2, board.hi + 2)
+    config = Configuration.of(data.draw(st.sets(st.tuples(coord, coord), max_size=9)))
+    field = attack_field(config, board)
+    counts = field.as_array()
+    brute = {s: brute_attack_number(config, s) for s in board.squares()}
+    for (x, y), a in brute.items():
+        assert counts[x - board.lo, y - board.lo] == a
+    attacked = [a for a in brute.values() if a >= 1]
+    assert field.histogram() == {a: attacked.count(a) for a in set(attacked)}
+    assert field.internal_loss() == sum(a - 1 for a in attacked)
+    assert field.overlap_concentration() == sum(a * (a - 1) // 2 - (a - 1) for a in attacked)
+    assert field.max_count() == max(brute.values())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sets(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), max_size=7))
+def test_is_nonattacking_matches_brute_pairs(squares):
+    config = Configuration.of(squares)
+    queens = config.queens
+    expected = not any(
+        brute_attacks(queens[i], queens[j])
+        for i in range(len(queens))
+        for j in range(i + 1, len(queens))
+    )
+    assert is_nonattacking(config) == expected

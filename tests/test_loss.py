@@ -14,6 +14,7 @@ from queencover import (
     UnboundedLossError,
     all_transforms,
     apply_transform,
+    board_contains,
     center_loss,
     center_loss_of_square,
     centralize,
@@ -32,6 +33,7 @@ from queencover import (
     total_loss,
 )
 
+from queencover.coverage import pair_crossings
 from queencover.loss import stable_board
 
 from conftest import brute_attacks, brute_center_distance, random_nonattacking
@@ -71,6 +73,44 @@ def test_internal_loss_stable_translation_and_symmetry_invariant(rng):
 def _squares_within(rho):
     side = st.integers(-rho, rho + 1)
     return st.lists(st.tuples(side, side), min_size=1, max_size=6)
+
+
+def _stable_reference(config, board):
+    """Feasible, non-attacking, and every pair crossing on the board."""
+    pairs = list(combinations(config.queens, 2))
+    return (
+        all(board_contains(board, s) for s in config.queens)
+        and not any(brute_attacks(a, b) for a, b in pairs)
+        and all(board_contains(board, s) for a, b in pairs for s in pair_crossings(a, b))
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 45), st.integers(0, 4).flatmap(_squares_within))
+def test_is_stable_board_matches_per_crossing_reference(n, squares):
+    # Radius-4 boxes on sides 1..45 put the crossings (|coordinate| up to 12)
+    # on and off the board.  The drawn configuration may attack; its
+    # non-attacking part (each square no earlier kept one attacks) reaches
+    # the crossing test.
+    kept = []
+    for s in squares:
+        if s not in kept and not any(brute_attacks(s, c) for c in kept):
+            kept.append(s)
+    board = BoardSpec(n)
+    for config in (Configuration.of(set(squares)), Configuration.of(kept)):
+        assert is_stable_board(config, board) == _stable_reference(config, board)
+
+
+def test_is_stable_board_reference_sees_both_outcomes(rng):
+    outcomes = set()
+    for n in (9, 13, 19, 25, 31):
+        board = BoardSpec(n)
+        for q in (2, 3, 4, 5):
+            config = random_nonattacking(rng, q, lo=-3, hi=3)
+            expected = _stable_reference(config, board)
+            assert is_stable_board(config, board) == expected
+            outcomes.add(expected)
+    assert outcomes == {True, False}
 
 
 @settings(max_examples=200, deadline=None)

@@ -2,6 +2,7 @@
 
 import functools
 import hashlib
+import pickle
 from itertools import combinations
 from math import comb
 
@@ -20,6 +21,7 @@ from queencover import (
     all_transforms,
     apply_transform,
     border_certificate,
+    border_squares,
     exhaustive_optimal,
     fundamental_classes,
     run_search,
@@ -223,6 +225,24 @@ def test_window_retries_share_one_node_budget():
     assert last.nodes < err.value.nodes <= last.nodes + 6
 
 
+def test_pool_shards_share_one_node_budget():
+    # The shards of a workers=2 run spend the one budget between them; each
+    # alone stays under it (together they visit about 25,000 nodes).
+    for workers in (1, 2):
+        with pytest.raises(BudgetExceededError) as err:
+            windowed_optimal(
+                SearchParams(q=6, n=21, mode="windowed", budget=20_000, workers=workers)
+            )
+        assert err.value.nodes > 20_000
+        assert err.value.budget == 20_000
+
+
+def test_budget_error_survives_pickling():
+    # A pool worker sends its BudgetExceededError back to the parent pickled.
+    err = pickle.loads(pickle.dumps(BudgetExceededError("aborted", 1001, 1000)))
+    assert (str(err), err.nodes, err.budget) == ("aborted", 1001, 1000)
+
+
 def test_worker_count_does_not_change_results():
     base = exhaustive_optimal(SearchParams(q=3, n=9, workers=1))
     multi = exhaustive_optimal(SearchParams(q=3, n=9, workers=2))
@@ -300,6 +320,23 @@ def test_border_certificate_examples():
         border_certificate(Configuration.of([(0, 0), (2, 2)]), BoardSpec(9))
     with pytest.raises(DomainError):
         border_certificate(Configuration.of([(99, 99)]), BoardSpec(9))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 12), st.data())
+def test_border_certificate_matches_brute_ring(n, data):
+    # Feasible non-attacking configurations: each drawn square is kept when
+    # no earlier kept one attacks it.
+    board = BoardSpec(n)
+    coord = st.integers(board.lo, board.hi)
+    kept = []
+    for s in data.draw(st.lists(st.tuples(coord, coord), max_size=6)):
+        if s not in kept and not any(brute_attacks(s, c) for c in kept):
+            kept.append(s)
+    config = Configuration.of(kept)
+    ring = border_squares(BoardSpec(n + 2))
+    expected = all(brute_attack_number(config, s) <= 1 for s in ring)
+    assert border_certificate(config, board) == expected
 
 
 def test_nonattacking_threshold_q2():
