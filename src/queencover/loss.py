@@ -13,9 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coverage import Configuration, attack_field, is_nonattacking, pair_crossings
+from .coverage import Configuration, attack_field, is_nonattacking
+# Unused here, but perfbench/tracer.py wraps loss.pair_crossings by name.
+from .coverage import pair_crossings  # noqa: F401
 from .errors import DomainError, InvariantError, NotStableError, UnboundedLossError
-from .geometry import BoardSpec, Square, board_contains, chebyshev_center_distance
+from .geometry import BoardSpec, Square, chebyshev_center_distance
 
 
 @dataclass(frozen=True)
@@ -87,8 +89,6 @@ def internal_loss_stable(config: Configuration) -> int:
 
 def center_loss_of_square(square: Square, board: BoardSpec) -> int:
     """Per-queen penalty: board-parity base plus 2 per Chebyshev unit off center."""
-    if not board_contains(board, square):
-        raise DomainError(f"square {square} is not on B_{board.n}")
     base = 0 if board.is_odd else 1
     return base + 2 * chebyshev_center_distance(board, square)
 
@@ -124,6 +124,9 @@ def is_stable_board(config: Configuration, board: BoardSpec) -> bool:
     whole shared lines, so their internal loss grows with n) placed so that
     every pairwise attack-line crossing lies on the board; growing the board
     further then changes neither the internal loss nor the cover identity.
+    The crossings of queens (x1, y1) and (x2, y2), with dx = |x2 - x1| and
+    dy = |y2 - y1|, span x in [min x - dy, max x + dy] and y in
+    [min y - dx, max y + dx], each end reached, so the extents are tested.
     """
     if not config.is_feasible(board):
         return False
@@ -133,11 +136,13 @@ def is_stable_board(config: Configuration, board: BoardSpec) -> bool:
         return False
     lo, hi = board.lo, board.hi
     qs = config.queens
-    for i in range(len(qs)):
-        for j in range(i + 1, len(qs)):
-            for x, y in pair_crossings(qs[i], qs[j]):
-                if not (lo <= x <= hi and lo <= y <= hi):
-                    return False
+    for i, (x1, y1) in enumerate(qs):
+        for x2, y2 in qs[i + 1 :]:
+            dx, dy = abs(x2 - x1), abs(y2 - y1)
+            if min(x1, x2) - dy < lo or max(x1, x2) + dy > hi:
+                return False
+            if min(y1, y2) - dx < lo or max(y1, y2) + dx > hi:
+                return False
     return True
 
 

@@ -3,7 +3,7 @@
 Both search modes share one branch-and-bound over center-out ordered
 candidate squares.  Cover is a coverage function, hence submodular: the
 marginal gain of a candidate j, the number of squares it covers that the
-placed queens m do not (popcount(attack(j) & ~m)), can only shrink as queens
+placed queens m do not (popcount(L(j) & ~m)), can only shrink as queens
 are added.  A node with r queens still to place is therefore bounded by its
 cover plus the r largest exact marginals of its open candidates.  Children
 are tried in descending marginal gain, each excluding its earlier siblings,
@@ -16,7 +16,10 @@ the least-indexed one and uses the same bound with the unobstructed gains
 centered box while counting cover on the full board and considers only
 non-attacking placements, so its optimum is relative to the window.  The node
 budget, checked at every node, is the only thing that stops a search; a
-call's successive windows, or the loss route's two parities, share it.
+call's successive windows, or the loss route's two parities, share it.  The
+incumbent starts at the cover of the centralized stairs pattern; the first
+descent, taking the largest gain at every depth, is already a greedy walk
+from the most central square.
 
 Symmetry is used twice: the first queen of an enumeration may be restricted
 to canonical squares (one per orbit of the board symmetries) without losing
@@ -24,9 +27,10 @@ any orbit of optimal configurations, and the result set is reported as
 fundamental classes (orbits with a lexicographically least representative).
 
 Every centered box is a prefix of the center-out order, so one per-board
-engine (order, center losses, attack masks from coverage.BoardMasks, and the
-canonical-square table) serves the exhaustive search, the windowed search
-and the loss route.
+engine (order, center losses and their prefix sums, line masks from
+coverage.BoardMasks, and the canonical-square table) serves the exhaustive
+search, the windowed search and the loss route, and both routes seed from
+the same centralized stairs placements (_stairs_placements).
 
 The loss route scores non-attacking subsets of a box by internal plus
 center loss and never counts cover.  Two non-attacking queens' lines meet
@@ -53,6 +57,7 @@ import multiprocessing
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from typing import Callable, Iterable, Optional
 
 from .constructions import Pattern, centralize, pattern_of, stairs, stairs_details
@@ -165,11 +170,11 @@ def fundamental_classes(
     configs: Iterable[Configuration], board: BoardSpec
 ) -> tuple[FundamentalClass, ...]:
     """Partition configurations into orbits under the eight board symmetries."""
-    pool = {c.queens for c in configs}
-    for queens in pool:
-        for s in queens:
-            if not (board.lo <= s[0] <= board.hi and board.lo <= s[1] <= board.hi):
-                raise DomainError(f"configuration {queens} is not feasible on B_{board.n}")
+    pool = set()
+    for c in configs:
+        if not c.is_feasible(board):
+            raise DomainError(f"configuration {c.queens} is not feasible on B_{board.n}")
+        pool.add(c.queens)
     seen: set[tuple[Square, ...]] = set()
     out = []
     for queens in sorted(pool):
@@ -190,8 +195,10 @@ def fundamental_classes(
 class _Engine:
     """Per-board bitboard tables in center-out candidate order.
 
-    in_f[i] marks the canonical squares: no board symmetry maps square i to
-    an earlier one.
+    lines[j] is the line union of square j, its own bit included.
+    cl_prefix[j + r] - cl_prefix[j] is the least center loss of r candidates
+    from j on, because the order sorts by center loss.  in_f[i] marks the
+    canonical squares: no board symmetry maps square i to an earlier one.
     """
 
     def __init__(self, n: int):
@@ -204,9 +211,9 @@ class _Engine:
         )
         self.order = squares
         self.cl = [center_loss_of_square(s, board) for s in squares]
-        self.cd = [chebyshev_center_distance(board, s) for s in squares]
+        self.cl_prefix = list(accumulate(self.cl, initial=0))
         masks = _coverage.BoardMasks(board, squares)
-        self.attack = [masks.line_union(s) & ~(1 << i) for i, s in enumerate(squares)]
+        self.lines = [masks.line_union(s) for s in squares]
         pos = {s: i for i, s in enumerate(squares)}
         p = board.parity_offset
         perms = [
@@ -217,10 +224,11 @@ class _Engine:
     def box_size(self, radius: int) -> int:
         """Squares within Chebyshev distance radius of the center.
 
-        Center loss grows with the distance, so the centered box of any
-        radius is a prefix of the center-out order; this is its length.
+        Center loss is the parity base plus twice the distance, so the
+        centered box of any radius is a prefix of the center-out order; this
+        is its length.
         """
-        return bisect_right(self.cd, radius)
+        return bisect_right(self.cl, self.board.parity_offset + 2 * radius)
 
 
 @lru_cache(maxsize=6)
@@ -233,7 +241,7 @@ def _neg_gain(entry: tuple[int, int]) -> int:
 
 
 class _Problem:
-    """One search instance: candidate squares, masks and bound tables.
+    """One search instance: the engine's first W candidates of one board.
 
     A radius restricts the search to non-attacking subsets of that centered
     box; radius None searches the whole board with attacks allowed.
@@ -246,28 +254,14 @@ class _Problem:
         self.radius = radius
         W = len(eng.order) if radius is None else eng.box_size(radius)
         self.W = W
-        self.cl = eng.cl[:W]
-        S = 4 * n - 3
-        self.gain_prefix = [0] * (W + 1)
-        for j in range(W):
-            self.gain_prefix[j + 1] = self.gain_prefix[j] + (S - self.cl[j])
-        self.S = S
-        self.battack = [eng.attack[j] | (1 << j) for j in range(W)]
-        self.in_f = eng.in_f[:W]
         # free[j]: the candidates that a queen on candidate j does not attack.
         if radius is not None:
             self.free = [
-                frozenset(i for i in range(W) if i != j and not (eng.attack[j] >> i) & 1)
+                frozenset(i for i in range(W) if not (eng.lines[j] >> i) & 1)
                 for j in range(W)
             ]
         else:
             self.free = None
-
-    def level0(self) -> list[int]:
-        return [j for j in range(self.W) if self.in_f[j]]
-
-    def config_at(self, sel: tuple[int, ...]) -> tuple[Square, ...]:
-        return tuple(sorted(self.engine.order[j] for j in sel))
 
     def search_shard(
         self,
@@ -290,8 +284,9 @@ class _Problem:
         one budget, overshooting it by less than a batch per other running
         shard.
         """
-        q, W, S = self.q, self.W, self.S
-        cl, P, battack = self.cl, self.gain_prefix, self.battack
+        eng = self.engine
+        q, W, S = self.q, self.W, 4 * eng.n - 3
+        C, lines = eng.cl_prefix, eng.lines
         free = self.free
         best = seed
         found: list[tuple[int, ...]] = []
@@ -341,7 +336,7 @@ class _Problem:
             """Add r more queens from avail to the selection sel covering m."""
             nm = ~m
             if r == 1:
-                gains = [bc(battack[j] & nm) for j in avail]
+                gains = [bc(lines[j] & nm) for j in avail]
                 top = max(gains)
                 if cov + top < hint():
                     return
@@ -353,7 +348,7 @@ class _Problem:
             # Children in descending marginal gain; each excludes its earlier
             # siblings, so a child's subtree draws only from the candidates
             # after it, whose r - 1 largest gains bound its completion.
-            ranked = sorted([(bc(battack[j] & nm), j) for j in avail], reverse=True)
+            ranked = sorted([(bc(lines[j] & nm), j) for j in avail], reverse=True)
             last = len(ranked) - r
             window = sum(g for g, _ in ranked[:r])
             cut = hint()
@@ -371,7 +366,7 @@ class _Problem:
                 head = sum(e[0] for e in rest[: r - 2])
                 keep = bisect_right(rest, head + cov + g - cut, key=_neg_gain)
                 if keep >= r - 1:
-                    rec([i for _, i in rest[:keep]], r - 1, m | battack[j], cov + g, sel + (j,))
+                    rec([i for _, i in rest[:keep]], r - 1, m | lines[j], cov + g, sel + (j,))
                     cut = hint()
                 if p < last:
                     window += ranked[p + r][0] - g
@@ -379,10 +374,10 @@ class _Problem:
         for j0 in level0:
             if j0 > W - q:
                 break
-            if (S - cl[j0]) + (P[j0 + q] - P[j0 + 1]) < hint():
+            if q * S - (C[j0 + q] - C[j0]) < hint():
                 break
             spend(1)
-            m0 = battack[j0]
+            m0 = lines[j0]
             if q == 1:
                 note(bc(m0), (j0,))
                 continue
@@ -412,48 +407,20 @@ def _pool_run(level0_chunk: list[int]):
     return _POOL_STATE["problem"].search_shard(level0_chunk, *_POOL_STATE["shard_args"])
 
 
-def _greedy_cover(problem: _Problem) -> int:
-    """Cover achieved by greedily adding the best marginal square; a lower bound.
+def _stairs_placements(q: int, board: BoardSpec, radius: Optional[int]) -> list[Configuration]:
+    """Centralized stairs placements on the board within the radius (None: any).
 
-    Only the most central candidates are considered, which keeps seeding
-    cheap, and the feasibility rules of the problem (non-attacking, window)
-    are honored so the value is always attainable; when the greedy walk runs
-    out of candidates before placing q queens the seed is 0.  The search is
-    exact regardless of seed quality.
+    Both exact routes seed their incumbent from these non-attacking, in-box
+    placements; empty for q outside 2..16 or a pattern that does not fit.
+    The searches are exact regardless of seed quality.
     """
-    allowed = list(range(min(problem.W, 200)))
-    m = 0
-    for _ in range(problem.q):
-        if not allowed:
-            return 0
-        best_j = max(allowed, key=lambda j: (m | problem.battack[j]).bit_count())
-        m |= problem.battack[best_j]
-        if problem.free is None:
-            allowed.remove(best_j)
-        else:
-            free = problem.free[best_j]
-            allowed = [i for i in allowed if i in free]
-    return m.bit_count()
-
-
-def _construction_seed(problem: _Problem, board: BoardSpec) -> int:
-    """Cover of a centralized stairs placement that is feasible for the problem."""
-    q = problem.q
-    if q < 2 or q > 16:
-        return 0
+    if not 2 <= q <= 16:
+        return []
     pattern = stairs(q)
     if pattern.width > board.n or pattern.height > board.n:
-        return 0
-    best = 0
-    for c in centralize(pattern, board):
-        if problem.radius is not None and c.radius(board) > problem.radius:
-            continue
-        best = max(best, cover_count(c, board))
-    return best
-
-
-def _seed_cover(problem: _Problem, board: BoardSpec) -> int:
-    return max(_greedy_cover(problem), _construction_seed(problem, board))
+        return []
+    placements = centralize(pattern, board)
+    return [c for c in placements if radius is None or c.radius(board) <= radius]
 
 
 def _run_problem(
@@ -463,9 +430,11 @@ def _run_problem(
 
     Pool shards count their nodes against one shared tally (see search_shard).
     """
-    board = problem.engine.board
-    seed = _seed_cover(problem, board)
-    level0 = problem.level0()
+    eng = problem.engine
+    board = eng.board
+    placements = _stairs_placements(problem.q, board, problem.radius)
+    seed = max((cover_count(c, board) for c in placements), default=0)
+    level0 = [j for j in range(problem.W) if eng.in_f[j]]
     node_budget = params.budget
     if params.workers > 1 and len(level0) > 1:
         chunks = [level0[i :: params.workers * 4] for i in range(params.workers * 4)]
@@ -476,7 +445,7 @@ def _run_problem(
             processes=params.workers,
             initializer=_pool_init,
             initargs=(
-                problem.engine.n,
+                eng.n,
                 problem.q,
                 problem.radius,
                 seed,
@@ -495,7 +464,7 @@ def _run_problem(
         nodes = spent + sum(nd - spent for _, _, nd in results)
     else:
         best, sels, nodes = problem.search_shard(level0, seed, node_budget, spent)
-    configs = sorted({problem.config_at(sel) for sel in sels})
+    configs = sorted({tuple(sorted(eng.order[j] for j in sel)) for sel in sels})
     return best, configs, nodes
 
 
@@ -768,9 +737,9 @@ def _crossing_masks(squares: list[Square], attack: list[int], odd: bool) -> list
     """Each square's pair crossings with the squares it does not attack.
 
     cross[j] is the union of pair_crossings(squares[j], squares[k]) over every
-    k whose bit is clear in attack[j], as a bitmask over the row-major squares
-    of the squares' stable board at the given parity, which holds every
-    crossing.  Two non-attacking queens' lines meet exactly on their pair
+    k != j whose bit is clear in attack[j], as a bitmask over the row-major
+    squares of the squares' stable board at the given parity, which holds
+    every crossing.  Two non-attacking queens' lines meet exactly on their pair
     crossings and neither queen's square lies on the other's lines, so
     cross[j] = L(j) & OR of L(k), with L the on-board line union.
     """
@@ -792,24 +761,18 @@ def _loss_scan_parity(
 ) -> tuple[Optional[LossMinimal], int]:
     """One parity's loss-minimal patterns and nodes, counting on from spent."""
     board = BoardSpec(4 * radius + (9 if odd else 10))
-    # The box is a prefix of the engine's center-out order; attack bits at or
+    # The box is a prefix of the engine's center-out order; line bits at or
     # beyond W never enter avail, so the engine's masks serve unchanged.
     eng = _engine(board.n)
     W = eng.box_size(radius)
-    squares, cl, attack, in_f = eng.order, eng.cl, eng.attack, eng.in_f
-    # prefix[j + r] - prefix[j] is the least center loss of r candidates from j
-    # on, because the order sorts by center loss.
-    prefix = [0] * (W + 1)
-    for j in range(W):
-        prefix[j + 1] = prefix[j] + cl[j]
+    squares, cl, C, L, in_f = eng.order, eng.cl, eng.cl_prefix, eng.lines, eng.in_f
 
     best = math.inf
-    if 2 <= q <= 16:
+    if _stairs_placements(q, board, radius):
         build = stairs_details(q)
-        if any(c.radius(board) <= radius for c in centralize(build.pattern, board)):
-            best = build.internal + (build.center_odd if odd else build.center_even)
+        best = build.internal + (build.center_odd if odd else build.center_even)
 
-    cross = _crossing_masks(squares[:W], attack, odd)
+    cross = _crossing_masks(squares[:W], L, odd)
 
     found: list[tuple[int, ...]] = []
     nodes = spent
@@ -845,7 +808,7 @@ def _loss_scan_parity(
                 else:
                     found.append(sel + (j,))
             else:
-                aj = attack[j]
+                aj = L[j]
                 rest = [i for _, i in ranked[p + 1 :] if not (aj >> i) & 1]
                 if len(rest) >= r - 1:
                     rec(rest, r - 1, lines | cross[j], inloss + v - cl[j], cen + cl[j], sel + (j,))
@@ -856,13 +819,13 @@ def _loss_scan_parity(
         if not in_f[j0]:
             continue
         # Every later queen crosses j0 on at least 10 distinct squares.
-        if 10 * (q - 1) + prefix[j0 + q] - prefix[j0] > best:
+        if 10 * (q - 1) + C[j0 + q] - C[j0] > best:
             break
         if q == 1:
             best = cl[j0]
             found.append((j0,))
         else:
-            aj = attack[j0]
+            aj = L[j0]
             avail = [i for i in range(j0 + 1, W) if not (aj >> i) & 1]
             rec(avail, q - 1, cross[j0], 0, cl[j0], (j0,))
 

@@ -1,5 +1,7 @@
 """End-to-end CLI behavior via subprocess: formats, cache, exit codes."""
 
+import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -218,3 +220,19 @@ def test_closed_stdout_exits_quietly():
         stderr = proc.stderr.read()
         assert proc.wait(timeout=60) == 0
     assert stderr == b""
+
+
+def test_tracer_bindings_name_existing_attributes():
+    # perfbench/tracer.py wraps these names on the imported modules for
+    # `perfbench/run.py --trace 1`; a binding that looks unused inside the
+    # package (search.pair_crossings, loss.pair_crossings) must stay.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for caller, attr, _ in tracer.BINDINGS:
+        module = importlib.import_module(f"queencover.{caller}")
+        assert callable(getattr(module, attr, None)), f"queencover.{caller}.{attr}"
+    for modname, cls_name, meth, _ in tracer.METHODS:
+        cls = getattr(importlib.import_module(f"queencover.{modname}"), cls_name)
+        assert meth in vars(cls), f"queencover.{modname}.{cls_name}.{meth}"

@@ -385,6 +385,11 @@ def test_loss_minimal_rejects_a_box_without_nonattacking_subsets():
         assert scan.even.min_total == even_total
     with pytest.raises(DomainError):
         loss_minimal_patterns(5, 1)
+    # Stairs patterns too large for either parity's board must not preempt
+    # the refusal with a does-not-fit error from the seed.
+    for q, radius in ((10, 0), (12, 0), (16, 1)):
+        with pytest.raises(DomainError, match="no centered box"):
+            loss_minimal_patterns(q, radius)
 
 
 def test_loss_route_budget_holds_inside_the_recursion():
