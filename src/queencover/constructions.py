@@ -64,10 +64,12 @@ class Pattern:
         best = None
         for kind in TRANSFORM_KINDS:
             img = [transform_square(kind, 0, s) for s in self.offsets]
-            cand = Pattern.of(img)
-            if best is None or cand.offsets < best.offsets:
-                best = cand
-        return best
+            mx = min(x for x, _ in img)
+            my = min(y for _, y in img)
+            offsets = sorted((x - mx, y - my) for x, y in img)
+            if best is None or offsets < best:
+                best = offsets
+        return Pattern(tuple(best))
 
 
 def pattern_of(config: Configuration) -> Pattern:

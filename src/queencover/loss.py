@@ -128,8 +128,11 @@ def is_stable_board(config: Configuration, board: BoardSpec) -> bool:
     dy = |y2 - y1|, span x in [min x - dy, max x + dy] and y in
     [min y - dx, max y + dx], each end reached, so the extents are tested.
     """
-    if not config.is_feasible(board):
-        return False
+    return config.is_feasible(board) and _crossings_on_board(config, board)
+
+
+def _crossings_on_board(config: Configuration, board: BoardSpec) -> bool:
+    """is_stable_board for a configuration already known to be on the board."""
     if config.q <= 1:
         return True
     if not is_nonattacking(config):
@@ -162,7 +165,7 @@ def total_loss(config: Configuration, board: BoardSpec) -> LossBreakdown:
         overlap_concentration=field.overlap_concentration(),
         even_count=e,
         odd_count=o,
-        stable=is_stable_board(config, board),
+        stable=_crossings_on_board(config, board),
     )
 
 

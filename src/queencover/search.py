@@ -21,14 +21,17 @@ incumbent starts at the cover of the centralized stairs pattern; the first
 descent, taking the largest gain at every depth, is already a greedy walk
 from the most central square.
 
-Symmetry is used twice: the first queen of an enumeration may be restricted
-to canonical squares (one per orbit of the board symmetries) without losing
-any orbit of optimal configurations, and the result set is reported as
-fundamental classes (orbits with a lexicographically least representative).
+Symmetry is used twice, from one table: the engine holds the eight board
+symmetries as permutations of its candidate indices (perms).  The first
+queen of an enumeration is restricted to canonical squares (no symmetry maps
+them to an earlier index) without losing any orbit of optimal
+configurations, and the search's index selections are expanded to their
+orbits in index space and reported as fundamental classes (orbits with a
+lexicographically least representative).
 
 Every centered box is a prefix of the center-out order, so one per-board
 engine (order, center losses and their prefix sums, line masks from
-coverage.BoardMasks, and the canonical-square table) serves the exhaustive
+coverage.BoardMasks, and the symmetry permutations) serves the exhaustive
 search, the windowed search and the loss route, and both routes seed from
 the same centralized stairs placements (_stairs_placements).
 
@@ -65,13 +68,7 @@ from .coverage import Configuration, cover_count, is_nonattacking
 # Unused here, but perfbench/tracer.py wraps search.pair_crossings by name.
 from .coverage import pair_crossings  # noqa: F401
 from .errors import BudgetExceededError, DomainError, InvariantError
-from .geometry import (
-    BoardSpec,
-    Square,
-    TRANSFORM_KINDS,
-    chebyshev_center_distance,
-    transform_square,
-)
+from .geometry import BoardSpec, Square, TRANSFORM_KINDS, transform_square
 from .loss import center_loss_of_square, stable_board
 from . import coverage as _coverage
 
@@ -157,15 +154,6 @@ class OptimalSet:
     nodes: int = 0
 
 
-def _transform_config(kind: str, parity_offset: int, queens: Iterable[Square]) -> tuple[Square, ...]:
-    return tuple(sorted(transform_square(kind, parity_offset, s) for s in queens))
-
-
-def config_orbit(config: Configuration, board: BoardSpec) -> tuple[tuple[Square, ...], ...]:
-    p = board.parity_offset
-    return tuple(sorted({_transform_config(k, p, config.queens) for k in TRANSFORM_KINDS}))
-
-
 def fundamental_classes(
     configs: Iterable[Configuration], board: BoardSpec
 ) -> tuple[FundamentalClass, ...]:
@@ -175,21 +163,41 @@ def fundamental_classes(
         if not c.is_feasible(board):
             raise DomainError(f"configuration {c.queens} is not feasible on B_{board.n}")
         pool.add(c.queens)
-    seen: set[tuple[Square, ...]] = set()
-    out = []
-    for queens in sorted(pool):
-        if queens in seen:
+    eng = _engine(board.n)
+    pos = {s: i for i, s in enumerate(eng.order)}
+    return tuple(_orbit_classes(eng, ([pos[s] for s in queens] for queens in sorted(pool)))[1])
+
+
+def _orbit_classes(
+    eng: _Engine, sels: Iterable[Iterable[int]]
+) -> tuple[list[tuple[Square, ...]], list[FundamentalClass]]:
+    """Every member of the selections' orbits as squares, sorted, and their classes.
+
+    Each selection is expanded once through the engine's permutations, unless
+    an earlier orbit already holds it; the classes come in that order, each
+    represented by its orbit's least member.
+    """
+    order, perms = eng.order, eng.perms
+    seen: set[tuple[int, ...]] = set()
+    members: list[tuple[Square, ...]] = []
+    classes = []
+    for sel in sels:
+        key = tuple(sorted(sel))
+        if key in seen:
             continue
-        orbit = config_orbit(Configuration(queens), board)
-        seen.update(orbit)
-        out.append(
+        orbit = {tuple(sorted(perm[i] for i in key)) for perm in perms}
+        seen |= orbit
+        configs = [tuple(sorted(order[i] for i in m)) for m in orbit]
+        members += configs
+        classes.append(
             FundamentalClass(
-                representative=Configuration(orbit[0]),
+                representative=Configuration(min(configs)),
                 orbit_size=len(orbit),
                 stabilizer_order=8 // len(orbit),
             )
         )
-    return tuple(out)
+    members.sort()
+    return members, classes
 
 
 class _Engine:
@@ -197,29 +205,29 @@ class _Engine:
 
     lines[j] is the line union of square j, its own bit included.
     cl_prefix[j + r] - cl_prefix[j] is the least center loss of r candidates
-    from j on, because the order sorts by center loss.  in_f[i] marks the
-    canonical squares: no board symmetry maps square i to an earlier one.
+    from j on, because the order sorts by center loss.  perms[k][j] is the
+    index of square j's image under the k-th of the TRANSFORM_KINDS; it is
+    the one symmetry table, and in_f[i] marks the canonical squares: no
+    permutation maps square i to an earlier one.
     """
 
     def __init__(self, n: int):
         board = BoardSpec(n)
         self.board = board
         self.n = n
-        squares = sorted(
-            board.squares(),
-            key=lambda s: (center_loss_of_square(s, board), s),
-        )
+        keyed = sorted((center_loss_of_square(s, board), s) for s in board.squares())
+        squares = [s for _, s in keyed]
         self.order = squares
-        self.cl = [center_loss_of_square(s, board) for s in squares]
+        self.cl = [c for c, _ in keyed]
         self.cl_prefix = list(accumulate(self.cl, initial=0))
         masks = _coverage.BoardMasks(board, squares)
         self.lines = [masks.line_union(s) for s in squares]
         pos = {s: i for i, s in enumerate(squares)}
         p = board.parity_offset
-        perms = [
-            [pos[transform_square(kind, p, s)] for s in squares] for kind in TRANSFORM_KINDS
-        ]
-        self.in_f = [all(perm[i] >= i for perm in perms) for i in range(len(squares))]
+        self.perms = tuple(
+            tuple(pos[transform_square(kind, p, s)] for s in squares) for kind in TRANSFORM_KINDS
+        )
+        self.in_f = [all(perm[i] >= i for perm in self.perms) for i in range(len(squares))]
 
     def box_size(self, radius: int) -> int:
         """Squares within Chebyshev distance radius of the center.
@@ -425,8 +433,8 @@ def _stairs_placements(q: int, board: BoardSpec, radius: Optional[int]) -> list[
 
 def _run_problem(
     problem: _Problem, params: SearchParams, spent: int = 0
-) -> tuple[int, list[tuple[Square, ...]], int]:
-    """Best cover, argmax configurations and nodes, counting on from spent.
+) -> tuple[int, list[tuple[int, ...]], int]:
+    """Best cover, argmax index selections and nodes, counting on from spent.
 
     Pool shards count their nodes against one shared tally (see search_shard).
     """
@@ -462,45 +470,36 @@ def _run_problem(
             if b == best:
                 sels.extend(found)
         nodes = spent + sum(nd - spent for _, _, nd in results)
-    else:
-        best, sels, nodes = problem.search_shard(level0, seed, node_budget, spent)
-    configs = sorted({tuple(sorted(eng.order[j] for j in sel)) for sel in sels})
-    return best, configs, nodes
-
-
-def _orbit_expand(
-    configs: list[tuple[Square, ...]], board: BoardSpec
-) -> list[tuple[Square, ...]]:
-    orbits = (config_orbit(Configuration(queens), board) for queens in configs)
-    return sorted(set().union(*orbits))
+        return best, sels, nodes
+    return problem.search_shard(level0, seed, node_budget, spent)
 
 
 def _finish(
     params: SearchParams,
+    eng: _Engine,
     best: int,
-    raw_configs: list[tuple[Square, ...]],
+    sels: list[tuple[int, ...]],
     nodes: int,
     window_used: Optional[int],
     window_retries: int,
 ) -> OptimalSet:
-    board = BoardSpec(params.n)
-    expanded = _orbit_expand(raw_configs, board)
+    board = eng.board
+    members, classes = _orbit_classes(eng, sels)
     configurations = []
-    for queens in expanded:
+    for queens in members:
         config = Configuration(queens)
         if cover_count(config, board) != best:
             raise InvariantError(
                 f"reported optimum {queens} does not reach cover {best}"
             )
         configurations.append(config)
-    classes = fundamental_classes(configurations, board)
     if sum(c.orbit_size for c in classes) != len(configurations):
         raise InvariantError("orbit sizes do not partition the optimal set")
     return OptimalSet(
         params=params,
         max_cover=best,
         configurations=tuple(configurations),
-        classes=classes,
+        classes=tuple(sorted(classes, key=lambda c: c.representative.queens)),
         window_used=window_used,
         window_retries=window_retries,
         nodes=nodes,
@@ -512,8 +511,8 @@ def exhaustive_optimal(params: SearchParams) -> OptimalSet:
     if params.mode != "exhaustive":
         raise DomainError("exhaustive_optimal requires mode='exhaustive'")
     problem = _Problem(params.n, params.q, None)
-    best, configs, nodes = _run_problem(problem, params)
-    return _finish(params, best, configs, nodes, None, 0)
+    best, sels, nodes = _run_problem(problem, params)
+    return _finish(params, problem.engine, best, sels, nodes, None, 0)
 
 
 def _window_radius(window: int, board: BoardSpec) -> int:
@@ -552,20 +551,18 @@ def windowed_optimal(params: SearchParams) -> OptimalSet:
         if problem.W < params.q:
             radius += 1
             continue
-        best, configs, nodes = _run_problem(problem, params, nodes)
+        best, sels, nodes = _run_problem(problem, params, nodes)
         # A window holding no non-attacking q-subset grows like a touched one.
-        touched = not configs or any(
-            chebyshev_center_distance(board, s) >= radius
-            for queens in configs
-            for s in queens
-        )
+        # The squares off the boundary are the box of radius - 1, a prefix.
+        inner = problem.engine.box_size(radius - 1)
+        touched = not sels or any(j >= inner for sel in sels for j in sel)
         if not touched or radius >= max_radius:
-            if not configs:
+            if not sels:
                 raise DomainError(
                     f"B_{params.n} holds no non-attacking configuration of {params.q} queens"
                 )
             return _finish(
-                params, best, configs, nodes, _window_side(radius, board), retries
+                params, problem.engine, best, sels, nodes, _window_side(radius, board), retries
             )
         radius += 1
         retries += 1

@@ -49,7 +49,7 @@ def _encode_config(config: Configuration) -> list[list[int]]:
 
 def _decode_config(payload, where: str) -> Configuration:
     if not isinstance(payload, list) or not all(
-        isinstance(p, list) and len(p) == 2 and all(isinstance(v, int) for v in p)
+        isinstance(p, list) and len(p) == 2 and isinstance(p[0], int) and isinstance(p[1], int)
         for p in payload
     ):
         raise RecordError(f"{where}: configuration must be a list of [x, y] pairs")
@@ -115,8 +115,10 @@ def parse_lines(data: bytes) -> list[dict]:
     return records
 
 
-def validate_search_record(record: dict) -> dict:
-    """Check schema version, field types and structural invariants."""
+def _decode_record(
+    record: dict,
+) -> tuple[tuple[Configuration, ...], tuple[FundamentalClass, ...]]:
+    """Check schema version, field types and structural invariants; decode once."""
     if not isinstance(record, dict):
         raise RecordError("record must be an object")
     version = record.get("schema_version")
@@ -135,45 +137,40 @@ def validate_search_record(record: dict) -> dict:
             raise RecordError(f"missing field params.{key!r}")
     if not isinstance(record["max_cover"], int):
         raise RecordError("max_cover: must be an integer")
-    configs = [
+    configs = tuple(
         _decode_config(payload, f"configurations[{i}]")
         for i, payload in enumerate(record["configurations"])
-    ]
+    )
     if len({c.queens for c in configs}) != len(configs):
         raise RecordError("configurations: duplicate entries")
-    orbit_total = 0
+    classes = []
     for i, cls in enumerate(record["classes"]):
-        _decode_config(cls.get("representative"), f"classes[{i}].representative")
+        rep = _decode_config(cls.get("representative"), f"classes[{i}].representative")
         size = cls.get("orbit_size")
         stab = cls.get("stabilizer_order")
         if not isinstance(size, int) or not isinstance(stab, int) or size * stab != 8:
             raise RecordError(f"classes[{i}]: orbit_size x stabilizer_order must be 8")
-        orbit_total += size
-    if orbit_total != len(configs):
+        classes.append(FundamentalClass(rep, size, stab))
+    if sum(c.orbit_size for c in classes) != len(configs):
         raise RecordError("classes: orbit sizes do not sum to the configuration count")
+    return configs, tuple(classes)
+
+
+def validate_search_record(record: dict) -> dict:
+    """Check schema version, field types and structural invariants."""
+    _decode_record(record)
     return record
 
 
 def record_to_optimal_set(record: dict) -> OptimalSet:
-    """Rebuild an OptimalSet (without volatile metadata) from a validated record."""
-    validate_search_record(record)
+    """Rebuild an OptimalSet (without volatile metadata) from a record, validated."""
+    configurations, classes = _decode_record(record)
     p = record["params"]
     params = SearchParams(
         q=p["q"],
         n=p["n"],
         mode=p["mode"],
         window=p.get("window"),
-    )
-    configurations = tuple(
-        _decode_config(payload, "configurations") for payload in record["configurations"]
-    )
-    classes = tuple(
-        FundamentalClass(
-            representative=_decode_config(c["representative"], "classes"),
-            orbit_size=c["orbit_size"],
-            stabilizer_order=c["stabilizer_order"],
-        )
-        for c in record["classes"]
     )
     return OptimalSet(
         params=params,

@@ -6,7 +6,8 @@ import random
 
 import pytest
 
-from queencover import BoardSpec, Configuration
+from queencover import BoardSpec, Configuration, Pattern
+from queencover.geometry import TRANSFORM_KINDS, transform_square
 
 
 def brute_attacks(a, b) -> bool:
@@ -37,6 +38,31 @@ def brute_center_distance(board: BoardSpec, square) -> int:
         max(abs(square[0] - cx), abs(square[1] - cy))
         for cx, cy in board.center_squares()
     )
+
+
+def brute_orbit(queens, board: BoardSpec) -> set:
+    """The images of a queen tuple under the eight symmetries, square by square."""
+    p = board.parity_offset
+    return {tuple(sorted(transform_square(k, p, s) for s in queens)) for k in TRANSFORM_KINDS}
+
+
+def brute_classes(configs, board: BoardSpec) -> list:
+    """(representative, orbit size) per orbit, in order of each orbit's least input."""
+    seen: set = set()
+    out = []
+    for queens in sorted({c.queens for c in configs}):
+        if queens in seen:
+            continue
+        orbit = brute_orbit(queens, board)
+        seen |= orbit
+        out.append((min(orbit), len(orbit)))
+    return out
+
+
+def brute_canonical(pattern: Pattern) -> Pattern:
+    """The least normalized image of a pattern under the eight symmetries."""
+    images = [Pattern.of(transform_square(k, 0, s) for s in pattern.offsets) for k in TRANSFORM_KINDS]
+    return min(images, key=lambda p: p.offsets)
 
 
 def random_config(rng: random.Random, board: BoardSpec, q: int) -> Configuration:

@@ -1,6 +1,8 @@
 """Patterns, the knight-square and stairs families, and centralized placement."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from queencover import (
     BoardSpec,
@@ -21,7 +23,7 @@ from queencover import (
 )
 from queencover.constructions import pattern_center_loss
 
-from conftest import random_nonattacking
+from conftest import brute_canonical, random_nonattacking
 
 
 def test_pattern_normalization():
@@ -39,6 +41,13 @@ def test_pattern_canonical_is_symmetry_invariant():
     mirrored = Pattern.of([(-x, y) for x, y in p.offsets])
     rotated = Pattern.of([(-y, x) for x, y in p.offsets])
     assert p.canonical() == mirrored.canonical() == rotated.canonical()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), min_size=1, max_size=7))
+def test_pattern_canonical_is_least_symmetry_image(squares):
+    pattern = Pattern.of(squares)
+    assert pattern.canonical() == brute_canonical(pattern)
 
 
 def test_knight_square_structure():

@@ -33,6 +33,7 @@ from queencover import (
     stabilizing_threshold,
     windowed_optimal,
 )
+from queencover.geometry import TRANSFORM_KINDS, transform_square
 from queencover.loss import stable_board
 from queencover.search import (
     DEFAULT_BUDGET,
@@ -42,7 +43,14 @@ from queencover.search import (
     canonical_pattern_fingerprint,
 )
 
-from conftest import brute_attack_number, brute_attacks, brute_center_distance, brute_cover
+from conftest import (
+    brute_attack_number,
+    brute_attacks,
+    brute_center_distance,
+    brute_classes,
+    brute_cover,
+    brute_orbit,
+)
 from expected_sets import Q2_EVEN, Q2_ODD, Q3_EVEN, Q3_ODD
 
 
@@ -308,6 +316,66 @@ def test_fundamental_classes_partition_and_validate():
     result = exhaustive_optimal(SearchParams(q=2, n=10))
     classes = fundamental_classes(result.configurations, BoardSpec(10))
     assert sum(c.orbit_size for c in classes) == len(result.configurations)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 10, 13])
+def test_engine_perms_agree_with_transform_square(n):
+    eng = queencover.search._engine(n)
+    p = eng.board.parity_offset
+    assert len(eng.perms) == len(TRANSFORM_KINDS)
+    for kind, perm in zip(TRANSFORM_KINDS, eng.perms):
+        assert sorted(perm) == list(range(len(eng.order))), kind
+        for j, s in enumerate(eng.order):
+            assert eng.order[perm[j]] == transform_square(kind, p, s), (kind, s)
+    canonical = [
+        all(eng.order.index(transform_square(k, p, s)) >= j for k in TRANSFORM_KINDS)
+        for j, s in enumerate(eng.order)
+    ]
+    assert eng.in_f == canonical
+
+
+def _assert_classes_are_brute_orbits(result):
+    board = BoardSpec(result.params.n)
+    members = set(_as_set(result.configurations))
+    covered: set = set()
+    for cls in result.classes:
+        orbit = brute_orbit(cls.representative.queens, board)
+        assert cls.representative.queens == min(orbit)
+        assert cls.orbit_size == len(orbit)
+        assert orbit <= members and not orbit & covered
+        covered |= orbit
+    assert covered == members
+    assert [c.representative.queens for c in result.classes] == sorted(
+        c.representative.queens for c in result.classes
+    )
+    assert fundamental_classes(result.configurations, board) == result.classes
+
+
+@pytest.mark.parametrize("q,n", [(1, 9), (1, 10), (2, 10), (2, 11), (3, 13), (4, 9), (4, 12)])
+def test_exhaustive_classes_are_brute_orbits(q, n):
+    _assert_classes_are_brute_orbits(exhaustive_optimal(SearchParams(q=q, n=n)))
+
+
+@pytest.mark.parametrize("q,n", [(3, 9), (3, 10), (5, 17), (5, 18)])
+def test_windowed_classes_are_brute_orbits(q, n):
+    _assert_classes_are_brute_orbits(windowed_optimal(SearchParams(q=q, n=n, mode="windowed")))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 8), st.data())
+def test_fundamental_classes_match_brute_orbits(n, data):
+    # Arbitrary inputs, not closed under symmetry: classes come in the order
+    # of each orbit's least input configuration.
+    board = BoardSpec(n)
+    squares = list(board.squares())
+    q = data.draw(st.integers(1, min(3, len(squares))))
+    subset = st.lists(st.sampled_from(squares), min_size=q, max_size=q, unique=True)
+    configs = [Configuration.of(c) for c in data.draw(st.lists(subset, max_size=6))]
+    classes = fundamental_classes(configs, board)
+    assert [(c.representative.queens, c.orbit_size) for c in classes] == brute_classes(
+        configs, board
+    )
+    assert all(c.orbit_size * c.stabilizer_order == 8 for c in classes)
 
 
 def test_border_certificate_examples():
