@@ -42,6 +42,7 @@ from .serialization import (
     ResultCache,
     optimal_set_record,
     parse_lines,
+    record_to_optimal_set,
     to_json_line,
     validate_search_record,
 )
@@ -355,11 +356,10 @@ def _cmd_verify(args) -> int:
     failures = []
     checked = 0
     for idx, record in enumerate(records):
-        validate_search_record(record)
-        board = BoardSpec(record["params"]["n"])
-        stored = record["max_cover"]
-        for jdx, payload in enumerate(record["configurations"]):
-            config = Configuration.of((x, y) for x, y in payload)
+        result = record_to_optimal_set(record)
+        board = BoardSpec(result.params.n)
+        stored = result.max_cover
+        for jdx, config in enumerate(result.configurations):
             actual = cover_count(config, board)
             checked += 1
             if actual != stored:

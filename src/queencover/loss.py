@@ -56,7 +56,9 @@ def stable_board(config: Configuration, odd: bool) -> BoardSpec:
     6 rho + 1 suffices, and in [-3 rho - 1, 3 rho + 2] on an even board,
     whose center sits between 0 and 1, so side 6 rho + 4 suffices.  Sides
     below 9 (odd) and 10 (even) are raised to them.  A non-attacking
-    configuration is therefore stable on the returned board.
+    configuration is therefore stable on the returned board.  The loss route
+    (search.loss_minimal_patterns) runs on the stable board of its box's
+    corner square, which holds every crossing of the box's squares.
     """
     if odd:
         rho = max((max(abs(x), abs(y)) for x, y in config.queens), default=0)

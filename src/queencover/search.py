@@ -31,24 +31,26 @@ lexicographically least representative).
 
 Every centered box is a prefix of the center-out order, so one per-board
 engine (order, center losses and their prefix sums, line masks from
-coverage.BoardMasks, and the symmetry permutations) serves the exhaustive
-search, the windowed search and the loss route, and both routes seed from
-the same centralized stairs placements (_stairs_placements).
+coverage.BoardMasks, and the symmetry permutations) and one search instance
+over it (_Problem: a box prefix and, for a box, each candidate's
+non-attacking partners free[j]) serve the exhaustive search, the windowed
+search and the loss route, and all three seed from the same centralized
+stairs placements (_stairs_placements).
 
-The loss route scores non-attacking subsets of a box by internal plus
-center loss and never counts cover.  Two non-attacking queens' lines meet
-exactly on their pair crossings, and neither queen's square lies on the
-other's lines, so on the box's stable board (which holds every crossing)
-cross[j] = L(j) & OR of L(k) over j's non-attacking box partners k, with L
-the on-board line union of coverage.BoardMasks, is the union of j's pair
-crossings, and cross[i] & cross[j] is exactly the crossings of i and j.  A
-square's internal loss is the number of queens attacking it beyond the
-first, so placing j on queens whose masks OR to `lines` raises the internal
-loss by exactly popcount(lines & cross[j]): every square counted is attacked
-by a placed queen already, and j adds one attacker to it.  That delta only
-grows as queens are added, the loss-side twin of the shrinking marginal
-gain: children are tried in ascending delta + center loss, each excluding
-its earlier siblings, and child p is cut once the scores at ranks
+The loss route scores non-attacking subsets of a box by internal plus center
+loss and never counts cover.  It runs on the box's stable board
+(loss.stable_board), which holds every pair crossing of the box's squares.
+Two non-attacking queens' lines meet exactly on their pair crossings, and
+neither queen's square lies on the other's lines, so there cross[j] = L(j) &
+OR of L(k) over k in free[j], with L the engine's line masks, is the union
+of j's pair crossings, and cross[i] & cross[j] is exactly the crossings of i
+and j.  A square's internal loss is the number of queens attacking it beyond
+the first, so placing j on queens whose masks OR to `lines` raises the
+internal loss by exactly popcount(lines & cross[j]): every square counted is
+attacked by a placed queen already, and j adds one attacker to it.  That
+delta only grows as queens are added, the loss-side twin of the shrinking
+marginal gain: children are tried in ascending delta + center loss, each
+excluding its earlier siblings, and child p is cut once the scores at ranks
 p .. p + r - 1 exceed the incumbent, strictly, so ties survive.
 """
 
@@ -59,8 +61,9 @@ import math
 import multiprocessing
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import accumulate
+from operator import or_
 from typing import Callable, Iterable, Optional
 
 from .constructions import Pattern, centralize, pattern_of, stairs, stairs_details
@@ -239,7 +242,7 @@ class _Engine:
         return bisect_right(self.cl, self.board.parity_offset + 2 * radius)
 
 
-@lru_cache(maxsize=6)
+@lru_cache(maxsize=32)
 def _engine(n: int) -> _Engine:
     return _Engine(n)
 
@@ -252,7 +255,9 @@ class _Problem:
     """One search instance: the engine's first W candidates of one board.
 
     A radius restricts the search to non-attacking subsets of that centered
-    box; radius None searches the whole board with attacks allowed.
+    box; radius None searches the whole board with attacks allowed.  The
+    exhaustive and windowed searches run search_shard on it; the loss route
+    reads its engine, W and free on the box's stable board.
     """
 
     def __init__(self, n: int, q: int, radius: Optional[int]):
@@ -405,12 +410,6 @@ _POOL_STATE: dict = {}
 _TALLY_BATCH = 256
 
 
-def _pool_init(n, q, radius, *shard_args):
-    """shard_args: search_shard's seed, node_budget, spent, shared and tally."""
-    _POOL_STATE["problem"] = _Problem(n, q, radius)
-    _POOL_STATE["shard_args"] = shard_args
-
-
 def _pool_run(level0_chunk: list[int]):
     return _POOL_STATE["problem"].search_shard(level0_chunk, *_POOL_STATE["shard_args"])
 
@@ -418,9 +417,9 @@ def _pool_run(level0_chunk: list[int]):
 def _stairs_placements(q: int, board: BoardSpec, radius: Optional[int]) -> list[Configuration]:
     """Centralized stairs placements on the board within the radius (None: any).
 
-    Both exact routes seed their incumbent from these non-attacking, in-box
-    placements; empty for q outside 2..16 or a pattern that does not fit.
-    The searches are exact regardless of seed quality.
+    All three exact routes seed their incumbent from these non-attacking,
+    in-box placements; empty for q outside 2..16 or a pattern that does not
+    fit.  The searches are exact regardless of seed quality.
     """
     if not 2 <= q <= 16:
         return []
@@ -449,21 +448,13 @@ def _run_problem(
         chunks = [c for c in chunks if c]
         shared = multiprocessing.Value("q", seed)
         tally = multiprocessing.Value("q", spent)
-        with multiprocessing.get_context("fork").Pool(
-            processes=params.workers,
-            initializer=_pool_init,
-            initargs=(
-                eng.n,
-                problem.q,
-                problem.radius,
-                seed,
-                node_budget,
-                spent,
-                shared,
-                tally,
-            ),
-        ) as pool:
-            results = pool.map(_pool_run, chunks)
+        # Forked workers inherit the problem and search_shard's arguments.
+        _POOL_STATE.update(problem=problem, shard_args=(seed, node_budget, spent, shared, tally))
+        try:
+            with multiprocessing.get_context("fork").Pool(processes=params.workers) as pool:
+                results = pool.map(_pool_run, chunks)
+        finally:
+            _POOL_STATE.clear()
         best = max([seed] + [b for b, _, _ in results])
         sels = []
         for b, found, _ in results:
@@ -730,46 +721,32 @@ class LossScan:
     even: Optional[LossMinimal]
 
 
-def _crossing_masks(squares: list[Square], attack: list[int], odd: bool) -> list[int]:
-    """Each square's pair crossings with the squares it does not attack.
+def _loss_tables(q: int, radius: int, odd: bool) -> tuple[_Problem, list[int]]:
+    """The loss route's problem on its box's stable board, and its crossing table.
 
-    cross[j] is the union of pair_crossings(squares[j], squares[k]) over every
-    k != j whose bit is clear in attack[j], as a bitmask over the row-major
-    squares of the squares' stable board at the given parity, which holds
-    every crossing.  Two non-attacking queens' lines meet exactly on their pair
-    crossings and neither queen's square lies on the other's lines, so
-    cross[j] = L(j) & OR of L(k), with L the on-board line union.
+    cross[j] = L(j) & OR of L(k) over k in free[j], with L the engine's lines,
+    is the union of the pair crossings of box square j with the box squares
+    it does not attack; the stable board holds every such crossing.
     """
-    board = stable_board(Configuration.of(squares), odd)
-    masks = _coverage._board_masks(board.n)
-    lines = [masks.line_union(s) for s in squares]
-    cross = []
-    for j, line in enumerate(lines):
-        partners = 0
-        for k, other in enumerate(lines):
-            if k != j and not (attack[j] >> k) & 1:
-                partners |= other
-        cross.append(line & partners)
-    return cross
+    board = stable_board(Configuration.of([(-radius, -radius)]), odd)
+    problem = _Problem(board.n, q, radius)
+    L = problem.engine.lines
+    cross = [L[j] & reduce(or_, (L[k] for k in fj), 0) for j, fj in enumerate(problem.free)]
+    return problem, cross
 
 
 def _loss_scan_parity(
     q: int, radius: int, odd: bool, budget: int, spent: int
 ) -> tuple[Optional[LossMinimal], int]:
     """One parity's loss-minimal patterns and nodes, counting on from spent."""
-    board = BoardSpec(4 * radius + (9 if odd else 10))
-    # The box is a prefix of the engine's center-out order; line bits at or
-    # beyond W never enter avail, so the engine's masks serve unchanged.
-    eng = _engine(board.n)
-    W = eng.box_size(radius)
-    squares, cl, C, L, in_f = eng.order, eng.cl, eng.cl_prefix, eng.lines, eng.in_f
+    problem, cross = _loss_tables(q, radius, odd)
+    eng, W, free = problem.engine, problem.W, problem.free
+    squares, cl, C, in_f = eng.order, eng.cl, eng.cl_prefix, eng.in_f
 
     best = math.inf
-    if _stairs_placements(q, board, radius):
+    if _stairs_placements(q, eng.board, radius):
         build = stairs_details(q)
         best = build.internal + (build.center_odd if odd else build.center_even)
-
-    cross = _crossing_masks(squares[:W], L, odd)
 
     found: list[tuple[int, ...]] = []
     nodes = spent
@@ -805,8 +782,8 @@ def _loss_scan_parity(
                 else:
                     found.append(sel + (j,))
             else:
-                aj = L[j]
-                rest = [i for _, i in ranked[p + 1 :] if not (aj >> i) & 1]
+                fj = free[j]
+                rest = [i for _, i in ranked[p + 1 :] if i in fj]
                 if len(rest) >= r - 1:
                     rec(rest, r - 1, lines | cross[j], inloss + v - cl[j], cen + cl[j], sel + (j,))
             if p < last:
@@ -822,8 +799,8 @@ def _loss_scan_parity(
             best = cl[j0]
             found.append((j0,))
         else:
-            aj = L[j0]
-            avail = [i for i in range(j0 + 1, W) if not (aj >> i) & 1]
+            fj = free[j0]
+            avail = [i for i in range(j0 + 1, W) if i in fj]
             rec(avail, q - 1, cross[j0], 0, cl[j0], (j0,))
 
     if not found:
@@ -842,21 +819,22 @@ def loss_minimal_patterns(q: int, radius: int, budget: int = DEFAULT_BUDGET) -> 
     """Non-attacking patterns of minimal board-independent loss, per parity.
 
     Enumerates the non-attacking q-subsets of the centered box of the given
-    radius on B_{4r+9} (odd) and B_{4r+10} (even), scoring each by center
-    loss plus internal loss.  Two non-attacking queens' lines meet exactly on
-    their pair crossings, so on a board holding every crossing a square's
-    crossing mask is cross[j] = L(j) & OR of L(k) over its non-attacking box
-    partners k, with L the square's line union.  A square's internal loss is
-    the number of queens attacking it beyond the first, so a new queen raises
-    the internal loss by the number of distinct squares it crosses with the
-    placed ones: one AND and popcount per candidate.  That delta only grows
-    as queens are added, so the r least current values of delta + center
-    loss bound the rest of a node's total; children go in ascending value
-    and are cut once that ranked window exceeds the incumbent (strictly, so
-    every tie is kept).  The route never counts cover, so it cross-validates
-    the cover searches through the loss/cover identity.  A parity whose box
-    holds no non-attacking q-subset is None; DomainError is raised when both
-    are.  Both parities draw from one node budget.
+    radius on the box's stable board of each parity (loss.stable_board),
+    scoring each by center loss plus internal loss.  Two non-attacking
+    queens' lines meet exactly on their pair crossings, and that board holds
+    every crossing, so a square's crossing mask is cross[j] = L(j) & OR of
+    L(k) over its non-attacking box partners k, with L the square's line
+    union.  A square's internal loss is the number of queens attacking it
+    beyond the first, so a new queen raises the internal loss by the number
+    of distinct squares it crosses with the placed ones: one AND and
+    popcount per candidate.  That delta only grows as queens are added, so
+    the r least current values of delta + center loss bound the rest of a
+    node's total; children go in ascending value and are cut once that
+    ranked window exceeds the incumbent (strictly, so every tie is kept).
+    The route never counts cover, so it cross-validates the cover searches
+    through the loss/cover identity.  A parity whose box holds no
+    non-attacking q-subset is None; DomainError is raised when both are.
+    Both parities draw from one node budget.
     """
     if q < 1:
         raise DomainError(f"q must be >= 1, got {q}")

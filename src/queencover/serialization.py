@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import Optional
 
 from .coverage import Configuration
-from .errors import RecordError, UnsupportedSchemaError
+from .errors import DomainError, RecordError, UnsupportedSchemaError
 from .search import FundamentalClass, OptimalSet, SearchParams
 
 SCHEMA_VERSION = 1
@@ -53,12 +53,10 @@ def _decode_config(payload, where: str) -> Configuration:
         for p in payload
     ):
         raise RecordError(f"{where}: configuration must be a list of [x, y] pairs")
-    queens = [tuple(p) for p in payload]
-    if len(set(queens)) != len(queens):
-        raise RecordError(f"{where}: configuration contains duplicate queens")
-    if queens != sorted(queens):
-        raise RecordError(f"{where}: configuration is not sorted")
-    return Configuration(tuple(queens))
+    try:
+        return Configuration(tuple(tuple(p) for p in payload))
+    except DomainError as e:
+        raise RecordError(f"{where}: {e}") from e
 
 
 def optimal_set_record(

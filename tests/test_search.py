@@ -34,12 +34,11 @@ from queencover import (
     windowed_optimal,
 )
 from queencover.geometry import TRANSFORM_KINDS, transform_square
-from queencover.loss import stable_board
 from queencover.search import (
     DEFAULT_BUDGET,
     FundamentalClass,
-    _crossing_masks,
     _loss_scan_parity,
+    _loss_tables,
     canonical_pattern_fingerprint,
 )
 
@@ -487,23 +486,24 @@ def test_loss_route_node_count_guard():
 
 
 def test_crossing_masks_match_pair_crossings():
-    # The line-mask derivation of cross[j] against the geometric formula:
-    # the union of pair_crossings over j's non-attacking partners in the box.
+    # The loss route's crossing table on its own board against the geometric
+    # formula: the union of pair_crossings over j's non-attacking partners in
+    # the box.  The radii reach boxes (r = 4 even, r = 5) whose crossings
+    # leave a board of side 4r + 10, so a too-small board would drop some.
     for odd in (True, False):
-        for radius in range(4):
-            board = BoardSpec(4 * radius + (9 if odd else 10))
-            box = [s for s in board.squares() if brute_center_distance(board, s) <= radius]
-            attack = [
-                sum(1 << k for k, b in enumerate(box) if brute_attacks(a, b)) for a in box
-            ]
-            cross = _crossing_masks(box, attack, odd)
-            squares = list(stable_board(Configuration.of(box), odd).squares())
+        for radius in range(6):
+            problem, cross = _loss_tables(1, radius, odd)
+            board, order = problem.engine.board, problem.engine.order
+            box = order[: problem.W]
+            assert set(box) == {
+                s for s in board.squares() if brute_center_distance(board, s) <= radius
+            }
             for a, mask in zip(box, cross):
                 expected = set()
                 for b in box:
                     if b != a and not brute_attacks(a, b):
                         expected.update(queencover.coverage.pair_crossings(a, b))
-                got = {s for k, s in enumerate(squares) if (mask >> k) & 1}
+                got = {s for k, s in enumerate(order) if (mask >> k) & 1}
                 assert got == expected, (odd, radius, a)
 
 

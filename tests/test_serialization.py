@@ -54,6 +54,13 @@ def test_record_rejects_duplicate_queen(small_result):
         validate_search_record(record)
 
 
+def test_record_rejects_unsorted_configuration(small_result):
+    record = optimal_set_record(small_result)
+    record["configurations"][0].reverse()
+    with pytest.raises(RecordError, match=r"configurations\[0\].*sorted"):
+        validate_search_record(record)
+
+
 def test_record_rejects_unknown_schema(small_result):
     record = optimal_set_record(small_result)
     record["schema_version"] += 1
