@@ -9,12 +9,13 @@ quietly with exit code 0.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import re
 import sys
 from pathlib import Path
 from time import perf_counter
-from typing import Optional
+from typing import Iterable, Optional
 
 from .constructions import stairs_details
 from .coverage import Configuration, attack_field, cover_count
@@ -26,7 +27,7 @@ from .errors import (
     QueenCoverError,
     RecordError,
 )
-from .geometry import BoardSpec
+from .geometry import BoardSpec, Square
 from .loss import stable_board, total_loss
 from .search import (
     DEFAULT_BUDGET,
@@ -44,7 +45,6 @@ from .serialization import (
     parse_lines,
     record_to_optimal_set,
     to_json_line,
-    validate_search_record,
 )
 
 _CONFIG_PAIR = re.compile(r"^\(\s*(-?\d+)\s*,\s*(-?\d+)\s*\)$")
@@ -64,8 +64,8 @@ def parse_config(text: str) -> Configuration:
     return Configuration.of(squares)
 
 
-def format_config(config: Configuration) -> str:
-    return ";".join(f"({x},{y})" for x, y in config.queens)
+def format_config(squares: Iterable[Square]) -> str:
+    return ";".join(f"({x},{y})" for x, y in squares)
 
 
 def render_board(config: Configuration, board: BoardSpec, annotate: str = "none") -> str:
@@ -101,6 +101,14 @@ def _emit(args, record: dict, text: str) -> None:
         print(text)
 
 
+def _class_lines(result: OptimalSet) -> list[str]:
+    return [
+        f"  class {i}: orbit {cls.orbit_size} stabilizer {cls.stabilizer_order} "
+        f"rep {format_config(cls.representative)}"
+        for i, cls in enumerate(result.classes)
+    ]
+
+
 def _classes_text(result: OptimalSet) -> str:
     lines = [
         f"max cover: {result.max_cover}",
@@ -112,12 +120,7 @@ def _classes_text(result: OptimalSet) -> str:
             f"window used: {result.window_used} (retries: {result.window_retries}); "
             f"optimum within the window, not certified for B_{result.params.n}"
         )
-    for i, cls in enumerate(result.classes):
-        lines.append(
-            f"  class {i}: orbit {cls.orbit_size} stabilizer {cls.stabilizer_order} "
-            f"rep {format_config(cls.representative)}"
-        )
-    return "\n".join(lines)
+    return "\n".join(lines + _class_lines(result))
 
 
 def _make_runner(args):
@@ -160,18 +163,10 @@ def _cmd_cover(args) -> int:
 
 
 def _breakdown_record(config: Configuration, board: BoardSpec) -> dict:
-    b = total_loss(config, board)
     return {
+        **dataclasses.asdict(total_loss(config, board)),
         "n": board.n,
         "parity": "odd" if board.is_odd else "even",
-        "internal": b.internal,
-        "central": b.central,
-        "total": b.total,
-        "crossing_budget": b.crossing_budget,
-        "overlap_concentration": b.overlap_concentration,
-        "even_count": b.even_count,
-        "odd_count": b.odd_count,
-        "stable": b.stable,
     }
 
 
@@ -229,29 +224,10 @@ def _cmd_thresholds(args) -> int:
         runner=runner,
     )
     record = {
+        **dataclasses.asdict(report),
         "schema_version": SCHEMA_VERSION,
         "kind": "threshold_report",
         "threshold": report.kind,
-        "q": report.q,
-        "n_lo": report.n_lo,
-        "n_hi": report.n_hi,
-        "empirical": report.empirical,
-        "n1_candidate": report.n1_candidate,
-        "n2_odd": report.n2_odd,
-        "n2_even": report.n2_even,
-        "n2_combined": report.n2_combined,
-        "warnings": list(report.warnings),
-        "entries": [
-            {
-                "n": e.n,
-                "max_cover": e.max_cover,
-                "optimal_count": e.optimal_count,
-                "all_nonattacking": e.all_nonattacking,
-                "class_sizes": list(e.class_sizes),
-                "pattern_fingerprint": e.pattern_fingerprint,
-            }
-            for e in report.entries
-        ],
     }
     lines = [
         f"{report.kind} threshold scan q={report.q} on [{report.n_lo}, {report.n_hi}] "
@@ -292,7 +268,7 @@ def _cmd_stairs(args) -> int:
     text = "\n".join(
         [
             f"stairs q={args.q} (sequence shift {build.params.shift})",
-            "pattern: " + ";".join(f"({x},{y})" for x, y in build.pattern.offsets),
+            "pattern: " + format_config(build.pattern.offsets),
             f"internal loss: {build.internal}",
             f"centrality odd: {build.center_odd}  total odd: {build.total_odd}",
             f"centrality even: {build.center_even}  total even: {build.total_even}",
@@ -303,36 +279,20 @@ def _cmd_stairs(args) -> int:
 
 
 def _cmd_fundamentals(args) -> int:
-    records = parse_lines(Path(args.input).read_bytes())
-    out_lines = []
-    out_records = []
-    for record in records:
-        validate_search_record(record)
-        params = record["params"]
-        out_lines.append(
-            f"q={params['q']} n={params['n']} mode={params['mode']} "
-            f"max_cover={record['max_cover']}"
-        )
-        for i, cls in enumerate(record["classes"]):
-            rep = ";".join(f"({x},{y})" for x, y in cls["representative"])
-            out_lines.append(
-                f"  class {i}: orbit {cls['orbit_size']} "
-                f"stabilizer {cls['stabilizer_order']} rep {rep}"
-            )
-        out_records.append(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "kind": "fundamentals",
-                "params": params,
-                "max_cover": record["max_cover"],
-                "classes": record["classes"],
-            }
-        )
+    results = [record_to_optimal_set(r) for r in parse_lines(Path(args.input).read_bytes())]
     if args.format == "structured":
-        for r in out_records:
-            print(to_json_line(r))
-    else:
-        print("\n".join(out_lines))
+        for result in results:
+            stored = optimal_set_record(result)
+            record = {"schema_version": SCHEMA_VERSION, "kind": "fundamentals"}
+            record.update((k, stored[k]) for k in ("params", "max_cover", "classes"))
+            print(to_json_line(record))
+        return 0
+    lines = []
+    for result in results:
+        p = result.params
+        lines.append(f"q={p.q} n={p.n} mode={p.mode} max_cover={result.max_cover}")
+        lines += _class_lines(result)
+    print("\n".join(lines))
     return 0
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .coverage import Configuration, attacks, is_nonattacking
+from .coverage import Configuration, is_nonattacking
 from .errors import DoesNotFitError, DomainError, InvariantError
 from .geometry import BoardSpec, Square, transform_square, TRANSFORM_KINDS
 from .loss import center_loss, internal_loss_stable
@@ -211,11 +211,7 @@ def stairs_details(q: int) -> StairsBuild:
         union = first + [(x + sx, y + sy) for x, y in second]
         if len(set(union)) < q:
             continue
-        if any(
-            attacks(union[i], union[j])
-            for i in range(q)
-            for j in range(i + 1, q)
-        ):
+        if not is_nonattacking(Configuration.of(union)):
             continue
         central = pattern_center_loss(Pattern.of(union), odd_board=True)
         candidates.append((central, (sx, sy), union))

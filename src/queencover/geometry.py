@@ -68,9 +68,16 @@ class BoardSpec:
             return ((0, 0),)
         return ((0, 0), (0, 1), (1, 0), (1, 1))
 
-    def max_center_distance(self) -> int:
-        """Largest Chebyshev center distance of any on-board square."""
-        return (self.n - 1) // 2 if self.is_odd else self.n // 2 - 1
+    def box_radius(self, side: int) -> int:
+        """Largest centered box radius whose box fits inside the given side.
+
+        box_radius(self.n) is the largest center distance of any square.
+        """
+        return max(0, (side - 1 - self.parity_offset) // 2)
+
+    def box_side(self, radius: int) -> int:
+        """Side of the centered box of the given Chebyshev radius."""
+        return 2 * radius + 1 + self.parity_offset
 
 
 def board_contains(board: BoardSpec, square: Square) -> bool:

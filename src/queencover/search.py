@@ -506,17 +506,6 @@ def exhaustive_optimal(params: SearchParams) -> OptimalSet:
     return _finish(params, problem.engine, best, sels, nodes, None, 0)
 
 
-def _window_radius(window: int, board: BoardSpec) -> int:
-    """Largest centered box radius whose box fits inside the given window side."""
-    if board.is_odd:
-        return max(0, (window - 1) // 2)
-    return max(0, window // 2 - 1)
-
-
-def _window_side(radius: int, board: BoardSpec) -> int:
-    return 2 * radius + 1 if board.is_odd else 2 * radius + 2
-
-
 def windowed_optimal(params: SearchParams) -> OptimalSet:
     """Maximum cover over non-attacking q-subsets of a centered window.
 
@@ -532,8 +521,8 @@ def windowed_optimal(params: SearchParams) -> OptimalSet:
     if params.mode != "windowed":
         raise DomainError("windowed_optimal requires mode='windowed'")
     board = BoardSpec(params.n)
-    radius = _window_radius(params.window, board)
-    max_radius = board.max_center_distance()
+    radius = board.box_radius(params.window)
+    max_radius = board.box_radius(board.n)
     retries = 0
     nodes = 0
     while True:
@@ -553,7 +542,7 @@ def windowed_optimal(params: SearchParams) -> OptimalSet:
                     f"B_{params.n} holds no non-attacking configuration of {params.q} queens"
                 )
             return _finish(
-                params, problem.engine, best, sels, nodes, _window_side(radius, board), retries
+                params, problem.engine, best, sels, nodes, board.box_side(radius), retries
             )
         radius += 1
         retries += 1
@@ -795,6 +784,9 @@ def _loss_scan_parity(
         # Every later queen crosses j0 on at least 10 distinct squares.
         if 10 * (q - 1) + C[j0 + q] - C[j0] > best:
             break
+        nodes += 1
+        if nodes > budget:
+            raise BudgetExceededError(f"loss scan aborted after {nodes} nodes", nodes, budget)
         if q == 1:
             best = cl[j0]
             found.append((j0,))

@@ -154,12 +154,6 @@ def _decode_record(
     return configs, tuple(classes)
 
 
-def validate_search_record(record: dict) -> dict:
-    """Check schema version, field types and structural invariants."""
-    _decode_record(record)
-    return record
-
-
 def record_to_optimal_set(record: dict) -> OptimalSet:
     """Rebuild an OptimalSet (without volatile metadata) from a record, validated."""
     configurations, classes = _decode_record(record)

@@ -136,6 +136,25 @@ def test_thresholds_nonattacking():
         check=True,
     )
     assert "N1 candidate: 9" in result.stdout
+    result = run_cli(
+        "--format", "structured", "thresholds", "--q", "2", "--kind", "nonattacking",
+        "--n-lo", "4", "--n-hi", "14", check=True,
+    )
+    payload = json.loads(result.stdout)
+    assert set(payload) == {
+        "schema_version", "kind", "threshold", "q", "n_lo", "n_hi", "empirical",
+        "n1_candidate", "n2_odd", "n2_even", "n2_combined", "warnings", "entries",
+    }
+    entry_keys = {
+        "n", "max_cover", "optimal_count", "all_nonattacking", "class_sizes",
+        "pattern_fingerprint",
+    }
+    assert [e["n"] for e in payload["entries"]] == list(range(4, 15))
+    assert all(set(e) == entry_keys for e in payload["entries"])
+    assert payload["kind"] == "threshold_report"
+    assert payload["threshold"] == "nonattacking"
+    assert payload["n1_candidate"] == 9
+    assert payload["empirical"] is True
 
 
 def test_cache_hits_are_byte_identical(tmp_path):
@@ -167,11 +186,31 @@ def test_verify_accepts_cached_result_and_rejects_tampering(tmp_path):
 
 
 def test_fundamentals_prints_class_table(tmp_path):
-    run_cli("--cache-dir", str(tmp_path), "search", "--q", "2", "--n", "10", check=True)
-    path = next(tmp_path.iterdir())
-    result = run_cli("fundamentals", "--input", str(path), check=True)
-    assert "orbit 8" in result.stdout
-    assert "max_cover=60" in result.stdout
+    # Both formats restate the stored searches: the text class lines equal
+    # those of `search`, the structured fields equal the stored record's.
+    searches = [("--q", "2", "--n", "10"), ("--q", "5", "--n", "17", "--mode", "windowed")]
+    class_lines = []
+    stored = []
+    for i, args in enumerate(searches):
+        cache = tmp_path / f"cache{i}"
+        text = run_cli("--cache-dir", str(cache), "search", *args, check=True).stdout
+        class_lines += [line for line in text.splitlines() if line.startswith("  class ")]
+        stored.append(json.loads(next(cache.iterdir()).read_text()))
+    path = tmp_path / "results"
+    path.write_text("".join(json.dumps(r) + "\n" for r in stored))
+
+    text = run_cli("fundamentals", "--input", str(path), check=True).stdout
+    assert "max_cover=60" in text and "orbit 8" in text
+    assert [line for line in text.splitlines() if line.startswith("  class ")] == class_lines
+    assert len(class_lines) == 4
+
+    out = run_cli("--format", "structured", "fundamentals", "--input", str(path), check=True)
+    records = [json.loads(line) for line in out.stdout.splitlines()]
+    assert len(records) == len(stored)
+    for record, source in zip(records, stored):
+        assert record["kind"] == "fundamentals"
+        for key in ("params", "max_cover", "classes"):
+            assert record[key] == source[key]
 
 
 def test_exit_codes():

@@ -78,6 +78,21 @@ def test_center_distance_matches_brute_force():
             assert chebyshev_center_distance(board, s) == brute_center_distance(board, s)
 
 
+def test_box_radius_and_side_match_brute_force():
+    # box_side(radius) is the side of the squares within that center distance;
+    # box_radius(side) is the largest radius whose box fits inside side.
+    for n in range(1, 41):
+        board = BoardSpec(n)
+        dists = [brute_center_distance(board, s) for s in board.squares()]
+        assert board.box_radius(n) == max(dists)
+        for radius in range(board.box_radius(n) + 1):
+            assert sum(d <= radius for d in dists) == board.box_side(radius) ** 2
+        for side in range(1, n + 1):
+            radius = board.box_radius(side)
+            assert board.box_side(radius) <= side or radius == 0
+            assert board.box_side(radius + 1) > side
+
+
 def test_parity_examples():
     assert parity_of((0, 0)) == "even"
     assert parity_of((1, 2)) == "odd"

@@ -468,13 +468,22 @@ def test_loss_route_budget_holds_inside_the_recursion():
 
 def test_loss_route_parities_share_one_node_budget():
     # Each parity's scan alone fits the budget (on (5,4) the odd one takes
-    # 834 nodes and the even one 911), but the call must count both.
+    # 849 nodes and the even one 926), but the call must count both.
     _, odd = _loss_scan_parity(5, 4, True, DEFAULT_BUDGET, 0)
     _, both = _loss_scan_parity(5, 4, False, DEFAULT_BUDGET, odd)
     budget = max(odd, both - odd)
     with pytest.raises(BudgetExceededError) as err:
         loss_minimal_patterns(5, 4, budget=budget)
     assert err.value.nodes == budget + 1
+
+
+def test_loss_route_counts_first_queens():
+    # q = 1 places only first queens; each parity enters one, so a budget of
+    # one node is spent by the odd scan and the even scan's first queen
+    # exceeds it.
+    with pytest.raises(BudgetExceededError) as err:
+        loss_minimal_patterns(1, 3, budget=1)
+    assert err.value.nodes == 2
 
 
 def test_loss_route_node_count_guard():

@@ -20,7 +20,6 @@ from queencover.serialization import (
     parse_lines,
     record_to_optimal_set,
     to_json_line,
-    validate_search_record,
 )
 
 
@@ -51,28 +50,28 @@ def test_record_rejects_duplicate_queen(small_result):
     record = optimal_set_record(small_result)
     record["configurations"][0] = [[0, 0], [0, 0]]
     with pytest.raises(RecordError, match="duplicate"):
-        validate_search_record(record)
+        record_to_optimal_set(record)
 
 
 def test_record_rejects_unsorted_configuration(small_result):
     record = optimal_set_record(small_result)
     record["configurations"][0].reverse()
     with pytest.raises(RecordError, match=r"configurations\[0\].*sorted"):
-        validate_search_record(record)
+        record_to_optimal_set(record)
 
 
 def test_record_rejects_unknown_schema(small_result):
     record = optimal_set_record(small_result)
     record["schema_version"] += 1
     with pytest.raises(UnsupportedSchemaError):
-        validate_search_record(record)
+        record_to_optimal_set(record)
 
 
 def test_record_rejects_bad_class_arithmetic(small_result):
     record = optimal_set_record(small_result)
     record["classes"][0]["orbit_size"] = 5
     with pytest.raises(RecordError, match="orbit_size"):
-        validate_search_record(record)
+        record_to_optimal_set(record)
 
 
 def test_parse_error_names_byte_offset():
