@@ -19,14 +19,7 @@ from typing import Iterable, Optional
 
 from .constructions import stairs_details
 from .coverage import Configuration, attack_field, cover_count
-from .errors import (
-    BudgetExceededError,
-    DomainError,
-    InvariantError,
-    NotStableError,
-    QueenCoverError,
-    RecordError,
-)
+from .errors import BudgetExceededError, DomainError, InvariantError, QueenCoverError
 from .geometry import BoardSpec, Square
 from .loss import stable_board, total_loss
 from .search import (
@@ -41,6 +34,7 @@ from .search import (
 from .serialization import (
     SCHEMA_VERSION,
     ResultCache,
+    encode_squares,
     optimal_set_record,
     parse_lines,
     record_to_optimal_set,
@@ -150,7 +144,7 @@ def _cmd_cover(args) -> int:
         "schema_version": SCHEMA_VERSION,
         "kind": "cover",
         "n": args.n,
-        "config": [[x, y] for x, y in config.queens],
+        "config": encode_squares(config.queens),
         "cover": value,
         "attack_histogram": {str(k): v for k, v in sorted(hist.items())},
     }
@@ -182,7 +176,7 @@ def _cmd_loss(args) -> int:
     record = {
         "schema_version": SCHEMA_VERSION,
         "kind": "loss",
-        "config": [[x, y] for x, y in config.queens],
+        "config": encode_squares(config.queens),
         "breakdowns": breakdowns,
     }
     text_lines = []
@@ -258,7 +252,7 @@ def _cmd_stairs(args) -> int:
         "kind": "stairs",
         "q": args.q,
         "shift": list(build.params.shift),
-        "pattern": [[x, y] for x, y in build.pattern.offsets],
+        "pattern": encode_squares(build.pattern.offsets),
         "internal": build.internal,
         "central_odd": build.center_odd,
         "central_even": build.center_even,
@@ -432,16 +426,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     except BudgetExceededError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except (DomainError, RecordError, NotStableError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     except (InvariantError, AssertionError) as e:
         print(f"internal invariant breach: {e}", file=sys.stderr)
         return 4
-    except QueenCoverError as e:
+    except (QueenCoverError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -3,7 +3,7 @@
 A pattern is a configuration up to translation: offsets normalized so the
 bounding box's lower-left corner is (0, 0).  The stairs family provides, for
 every queen count, a non-attacking pattern with known board-independent loss;
-it is the standard yardstick the search modules seed from.
+it is the standard yardstick for the loss of q queens.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 from typing import Iterable
 
 from .coverage import Configuration, is_nonattacking
@@ -202,12 +203,9 @@ def stairs_details(q: int) -> StairsBuild:
     first = [(i, 2 * i) for i in range((q + 1) // 2)]
     second = [(i, 2 * i) for i in range(q // 2)]
     r = 2 * q
-    shifts = sorted(
-        ((sx, sy) for sx in range(-r, r + 1) for sy in range(-r, r + 1)),
-        key=lambda s: (max(abs(s[0]), abs(s[1])), s),
-    )
+    # The winner is picked by a total key below, so the scan order is free.
     candidates: list[tuple[int, tuple[int, int], list[Square]]] = []
-    for sx, sy in shifts:
+    for sx, sy in product(range(-r, r + 1), repeat=2):
         union = first + [(x + sx, y + sy) for x, y in second]
         if len(set(union)) < q:
             continue

@@ -17,9 +17,8 @@ centered box while counting cover on the full board and considers only
 non-attacking placements, so its optimum is relative to the window.  The node
 budget, checked at every node, is the only thing that stops a search; a
 call's successive windows, or the loss route's two parities, share it.  The
-incumbent starts at the cover of the centralized stairs pattern; the first
-descent, taking the largest gain at every depth, is already a greedy walk
-from the most central square.
+incumbent starts empty; the first descent, taking the largest gain at every
+depth, is already a greedy walk from the most central square.
 
 Symmetry is used twice, from one table: the engine holds the eight board
 symmetries as permutations of its candidate indices (perms).  The first
@@ -34,8 +33,7 @@ engine (order, center losses and their prefix sums, line masks from
 coverage.BoardMasks, and the symmetry permutations) and one search instance
 over it (_Problem: a box prefix and, for a box, each candidate's
 non-attacking partners free[j]) serve the exhaustive search, the windowed
-search and the loss route, and all three seed from the same centralized
-stairs placements (_stairs_placements).
+search and the loss route.
 
 The loss route scores non-attacking subsets of a box by internal plus center
 loss and never counts cover.  It runs on the box's stable board
@@ -66,7 +64,9 @@ from itertools import accumulate
 from operator import or_
 from typing import Callable, Iterable, Optional
 
-from .constructions import Pattern, centralize, pattern_of, stairs, stairs_details
+from .constructions import Pattern, pattern_of
+# Unused here, but perfbench/tracer.py wraps these three by name.
+from .constructions import centralize, stairs, stairs_details  # noqa: F401
 from .coverage import Configuration, cover_count, is_nonattacking
 # Unused here, but perfbench/tracer.py wraps search.pair_crossings by name.
 from .coverage import pair_crossings  # noqa: F401
@@ -279,7 +279,6 @@ class _Problem:
     def search_shard(
         self,
         level0: list[int],
-        seed: int,
         node_budget: int,
         spent: int = 0,
         shared=None,
@@ -301,7 +300,7 @@ class _Problem:
         q, W, S = self.q, self.W, 4 * eng.n - 3
         C, lines = eng.cl_prefix, eng.lines
         free = self.free
-        best = seed
+        best = 0
         found: list[tuple[int, ...]] = []
         nodes = spent
         seen = tally.value if tally is not None else 0  # the tally when last read
@@ -414,22 +413,6 @@ def _pool_run(level0_chunk: list[int]):
     return _POOL_STATE["problem"].search_shard(level0_chunk, *_POOL_STATE["shard_args"])
 
 
-def _stairs_placements(q: int, board: BoardSpec, radius: Optional[int]) -> list[Configuration]:
-    """Centralized stairs placements on the board within the radius (None: any).
-
-    All three exact routes seed their incumbent from these non-attacking,
-    in-box placements; empty for q outside 2..16 or a pattern that does not
-    fit.  The searches are exact regardless of seed quality.
-    """
-    if not 2 <= q <= 16:
-        return []
-    pattern = stairs(q)
-    if pattern.width > board.n or pattern.height > board.n:
-        return []
-    placements = centralize(pattern, board)
-    return [c for c in placements if radius is None or c.radius(board) <= radius]
-
-
 def _run_problem(
     problem: _Problem, params: SearchParams, spent: int = 0
 ) -> tuple[int, list[tuple[int, ...]], int]:
@@ -438,31 +421,28 @@ def _run_problem(
     Pool shards count their nodes against one shared tally (see search_shard).
     """
     eng = problem.engine
-    board = eng.board
-    placements = _stairs_placements(problem.q, board, problem.radius)
-    seed = max((cover_count(c, board) for c in placements), default=0)
     level0 = [j for j in range(problem.W) if eng.in_f[j]]
     node_budget = params.budget
     if params.workers > 1 and len(level0) > 1:
         chunks = [level0[i :: params.workers * 4] for i in range(params.workers * 4)]
         chunks = [c for c in chunks if c]
-        shared = multiprocessing.Value("q", seed)
+        shared = multiprocessing.Value("q", 0)
         tally = multiprocessing.Value("q", spent)
         # Forked workers inherit the problem and search_shard's arguments.
-        _POOL_STATE.update(problem=problem, shard_args=(seed, node_budget, spent, shared, tally))
+        _POOL_STATE.update(problem=problem, shard_args=(node_budget, spent, shared, tally))
         try:
             with multiprocessing.get_context("fork").Pool(processes=params.workers) as pool:
                 results = pool.map(_pool_run, chunks)
         finally:
             _POOL_STATE.clear()
-        best = max([seed] + [b for b, _, _ in results])
+        best = max(b for b, _, _ in results)
         sels = []
         for b, found, _ in results:
             if b == best:
                 sels.extend(found)
         nodes = spent + sum(nd - spent for _, _, nd in results)
         return best, sels, nodes
-    return problem.search_shard(level0, seed, node_budget, spent)
+    return problem.search_shard(level0, node_budget, spent)
 
 
 def _finish(
@@ -733,10 +713,6 @@ def _loss_scan_parity(
     squares, cl, C, in_f = eng.order, eng.cl, eng.cl_prefix, eng.in_f
 
     best = math.inf
-    if _stairs_placements(q, eng.board, radius):
-        build = stairs_details(q)
-        best = build.internal + (build.center_odd if odd else build.center_even)
-
     found: list[tuple[int, ...]] = []
     nodes = spent
 

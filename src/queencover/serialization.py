@@ -17,10 +17,11 @@ import tempfile
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Optional
 
 from .coverage import Configuration
 from .errors import DomainError, RecordError, UnsupportedSchemaError
+from .geometry import Square
 from .search import FundamentalClass, OptimalSet, SearchParams
 
 SCHEMA_VERSION = 1
@@ -43,8 +44,9 @@ def params_fingerprint(params: SearchParams) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _encode_config(config: Configuration) -> list[list[int]]:
-    return [[x, y] for x, y in config.queens]
+def encode_squares(squares: Iterable[Square]) -> list[list[int]]:
+    """The on-disk form of a sequence of squares: a list of [x, y] pairs."""
+    return [[x, y] for x, y in squares]
 
 
 def _decode_config(payload, where: str) -> Configuration:
@@ -73,10 +75,10 @@ def optimal_set_record(
         "fingerprint": params_fingerprint(result.params),
         "params": result.params.problem_key(),
         "max_cover": result.max_cover,
-        "configurations": [_encode_config(c) for c in result.configurations],
+        "configurations": [encode_squares(c.queens) for c in result.configurations],
         "classes": [
             {
-                "representative": _encode_config(c.representative),
+                "representative": encode_squares(c.representative.queens),
                 "orbit_size": c.orbit_size,
                 "stabilizer_order": c.stabilizer_order,
             }

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import queencover.coverage
+import queencover.loss
 import queencover.search
 from queencover import (
     BoardSpec,
@@ -452,8 +453,7 @@ def test_loss_minimal_rejects_a_box_without_nonattacking_subsets():
         assert scan.even.min_total == even_total
     with pytest.raises(DomainError):
         loss_minimal_patterns(5, 1)
-    # Stairs patterns too large for either parity's board must not preempt
-    # the refusal with a does-not-fit error from the seed.
+    # Boxes far too small for q queens are refused the same way.
     for q, radius in ((10, 0), (12, 0), (16, 1)):
         with pytest.raises(DomainError, match="no centered box"):
             loss_minimal_patterns(q, radius)
@@ -518,15 +518,51 @@ def test_crossing_masks_match_pair_crossings():
 
 def test_loss_route_never_counts_cover(monkeypatch):
     # The loss route is an independent oracle: it must reach its answer
-    # without the cover kernel (the stairs seed may still use attack_field).
+    # without the cover kernel, the attack-field kernel or a stairs build.
     expected = loss_minimal_patterns(4, 3)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the loss route counted cover")
+        raise AssertionError("the loss route called a refused function")
 
-    monkeypatch.setattr(queencover.search, "cover_count", refuse)
-    monkeypatch.setattr(queencover.coverage, "cover_count", refuse)
+    for module, name in (
+        (queencover.search, "cover_count"),
+        (queencover.coverage, "cover_count"),
+        (queencover.search, "stairs"),
+        (queencover.search, "stairs_details"),
+        (queencover.search, "centralize"),
+        (queencover.coverage, "attack_field"),
+        (queencover.loss, "attack_field"),
+    ):
+        monkeypatch.setattr(module, name, refuse)
     assert loss_minimal_patterns(4, 3) == expected
+
+
+def test_cover_routes_build_no_stairs_pattern(monkeypatch):
+    # Both cover routes start from an empty incumbent and build no stairs
+    # placement; their optima are frozen here.
+    def refuse(*args, **kwargs):
+        raise AssertionError("the cover route built a stairs placement")
+
+    monkeypatch.setattr(queencover.search, "stairs", refuse)
+    monkeypatch.setattr(queencover.search, "centralize", refuse)
+    frozen = {
+        SearchParams(q=3, n=9): (
+            66, 16, [(((-4, -4), (-1, 1), (1, 0)), 8), (((-4, -4), (0, 1), (2, 0)), 8)]
+        ),
+        SearchParams(q=5, n=17, mode="windowed"): (
+            233,
+            10,
+            [
+                (((-2, -2), (-1, 0), (0, 2), (1, -1), (2, 1)), 8),
+                (((-2, -1), (-1, 2), (0, 0), (1, -2), (2, 1)), 2),
+            ],
+        ),
+    }
+    for params, (cover, count, classes) in frozen.items():
+        result = run_search(params)
+        assert result.max_cover == cover
+        assert len(result.configurations) == count
+        assert [(c.representative.queens, c.orbit_size) for c in result.classes] == classes
 
 
 def _plain_loss_minimum(q, radius, odd):
