@@ -340,7 +340,9 @@ def _add_global_options(parser: argparse.ArgumentParser, suppress: bool) -> None
         help="output format; structured is line-delimited JSON with sorted keys",
     )
     parser.add_argument(
-        "--workers", type=int, default=default(1), help="parallel search shards"
+        "--workers", type=int, default=default(1),
+        help="parallel search shards, run as a fork pool; starting the pool costs "
+        "more than it saves unless a search lasts seconds",
     )
     parser.add_argument(
         "--cache-dir", default=default(None), help="persistent result cache directory"

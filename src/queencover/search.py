@@ -5,20 +5,22 @@ candidate squares.  Cover is a coverage function, hence submodular: the
 marginal gain of a candidate j, the number of squares it covers that the
 placed queens m do not (popcount(L(j) & ~m)), can only shrink as queens
 are added.  A node with r queens still to place is therefore bounded by its
-cover plus the r largest exact marginals of its open candidates.  Children
-are tried in descending marginal gain, each excluding its earlier siblings,
-so child p is cut once cover + the gains at ranks p .. p + r - 1 fall below
-the incumbent; candidates whose gain cannot reach it are dropped from the
-child's list.  The cut is strict, so ties survive: the bound is exact, never
-heuristic, and all argmax configurations are returned.  The first queen is
-the least-indexed one and uses the same bound with the unobstructed gains
-(4n - 3) - center_loss(s).  Windowed mode restricts the candidates to a
-centered box while counting cover on the full board and considers only
-non-attacking placements, so its optimum is relative to the window.  The node
-budget, checked at every node, is the only thing that stops a search; a
-call's successive windows, or the loss route's two parities, share it.  The
-incumbent starts empty; the first descent, taking the largest gain at every
-depth, is already a greedy walk from the most central square.
+cover plus the r largest exact marginals of its open candidates.  A node
+decides this entry cut on its unranked list of gains; only a node that
+passes ranks its candidates.  Children are tried in descending marginal
+gain, each excluding its earlier siblings, so child p is cut once cover +
+the gains at ranks p .. p + r - 1 fall below the incumbent; candidates whose
+gain cannot reach it are dropped from the child's list.  The cut is strict,
+so ties survive: the bound is exact, never heuristic, and all argmax
+configurations are returned.  The first queen is the least-indexed one and
+uses the same bound with the unobstructed gains (4n - 3) - center_loss(s).
+Windowed mode restricts the candidates to a centered box while counting
+cover on the full board and considers only non-attacking placements, so its
+optimum is relative to the window.  The node budget, checked at every node,
+is the only thing that stops a search; a call's successive windows, or the
+loss route's two parities, share it.  The incumbent starts empty; the first
+descent, taking the largest gain at every depth, is already a greedy walk
+from the most central square.
 
 Symmetry is used twice, from one table: the engine holds the eight board
 symmetries as permutations of its candidate indices (perms).  The first
@@ -47,8 +49,10 @@ the first, so placing j on queens whose masks OR to `lines` raises the
 internal loss by exactly popcount(lines & cross[j]): every square counted is
 attacked by a placed queen already, and j adds one attacker to it.  That
 delta only grows as queens are added, the loss-side twin of the shrinking
-marginal gain: children are tried in ascending delta + center loss, each
-excluding its earlier siblings, and child p is cut once the scores at ranks
+marginal gain.  A node decides its entry cut, the r least scores of delta +
+center loss against the incumbent, on the unranked scores; only a node that
+passes ranks them.  Children are tried in ascending score, each excluding
+its earlier siblings, and child p is cut once the scores at ranks
 p .. p + r - 1 exceed the incumbent, strictly, so ties survive.
 """
 
@@ -247,10 +251,6 @@ def _engine(n: int) -> _Engine:
     return _Engine(n)
 
 
-def _neg_gain(entry: tuple[int, int]) -> int:
-    return -entry[0]
-
-
 class _Problem:
     """One search instance: the engine's first W candidates of one board.
 
@@ -347,8 +347,8 @@ class _Problem:
         def rec(avail: list[int], r: int, m: int, cov: int, sel: tuple[int, ...]):
             """Add r more queens from avail to the selection sel covering m."""
             nm = ~m
+            gains = [bc(lines[j] & nm) for j in avail]
             if r == 1:
-                gains = [bc(lines[j] & nm) for j in avail]
                 top = max(gains)
                 if cov + top < hint():
                     return
@@ -357,31 +357,35 @@ class _Problem:
                 for j in ties:
                     note(cov + top, sel + (j,))
                 return
+            # The entry cut, on the unranked gains: most nodes end here, so
+            # only a node that can enter its first child ranks its candidates.
+            window = sum(sorted(gains, reverse=True)[:r])
+            cut = hint()
+            if cov + window < cut:
+                return
             # Children in descending marginal gain; each excludes its earlier
             # siblings, so a child's subtree draws only from the candidates
             # after it, whose r - 1 largest gains bound its completion.
-            ranked = sorted([(bc(lines[j] & nm), j) for j in avail], reverse=True)
+            ranked = sorted(zip(gains, avail), reverse=True)
             last = len(ranked) - r
-            window = sum(g for g, _ in ranked[:r])
-            cut = hint()
             for p in range(last + 1):
                 g, j = ranked[p]
-                if cov + window < cut:
-                    return
                 spend(1)
                 rest = ranked[p + 1 :]
                 if free is not None:
                     fj = free[j]
                     rest = [e for e in rest if e[1] in fj]
-                # Gains here bound the child's (they only shrink), so drop the
-                # tail that cannot reach the cut even with the r - 2 best others.
-                head = sum(e[0] for e in rest[: r - 2])
-                keep = bisect_right(rest, head + cov + g - cut, key=_neg_gain)
-                if keep >= r - 1:
-                    rec([i for _, i in rest[:keep]], r - 1, m | lines[j], cov + g, sel + (j,))
+                # Gains here bound the child's (they only shrink), so keep only
+                # those that can reach the cut with the r - 2 best others.
+                floor = cut - cov - g - sum(e[0] for e in rest[: r - 2])
+                kids = [i for gi, i in rest if gi >= floor]
+                if len(kids) >= r - 1:
+                    rec(kids, r - 1, m | lines[j], cov + g, sel + (j,))
                     cut = hint()
                 if p < last:
                     window += ranked[p + r][0] - g
+                    if cov + window < cut:
+                        return
 
         for j0 in level0:
             if j0 > W - q:
@@ -716,30 +720,35 @@ def _loss_scan_parity(
     found: list[tuple[int, ...]] = []
     nodes = spent
 
+    def spend():
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
+            raise BudgetExceededError(f"loss scan aborted after {nodes} nodes", nodes, budget)
+
     def rec(avail: list[int], r: int, lines: int, inloss: int, cen: int, sel: tuple[int, ...]):
         # r >= 1 queens still to place from avail on top of sel, whose crossing
         # masks OR to lines.  A candidate's delta popcount(lines & cross[j])
         # only grows as queens are added (lines only gains bits), so the r
         # least scores v = delta + cl[j] bound the rest of the total.
+        # The entry cut is decided on the unranked scores, before any node is
+        # spent; only a node that enters its first child ranks them.
         # Children go in ascending v, each excluding its earlier siblings, so
         # child p is cut, and with it every later sibling, once the scores at
         # ranks p .. p + r - 1 exceed best; the cut is strict, so ties
         # survive.  Every delta already counts the at least 10 squares the
         # candidate crosses each placed queen on, so this is tighter than a
         # flat 10 per queen still to place.
-        nonlocal best, nodes
-        ranked = sorted([((lines & cross[j]).bit_count() + cl[j], j) for j in avail])
-        window = inloss + cen + sum(v for v, _ in ranked[:r])
+        nonlocal best
+        scores = [(lines & cross[j]).bit_count() + cl[j] for j in avail]
+        window = inloss + cen + sum(sorted(scores)[:r])
+        if window > best:
+            return
+        ranked = sorted(zip(scores, avail))
         last = len(ranked) - r
         for p in range(last + 1):
-            if window > best:
-                return
             v, j = ranked[p]
-            nodes += 1
-            if nodes > budget:
-                raise BudgetExceededError(
-                    f"loss scan aborted after {nodes} nodes", nodes, budget
-                )
+            spend()
             if r == 1:
                 if window < best:
                     best = window
@@ -753,6 +762,8 @@ def _loss_scan_parity(
                     rec(rest, r - 1, lines | cross[j], inloss + v - cl[j], cen + cl[j], sel + (j,))
             if p < last:
                 window += ranked[p + r][0] - v
+                if window > best:
+                    return
 
     for j0 in range(W - q + 1):
         if not in_f[j0]:
@@ -760,9 +771,7 @@ def _loss_scan_parity(
         # Every later queen crosses j0 on at least 10 distinct squares.
         if 10 * (q - 1) + C[j0 + q] - C[j0] > best:
             break
-        nodes += 1
-        if nodes > budget:
-            raise BudgetExceededError(f"loss scan aborted after {nodes} nodes", nodes, budget)
+        spend()
         if q == 1:
             best = cl[j0]
             found.append((j0,))

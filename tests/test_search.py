@@ -213,6 +213,26 @@ def test_windowed_search_node_count_guard():
     assert result.nodes < 200_000
 
 
+# Node counts at workers=1.  A change to the branch-and-bound that claims to
+# keep its search order and bound must keep these counts exactly.
+@pytest.mark.parametrize(
+    "mode, q, n, nodes",
+    [
+        ("windowed", 5, 17, 500),
+        ("windowed", 5, 18, 552),
+        ("windowed", 6, 21, 25_614),
+        ("windowed", 6, 22, 11_549),
+        ("windowed", 7, 24, 26_160),
+        ("windowed", 7, 25, 20_059),
+        ("exhaustive", 2, 10, 14),
+        ("exhaustive", 3, 9, 285),
+        ("exhaustive", 4, 30, 311),
+    ],
+)
+def test_cover_route_node_counts_are_pinned(mode, q, n, nodes):
+    assert run_search(SearchParams(q=q, n=n, mode=mode, workers=1)).nodes == nodes
+
+
 def test_node_budget_holds_inside_the_recursion():
     with pytest.raises(BudgetExceededError) as err:
         windowed_optimal(SearchParams(q=6, n=21, mode="windowed", budget=1000))
@@ -492,6 +512,17 @@ def test_loss_route_node_count_guard():
     _, odd = _loss_scan_parity(6, 5, True, DEFAULT_BUDGET, 0)
     _, both = _loss_scan_parity(6, 5, False, DEFAULT_BUDGET, odd)
     assert both < 100_000
+
+
+@pytest.mark.parametrize(
+    "q, radius, odd_nodes, even_nodes",
+    [(5, 4, 849, 926), (6, 3, 1_684, 2_847), (6, 5, 12_599, 9_421)],
+)
+def test_loss_route_node_counts_are_pinned(q, radius, odd_nodes, even_nodes):
+    # Per parity, each scan counting from zero; see the cover route's pins.
+    _, odd = _loss_scan_parity(q, radius, True, DEFAULT_BUDGET, 0)
+    _, even = _loss_scan_parity(q, radius, False, DEFAULT_BUDGET, 0)
+    assert (odd, even) == (odd_nodes, even_nodes)
 
 
 def test_crossing_masks_match_pair_crossings():
