@@ -3,7 +3,6 @@
 from .constructions import (
     Pattern,
     StairsBuild,
-    StairsParams,
     centralize,
     knight_square,
     pattern_of,

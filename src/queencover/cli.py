@@ -251,7 +251,7 @@ def _cmd_stairs(args) -> int:
         "schema_version": SCHEMA_VERSION,
         "kind": "stairs",
         "q": args.q,
-        "shift": list(build.params.shift),
+        "shift": list(build.shift),
         "pattern": encode_squares(build.pattern.offsets),
         "internal": build.internal,
         "central_odd": build.center_odd,
@@ -261,7 +261,7 @@ def _cmd_stairs(args) -> int:
     }
     text = "\n".join(
         [
-            f"stairs q={args.q} (sequence shift {build.params.shift})",
+            f"stairs q={args.q} (sequence shift {build.shift})",
             "pattern: " + format_config(build.pattern.offsets),
             f"internal loss: {build.internal}",
             f"centrality odd: {build.center_odd}  total odd: {build.total_odd}",

@@ -158,18 +158,10 @@ def centralize(pattern: Pattern, board: BoardSpec) -> tuple[Configuration, ...]:
 
 
 @dataclass(frozen=True)
-class StairsParams:
-    """Generator parameters: queen count and the shift between the two sequences."""
-
-    q: int
-    shift: Square
-
-
-@dataclass(frozen=True)
 class StairsBuild:
-    """A stairs pattern together with its board-independent loss columns."""
+    """A stairs pattern, the shift between its two sequences, and its loss columns."""
 
-    params: StairsParams
+    shift: Square
     pattern: Pattern
     internal: int
     center_odd: int
@@ -229,7 +221,7 @@ def stairs_details(q: int) -> StairsBuild:
     central_even = pattern_center_loss(pattern, odd_board=False)
     log.info("stairs q=%d uses shift %s (internal %d, central odd %d)", q, shift, internal, central_odd)
     return StairsBuild(
-        params=StairsParams(q=q, shift=shift),
+        shift=shift,
         pattern=pattern,
         internal=internal,
         center_odd=central_odd,

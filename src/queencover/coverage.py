@@ -225,8 +225,7 @@ class BoardMasks:
     cover count indexes row-major order, the search engine center-out order.
     """
 
-    def __init__(self, board: BoardSpec, squares: Iterable[Square]):
-        self.board = board
+    def __init__(self, squares: Iterable[Square]):
         rows: dict[int, int] = {}
         cols: dict[int, int] = {}
         diags: dict[int, int] = {}
@@ -260,8 +259,7 @@ class BoardMasks:
 # of boards up to n = 41 holds about 3.7 MB.
 @lru_cache(maxsize=32)
 def _board_masks(n: int) -> BoardMasks:
-    board = BoardSpec(n)
-    return BoardMasks(board, board.squares())
+    return BoardMasks(BoardSpec(n).squares())
 
 
 def cover_count(config: Configuration, board: BoardSpec) -> int:

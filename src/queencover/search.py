@@ -84,6 +84,14 @@ DEFAULT_BUDGET = 10**10
 _MODES = ("exhaustive", "windowed")
 
 
+def _check_positive(name: str, value) -> None:
+    # bool is an int subclass, but a record's `true` is no queen count.
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise DomainError(f"{name} must be >= 1, got {value}")
+
+
 @dataclass(frozen=True)
 class SearchParams:
     """Problem description for one optimal-configuration search."""
@@ -98,18 +106,13 @@ class SearchParams:
     def __post_init__(self):
         if self.mode not in _MODES:
             raise DomainError(f"mode must be one of {_MODES}, got {self.mode!r}")
-        if self.q < 1:
-            raise DomainError(f"q must be >= 1, got {self.q}")
-        if self.n < 1:
-            raise DomainError(f"n must be >= 1, got {self.n}")
+        for name in ("q", "n", "workers", "budget"):
+            _check_positive(name, getattr(self, name))
         if self.q > self.n * self.n:
             raise DomainError(f"cannot place {self.q} queens on B_{self.n}")
-        if self.workers < 1:
-            raise DomainError(f"workers must be >= 1, got {self.workers}")
-        if self.budget < 1:
-            raise DomainError(f"budget must be >= 1, got {self.budget}")
         if self.mode == "windowed":
             window = self.window if self.window is not None else self.q + 3
+            _check_positive("window", window)
             if window > self.n:
                 raise DomainError(f"window {window} exceeds board side {self.n}")
             object.__setattr__(self, "window", window)
@@ -227,7 +230,7 @@ class _Engine:
         self.order = squares
         self.cl = [c for c, _ in keyed]
         self.cl_prefix = list(accumulate(self.cl, initial=0))
-        masks = _coverage.BoardMasks(board, squares)
+        masks = _coverage.BoardMasks(squares)
         self.lines = [masks.line_union(s) for s in squares]
         pos = {s: i for i, s in enumerate(squares)}
         p = board.parity_offset
@@ -264,7 +267,6 @@ class _Problem:
         eng = _engine(n)
         self.engine = eng
         self.q = q
-        self.radius = radius
         W = len(eng.order) if radius is None else eng.box_size(radius)
         self.W = W
         # free[j]: the candidates that a queen on candidate j does not attack.
@@ -592,11 +594,11 @@ class ThresholdReport:
     n_lo: int
     n_hi: int
     entries: tuple[ScanEntry, ...]
-    n1_candidate: Optional[int]
-    n2_odd: Optional[int]
-    n2_even: Optional[int]
-    n2_combined: Optional[int]
     warnings: tuple[str, ...]
+    n1_candidate: Optional[int] = None
+    n2_odd: Optional[int] = None
+    n2_even: Optional[int] = None
+    n2_combined: Optional[int] = None
     empirical: bool = True
 
 
@@ -664,11 +666,8 @@ def nonattacking_threshold(
         n_lo=n_lo,
         n_hi=n_hi,
         entries=tuple(entries),
-        n1_candidate=n1,
-        n2_odd=None,
-        n2_even=None,
-        n2_combined=None,
         warnings=tuple(warnings),
+        n1_candidate=n1,
     )
 
 
@@ -676,7 +675,6 @@ def nonattacking_threshold(
 class LossMinimal:
     """Minimal board-independent total loss for one board parity."""
 
-    parity: str
     min_total: int
     patterns: tuple[Pattern, ...]
 
@@ -697,9 +695,8 @@ class LossScan:
 def _loss_tables(q: int, radius: int, odd: bool) -> tuple[_Problem, list[int]]:
     """The loss route's problem on its box's stable board, and its crossing table.
 
-    cross[j] = L(j) & OR of L(k) over k in free[j], with L the engine's lines,
-    is the union of the pair crossings of box square j with the box squares
-    it does not attack; the stable board holds every such crossing.
+    cross[j] is the union of the pair crossings of box square j with the box
+    squares it does not attack.
     """
     board = stable_board(Configuration.of([(-radius, -radius)]), odd)
     problem = _Problem(board.n, q, radius)
@@ -728,17 +725,8 @@ def _loss_scan_parity(
 
     def rec(avail: list[int], r: int, lines: int, inloss: int, cen: int, sel: tuple[int, ...]):
         # r >= 1 queens still to place from avail on top of sel, whose crossing
-        # masks OR to lines.  A candidate's delta popcount(lines & cross[j])
-        # only grows as queens are added (lines only gains bits), so the r
-        # least scores v = delta + cl[j] bound the rest of the total.
-        # The entry cut is decided on the unranked scores, before any node is
-        # spent; only a node that enters its first child ranks them.
-        # Children go in ascending v, each excluding its earlier siblings, so
-        # child p is cut, and with it every later sibling, once the scores at
-        # ranks p .. p + r - 1 exceed best; the cut is strict, so ties
-        # survive.  Every delta already counts the at least 10 squares the
-        # candidate crosses each placed queen on, so this is tighter than a
-        # flat 10 per queen still to place.
+        # masks OR to lines and whose internal and center losses are inloss
+        # and cen.
         nonlocal best
         scores = [(lines & cross[j]).bit_count() + cl[j] for j in avail]
         window = inloss + cen + sum(sorted(scores)[:r])
@@ -786,7 +774,6 @@ def _loss_scan_parity(
         {pattern_of(Configuration.of([squares[j] for j in sel])).canonical().offsets for sel in found}
     )
     return LossMinimal(
-        parity="odd" if odd else "even",
         min_total=best,
         patterns=tuple(Pattern(offs) for offs in canon),
     ), nodes
@@ -797,24 +784,15 @@ def loss_minimal_patterns(q: int, radius: int, budget: int = DEFAULT_BUDGET) -> 
 
     Enumerates the non-attacking q-subsets of the centered box of the given
     radius on the box's stable board of each parity (loss.stable_board),
-    scoring each by center loss plus internal loss.  Two non-attacking
-    queens' lines meet exactly on their pair crossings, and that board holds
-    every crossing, so a square's crossing mask is cross[j] = L(j) & OR of
-    L(k) over its non-attacking box partners k, with L the square's line
-    union.  A square's internal loss is the number of queens attacking it
-    beyond the first, so a new queen raises the internal loss by the number
-    of distinct squares it crosses with the placed ones: one AND and
-    popcount per candidate.  That delta only grows as queens are added, so
-    the r least current values of delta + center loss bound the rest of a
-    node's total; children go in ascending value and are cut once that
-    ranked window exceeds the incumbent (strictly, so every tie is kept).
-    The route never counts cover, so it cross-validates the cover searches
-    through the loss/cover identity.  A parity whose box holds no
-    non-attacking q-subset is None; DomainError is raised when both are.
-    Both parities draw from one node budget.
+    scoring each by center loss plus internal loss, and returns every
+    minimal one as a canonical pattern; the bound is in the module
+    docstring.  The route never counts cover, so it cross-validates the
+    cover searches through the loss/cover identity.  A parity whose box
+    holds no non-attacking q-subset is None; DomainError is raised when both
+    are.  Both parities draw from one node budget.
     """
-    if q < 1:
-        raise DomainError(f"q must be >= 1, got {q}")
+    _check_positive("q", q)
+    _check_positive("budget", budget)
     if radius < 0:
         raise DomainError(f"radius must be >= 0, got {radius}")
     odd, spent = _loss_scan_parity(q, radius, True, budget, 0)
@@ -860,9 +838,8 @@ def stabilizing_threshold(
         n_lo=n_lo,
         n_hi=n_hi,
         entries=tuple(entries),
-        n1_candidate=None,
+        warnings=tuple(warnings),
         n2_odd=per_parity[1],
         n2_even=per_parity[0],
         n2_combined=combined,
-        warnings=tuple(warnings),
     )

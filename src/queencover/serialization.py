@@ -61,15 +61,9 @@ def _decode_config(payload, where: str) -> Configuration:
         raise RecordError(f"{where}: {e}") from e
 
 
-def optimal_set_record(
-    result: OptimalSet, timing_s: Optional[float] = None, volatile: bool = False
-) -> dict:
-    """JSON-ready record for one search result.
-
-    With volatile=False the record is deterministic for identical parameters;
-    volatile=True additionally embeds timing and node counts (cache files).
-    """
-    record = {
+def optimal_set_record(result: OptimalSet) -> dict:
+    """JSON-ready record for one search result, deterministic for its parameters."""
+    return {
         "schema_version": SCHEMA_VERSION,
         "kind": "search_result",
         "fingerprint": params_fingerprint(result.params),
@@ -87,10 +81,6 @@ def optimal_set_record(
         "window_used": result.window_used,
         "window_retries": result.window_retries,
     }
-    if volatile:
-        record["timing_s"] = timing_s
-        record["nodes"] = result.nodes
-    return record
 
 
 def to_json_line(record: dict) -> str:
@@ -115,10 +105,12 @@ def parse_lines(data: bytes) -> list[dict]:
     return records
 
 
-def _decode_record(
-    record: dict,
-) -> tuple[tuple[Configuration, ...], tuple[FundamentalClass, ...]]:
-    """Check schema version, field types and structural invariants; decode once."""
+def record_to_optimal_set(record: dict) -> OptimalSet:
+    """Rebuild an OptimalSet from a record; a malformed record raises RecordError.
+
+    Schema version, field types and structural invariants are checked; params
+    go through SearchParams' own validation.
+    """
     if not isinstance(record, dict):
         raise RecordError("record must be an object")
     version = record.get("schema_version")
@@ -131,12 +123,20 @@ def _decode_record(
     for key in ("params", "max_cover", "configurations", "classes"):
         if key not in record:
             raise RecordError(f"missing field {key!r}")
-    params = record["params"]
-    for key in ("q", "n", "mode"):
-        if key not in params:
-            raise RecordError(f"missing field params.{key!r}")
+    p = record["params"]
+    if not isinstance(p, dict):
+        raise RecordError("params: must be an object")
+    try:
+        params = SearchParams(q=p["q"], n=p["n"], mode=p["mode"], window=p.get("window"))
+    except KeyError as e:
+        raise RecordError(f"missing field params.{e.args[0]!r}") from e
+    except DomainError as e:
+        raise RecordError(f"params: {e}") from e
     if not isinstance(record["max_cover"], int):
         raise RecordError("max_cover: must be an integer")
+    for key in ("configurations", "classes"):
+        if not isinstance(record[key], list):
+            raise RecordError(f"{key}: must be a list")
     configs = tuple(
         _decode_config(payload, f"configurations[{i}]")
         for i, payload in enumerate(record["configurations"])
@@ -145,6 +145,8 @@ def _decode_record(
         raise RecordError("configurations: duplicate entries")
     classes = []
     for i, cls in enumerate(record["classes"]):
+        if not isinstance(cls, dict):
+            raise RecordError(f"classes[{i}]: must be an object")
         rep = _decode_config(cls.get("representative"), f"classes[{i}].representative")
         size = cls.get("orbit_size")
         stab = cls.get("stabilizer_order")
@@ -153,24 +155,11 @@ def _decode_record(
         classes.append(FundamentalClass(rep, size, stab))
     if sum(c.orbit_size for c in classes) != len(configs):
         raise RecordError("classes: orbit sizes do not sum to the configuration count")
-    return configs, tuple(classes)
-
-
-def record_to_optimal_set(record: dict) -> OptimalSet:
-    """Rebuild an OptimalSet (without volatile metadata) from a record, validated."""
-    configurations, classes = _decode_record(record)
-    p = record["params"]
-    params = SearchParams(
-        q=p["q"],
-        n=p["n"],
-        mode=p["mode"],
-        window=p.get("window"),
-    )
     return OptimalSet(
         params=params,
         max_cover=record["max_cover"],
-        configurations=configurations,
-        classes=classes,
+        configurations=configs,
+        classes=tuple(classes),
         window_used=record.get("window_used"),
         window_retries=record.get("window_retries", 0),
         nodes=record.get("nodes", 0),
@@ -198,12 +187,14 @@ class ResultCache:
         if len(records) != 1:
             raise RecordError(f"cache file {path.name} must hold exactly one record")
         record = records[0]
+        result = record_to_optimal_set(record)
         if record.get("fingerprint") != path.name:
             raise RecordError(f"cache file {path.name} fingerprint mismatch")
-        return record_to_optimal_set(record)
+        return result
 
     def put(self, result: OptimalSet, timing_s: Optional[float] = None) -> Path:
-        record = optimal_set_record(result, timing_s=timing_s, volatile=True)
+        """Write the stable record plus the search's timing and node count."""
+        record = {**optimal_set_record(result), "timing_s": timing_s, "nodes": result.nodes}
         path = self._path(record["fingerprint"])
         data = (to_json_line(record) + "\n").encode()
         fd, tmp = tempfile.mkstemp(dir=self.directory, prefix=".tmp-")

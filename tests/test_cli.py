@@ -245,6 +245,39 @@ def test_unsupported_schema_version(tmp_path):
     assert "schema_version" in result.stderr
 
 
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("params", "q"), "1"),
+        (("params", "n"), "3"),
+        (("params",), 7),
+        (("configurations",), 7),
+        (("classes", 0), 7),
+    ],
+    ids=["q-string", "n-string", "params-number", "configurations-number", "class-number"],
+)
+def test_malformed_record_is_an_input_error(tmp_path, path, value):
+    record = {
+        "schema_version": 1,
+        "kind": "search_result",
+        "params": {"q": 1, "n": 3, "mode": "exhaustive"},
+        "max_cover": 9,
+        "configurations": [[[0, 0]]],
+        "classes": [{"representative": [[0, 0]], "orbit_size": 1, "stabilizer_order": 8}],
+    }
+    parent = record
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    stored = tmp_path / "record"
+    stored.write_text(json.dumps(record) + "\n")
+    for command in ("verify", "fundamentals"):
+        result = run_cli(command, "--input", str(stored))
+        assert result.returncode == 2, result.stderr
+        assert result.stderr.startswith("error: ")
+        assert "Traceback" not in result.stderr
+
+
 def test_closed_stdout_exits_quietly():
     # About 320 KB of output, more than a pipe holds, so the CLI is still
     # writing when the reader closes the pipe after the first line.

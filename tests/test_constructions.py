@@ -160,7 +160,7 @@ def test_tight_fit_placements_are_still_minimal():
 
 def test_stairs_sequences_step_by_knight_moves():
     for q in (5, 9, 12):
-        shift = stairs_details(q).params.shift
+        shift = stairs_details(q).shift
         offsets = set(stairs_details(q).pattern.offsets)
         assert len(offsets) == q
         # the generator guarantees two (1,2)-step chains; verify knight links exist

@@ -113,6 +113,10 @@ def test_cache_round_trip(tmp_path, small_result):
     assert cache.get(small_result.params) is None
     path = cache.put(small_result, timing_s=0.25)
     assert path.name == params_fingerprint(small_result.params)
+    # The cache file adds timing and nodes to the stable record, which has neither.
+    stable = optimal_set_record(small_result)
+    assert "timing_s" not in stable and "nodes" not in stable
+    assert json.loads(path.read_text()) == {**stable, "timing_s": 0.25, "nodes": small_result.nodes}
     hit = cache.get(small_result.params)
     assert hit is not None
     assert hit.max_cover == small_result.max_cover
