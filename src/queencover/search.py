@@ -22,13 +22,20 @@ loss route's two parities, share it.  The incumbent starts empty; the first
 descent, taking the largest gain at every depth, is already a greedy walk
 from the most central square.
 
-Symmetry is used twice, from one table: the engine holds the eight board
-symmetries as permutations of its candidate indices (perms).  The first
-queen of an enumeration is restricted to canonical squares (no symmetry maps
-them to an earlier index) without losing any orbit of optimal
-configurations, and the search's index selections are expanded to their
-orbits in index space and reported as fundamental classes (orbits with a
-lexicographically least representative).
+Symmetry is used three times, from one table: the engine holds the eight
+board symmetries as permutations of its candidate indices (perms).  The
+first queen of an enumeration is restricted to canonical squares (no
+symmetry maps them to an earlier index) without losing any orbit of optimal
+configurations.  Below a first queen j0, both routes skip a second-level
+child j when a symmetry that fixes j0 and maps j0's candidate list onto
+itself (the group G0) sends j to a candidate ranked ahead of it.  G0 fixes
+the placed lines, so second-level gains and loss scores are G0-invariant:
+of the G0-images of a configuration holding j0, the one whose best-ranked
+member after j0 ranks earliest keeps that member unskipped and is still
+searched.  Finally the search's index selections are expanded to their
+orbits in index space, which restores every skipped image, and reported as
+fundamental classes (orbits with a lexicographically least representative);
+the loss route reports canonical patterns, the same for every image.
 
 Every centered box is a prefix of the center-out order, so one per-board
 engine (order, center losses and their prefix sums, line masks from
@@ -64,8 +71,8 @@ import multiprocessing
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import accumulate
-from operator import or_
+from itertools import accumulate, islice
+from operator import gt, lt, or_
 from typing import Callable, Iterable, Optional
 
 from .constructions import Pattern, pattern_of
@@ -254,6 +261,18 @@ def _engine(n: int) -> _Engine:
     return _Engine(n)
 
 
+def _stabilizer_skips(
+    perms: tuple[tuple[int, ...], ...], j0: int, avail: list[int], ahead: Callable[[int, int], bool]
+) -> frozenset[int]:
+    """The candidates in avail that a symmetry fixing j0 and avail maps ahead of themselves."""
+    group = [h for h in perms if h[j0] == j0]
+    if len(group) == 1:
+        return frozenset()
+    members = set(avail)
+    group = [h for h in group if all(h[i] in members for i in avail)]
+    return frozenset(j for j in avail if any(ahead(h[j], j) for h in group))
+
+
 class _Problem:
     """One search instance: the engine's first W candidates of one board.
 
@@ -346,15 +365,21 @@ class _Problem:
                     f"search aborted after {total} nodes", total, node_budget
                 )
 
-        def rec(avail: list[int], r: int, m: int, cov: int, sel: tuple[int, ...]):
-            """Add r more queens from avail to the selection sel covering m."""
+        def rec(
+            avail: list[int], r: int, m: int, cov: int, sel: tuple[int, ...], skip=frozenset()
+        ):
+            """Add r more queens from avail to the selection sel covering m.
+
+            The children in skip are neither counted nor entered; only the
+            second level passes any (see _stabilizer_skips).
+            """
             nm = ~m
             gains = [bc(lines[j] & nm) for j in avail]
             if r == 1:
                 top = max(gains)
                 if cov + top < hint():
                     return
-                ties = [j for g, j in zip(gains, avail) if g == top]
+                ties = [j for g, j in zip(gains, avail) if g == top and j not in skip]
                 spend(len(ties))
                 for j in ties:
                     note(cov + top, sel + (j,))
@@ -372,18 +397,24 @@ class _Problem:
             last = len(ranked) - r
             for p in range(last + 1):
                 g, j = ranked[p]
-                spend(1)
-                rest = ranked[p + 1 :]
-                if free is not None:
-                    fj = free[j]
-                    rest = [e for e in rest if e[1] in fj]
-                # Gains here bound the child's (they only shrink), so keep only
-                # those that can reach the cut with the r - 2 best others.
-                floor = cut - cov - g - sum(e[0] for e in rest[: r - 2])
-                kids = [i for gi, i in rest if gi >= floor]
-                if len(kids) >= r - 1:
-                    rec(kids, r - 1, m | lines[j], cov + g, sel + (j,))
-                    cut = hint()
+                if j not in skip:
+                    spend(1)
+                    rest = ranked[p + 1 :]
+                    # Gains here bound the child's (they only shrink), so keep
+                    # only those that can reach the cut with the r - 2 best others.
+                    floor = cut - cov - g
+                    if free is None:
+                        if r > 2:
+                            floor -= sum(e[0] for e in rest[: r - 2])
+                        kids = [i for gi, i in rest if gi >= floor]
+                    else:
+                        fj = free[j]
+                        if r > 2:
+                            floor -= sum(islice((gi for gi, i in rest if i in fj), r - 2))
+                        kids = [i for gi, i in rest if gi >= floor and i in fj]
+                    if len(kids) >= r - 1:
+                        rec(kids, r - 1, m | lines[j], cov + g, sel + (j,))
+                        cut = hint()
                 if p < last:
                     window += ranked[p + r][0] - g
                     if cov + window < cut:
@@ -401,7 +432,8 @@ class _Problem:
                 continue
             avail = [i for i in range(j0 + 1, W) if free is None or i in free[j0]]
             if len(avail) >= q - 1:
-                rec(avail, q - 1, m0, bc(m0), (j0,))
+                skip = _stabilizer_skips(eng.perms, j0, avail, gt)
+                rec(avail, q - 1, m0, bc(m0), (j0,), skip)
 
         if tally is not None and unadded:
             with tally.get_lock():
@@ -723,10 +755,19 @@ def _loss_scan_parity(
         if nodes > budget:
             raise BudgetExceededError(f"loss scan aborted after {nodes} nodes", nodes, budget)
 
-    def rec(avail: list[int], r: int, lines: int, inloss: int, cen: int, sel: tuple[int, ...]):
+    def rec(
+        avail: list[int],
+        r: int,
+        lines: int,
+        inloss: int,
+        cen: int,
+        sel: tuple[int, ...],
+        skip=frozenset(),
+    ):
         # r >= 1 queens still to place from avail on top of sel, whose crossing
         # masks OR to lines and whose internal and center losses are inloss
-        # and cen.
+        # and cen.  The children in skip are neither counted nor entered; only
+        # the second level passes any (see _stabilizer_skips).
         nonlocal best
         scores = [(lines & cross[j]).bit_count() + cl[j] for j in avail]
         window = inloss + cen + sum(sorted(scores)[:r])
@@ -736,18 +777,20 @@ def _loss_scan_parity(
         last = len(ranked) - r
         for p in range(last + 1):
             v, j = ranked[p]
-            spend()
-            if r == 1:
-                if window < best:
-                    best = window
-                    found[:] = [sel + (j,)]
+            if j not in skip:
+                spend()
+                if r == 1:
+                    if window < best:
+                        best = window
+                        found[:] = [sel + (j,)]
+                    else:
+                        found.append(sel + (j,))
                 else:
-                    found.append(sel + (j,))
-            else:
-                fj = free[j]
-                rest = [i for _, i in ranked[p + 1 :] if i in fj]
-                if len(rest) >= r - 1:
-                    rec(rest, r - 1, lines | cross[j], inloss + v - cl[j], cen + cl[j], sel + (j,))
+                    fj = free[j]
+                    rest = [i for _, i in ranked[p + 1 :] if i in fj]
+                    if len(rest) >= r - 1:
+                        c = cl[j]
+                        rec(rest, r - 1, lines | cross[j], inloss + v - c, cen + c, sel + (j,))
             if p < last:
                 window += ranked[p + r][0] - v
                 if window > best:
@@ -766,7 +809,8 @@ def _loss_scan_parity(
         else:
             fj = free[j0]
             avail = [i for i in range(j0 + 1, W) if i in fj]
-            rec(avail, q - 1, cross[j0], 0, cl[j0], (j0,))
+            skip = _stabilizer_skips(eng.perms, j0, avail, lt)
+            rec(avail, q - 1, cross[j0], 0, cl[j0], (j0,), skip)
 
     if not found:
         return None, nodes

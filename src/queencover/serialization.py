@@ -49,6 +49,11 @@ def encode_squares(squares: Iterable[Square]) -> list[list[int]]:
     return [[x, y] for x, y in squares]
 
 
+def _is_int(value) -> bool:
+    # bool is an int subclass, but a JSON `true` is no count.
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _decode_config(payload, where: str) -> Configuration:
     if not isinstance(payload, list) or not all(
         isinstance(p, list) and len(p) == 2 and isinstance(p[0], int) and isinstance(p[1], int)
@@ -132,8 +137,15 @@ def record_to_optimal_set(record: dict) -> OptimalSet:
         raise RecordError(f"missing field params.{e.args[0]!r}") from e
     except DomainError as e:
         raise RecordError(f"params: {e}") from e
-    if not isinstance(record["max_cover"], int):
+    if not _is_int(record["max_cover"]):
         raise RecordError("max_cover: must be an integer")
+    window_used = record.get("window_used")
+    if window_used is not None and not (_is_int(window_used) and 1 <= window_used <= params.n):
+        raise RecordError(f"window_used: must be null or an integer from 1 to {params.n}")
+    counts = {key: record.get(key, 0) for key in ("window_retries", "nodes")}
+    for key, value in counts.items():
+        if not (_is_int(value) and value >= 0):
+            raise RecordError(f"{key}: must be an integer >= 0")
     for key in ("configurations", "classes"):
         if not isinstance(record[key], list):
             raise RecordError(f"{key}: must be a list")
@@ -160,9 +172,9 @@ def record_to_optimal_set(record: dict) -> OptimalSet:
         max_cover=record["max_cover"],
         configurations=configs,
         classes=tuple(classes),
-        window_used=record.get("window_used"),
-        window_retries=record.get("window_retries", 0),
-        nodes=record.get("nodes", 0),
+        window_used=window_used,
+        window_retries=counts["window_retries"],
+        nodes=counts["nodes"],
     )
 
 

@@ -253,8 +253,16 @@ def test_unsupported_schema_version(tmp_path):
         (("params",), 7),
         (("configurations",), 7),
         (("classes", 0), 7),
+        (("max_cover",), True),
+        (("window_used",), [1]),
+        (("window_used",), 4),
+        (("window_retries",), "x"),
+        (("nodes",), -1),
     ],
-    ids=["q-string", "n-string", "params-number", "configurations-number", "class-number"],
+    ids=[
+        "q-string", "n-string", "params-number", "configurations-number", "class-number",
+        "max-cover-bool", "window-list", "window-above-n", "retries-string", "nodes-negative",
+    ],
 )
 def test_malformed_record_is_an_input_error(tmp_path, path, value):
     record = {
@@ -276,6 +284,21 @@ def test_malformed_record_is_an_input_error(tmp_path, path, value):
         assert result.returncode == 2, result.stderr
         assert result.stderr.startswith("error: ")
         assert "Traceback" not in result.stderr
+
+
+def test_edited_cache_record_is_an_input_error(tmp_path):
+    # A cache hit goes through the same decoder as `verify`: an edited
+    # window_used or window_retries is refused, not printed.
+    args = ("--cache-dir", str(tmp_path), "search", "--q", "2", "--n", "6", "--mode", "windowed")
+    run_cli(*args, check=True)
+    path = next(tmp_path.iterdir())
+    record = json.loads(path.read_text())
+    record.update(window_used=[1], window_retries="x")
+    path.write_text(json.dumps(record) + "\n")
+    result = run_cli(*args)
+    assert result.returncode == 2, result.stdout
+    assert result.stderr.startswith("error: ")
+    assert "window used" not in result.stdout
 
 
 def test_closed_stdout_exits_quietly():

@@ -5,6 +5,7 @@ import hashlib
 import pickle
 from itertools import combinations
 from math import comb
+from operator import gt, lt
 
 import pytest
 from hypothesis import given, settings
@@ -38,8 +39,10 @@ from queencover.geometry import TRANSFORM_KINDS, transform_square
 from queencover.search import (
     DEFAULT_BUDGET,
     FundamentalClass,
+    _Problem,
     _loss_scan_parity,
     _loss_tables,
+    _stabilizer_skips,
     canonical_pattern_fingerprint,
 )
 
@@ -219,19 +222,54 @@ def test_windowed_matches_plain_enumeration(qnw):
 @pytest.mark.parametrize(
     "mode, q, n, nodes",
     [
-        ("windowed", 5, 17, 500),
-        ("windowed", 5, 18, 552),
-        ("windowed", 6, 21, 25_614),
-        ("windowed", 6, 22, 11_549),
-        ("windowed", 7, 24, 26_160),
-        ("windowed", 7, 25, 20_059),
-        ("exhaustive", 2, 10, 14),
-        ("exhaustive", 3, 9, 285),
-        ("exhaustive", 4, 30, 311),
+        ("windowed", 5, 17, 254),
+        ("windowed", 5, 18, 423),
+        ("windowed", 6, 21, 14_829),
+        ("windowed", 6, 22, 8_977),
+        ("windowed", 7, 24, 20_025),
+        ("windowed", 7, 25, 10_847),
+        ("exhaustive", 2, 10, 12),
+        ("exhaustive", 3, 9, 188),
+        ("exhaustive", 4, 30, 242),
     ],
 )
 def test_cover_route_node_counts_are_pinned(mode, q, n, nodes):
     assert run_search(SearchParams(q=q, n=n, mode=mode, workers=1)).nodes == nodes
+
+
+@pytest.mark.parametrize(
+    "n, square, radius, kinds",
+    [
+        # The odd board's center: all eight symmetries fix it and its list.
+        (17, (0, 0), 3, TRANSFORM_KINDS),
+        (17, (0, 0), None, TRANSFORM_KINDS),
+        # A canonical axis square: its mirror keeps the non-attacking list,
+        # but not the exhaustive one, which holds (-1, 1) and not its image
+        # (-1, -1), an earlier index; there G0 is the identity alone.
+        (17, (-1, 0), 3, ("identity", "mirror-y")),
+        (17, (-1, 0), None, ("identity",)),
+        # An even board's ring corner, on its diagonal.
+        (18, (-1, -1), 3, ("identity", "mirror-diag")),
+        (18, (-1, -1), None, ("identity", "mirror-diag")),
+    ],
+)
+def test_stabilizer_skips_keep_the_best_ranked_member_of_each_orbit(n, square, radius, kinds):
+    # kinds is the group G0 of the first queen `square`: the symmetries that
+    # fix it and map its second-level list onto itself.
+    problem = _Problem(n, 4, radius)
+    eng = problem.engine
+    pos = {s: i for i, s in enumerate(eng.order)}
+    j0 = pos[square]
+    assert eng.in_f[j0]
+    avail = [i for i in range(j0 + 1, problem.W) if radius is None or i in problem.free[j0]]
+    p = eng.board.parity_offset
+    orbits = {frozenset(pos[transform_square(k, p, eng.order[j])] for k in kinds) for j in avail}
+    assert set().union(*orbits) == set(avail)
+    # Among equal gains cover children rank by descending index, and among
+    # equal scores loss children by ascending index.
+    for ahead, first in ((gt, max), (lt, min)):
+        kept = set(avail) - _stabilizer_skips(eng.perms, j0, avail, ahead)
+        assert kept == {first(orbit) for orbit in orbits}
 
 
 def test_node_budget_holds_inside_the_recursion():
@@ -256,14 +294,16 @@ def test_window_retries_share_one_node_budget():
 
 def test_pool_shards_share_one_node_budget():
     # The shards of a workers=2 run spend the one budget between them; each
-    # alone stays under it (together they visit about 25,000 nodes).
+    # alone stays under it (together they visit about 14,800 nodes; the
+    # largest shard of the final window takes about 5,200 on top of the
+    # first window's 4,300).
     for workers in (1, 2):
         with pytest.raises(BudgetExceededError) as err:
             windowed_optimal(
-                SearchParams(q=6, n=21, mode="windowed", budget=20_000, workers=workers)
+                SearchParams(q=6, n=21, mode="windowed", budget=10_000, workers=workers)
             )
-        assert err.value.nodes > 20_000
-        assert err.value.budget == 20_000
+        assert err.value.nodes > 10_000
+        assert err.value.budget == 10_000
 
 
 def test_budget_error_survives_pickling():
@@ -273,11 +313,15 @@ def test_budget_error_survives_pickling():
 
 
 def test_worker_count_does_not_change_results():
-    base = exhaustive_optimal(SearchParams(q=3, n=9, workers=1))
-    multi = exhaustive_optimal(SearchParams(q=3, n=9, workers=2))
-    assert base.max_cover == multi.max_cover
-    assert _as_set(base.configurations) == _as_set(multi.configurations)
-    assert base.classes == multi.classes
+    # Each pool shard skips its own first queens' stabilizer images.
+    for mode, q, n in (("exhaustive", 3, 9), ("windowed", 6, 21), ("windowed", 7, 25)):
+        base = run_search(SearchParams(q=q, n=n, mode=mode, workers=1))
+        multi = run_search(SearchParams(q=q, n=n, mode=mode, workers=2))
+        assert base.max_cover == multi.max_cover
+        assert _as_set(base.configurations) == _as_set(multi.configurations)
+        assert base.classes == multi.classes
+        assert base.window_used == multi.window_used
+        assert base.window_retries == multi.window_retries
 
 
 def test_windowed_five_queens_matches_known_classes():
@@ -489,7 +533,7 @@ def test_loss_route_budget_holds_inside_the_recursion():
 
 def test_loss_route_parities_share_one_node_budget():
     # Each parity's scan alone fits the budget (on (5,4) the odd one takes
-    # 849 nodes and the even one 926), but the call must count both.
+    # 491 nodes and the even one 738), but the call must count both.
     _, odd = _loss_scan_parity(5, 4, True, DEFAULT_BUDGET, 0)
     _, both = _loss_scan_parity(5, 4, False, DEFAULT_BUDGET, odd)
     budget = max(odd, both - odd)
@@ -517,7 +561,7 @@ def test_loss_route_rejects_budgets_below_one_node():
 
 @pytest.mark.parametrize(
     "q, radius, odd_nodes, even_nodes",
-    [(5, 4, 849, 926), (6, 3, 1_684, 2_847), (6, 5, 12_599, 9_421)],
+    [(5, 4, 491, 738), (6, 3, 881, 2_199), (6, 5, 6_821, 7_230)],
 )
 def test_loss_route_node_counts_are_pinned(q, radius, odd_nodes, even_nodes):
     # Per parity, each scan counting from zero; see the cover route's pins.
