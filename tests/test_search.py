@@ -232,6 +232,11 @@ def test_windowed_matches_plain_enumeration(qnw):
         ("exhaustive", 3, 9, 188),
         ("exhaustive", 4, 30, 242),
     ],
+    # Ids name the case, not the count, so that a re-pin keeps the test names.
+    ids=[
+        "windowed-5-17", "windowed-5-18", "windowed-6-21", "windowed-6-22",
+        "windowed-7-24", "windowed-7-25", "exhaustive-2-10", "exhaustive-3-9", "exhaustive-4-30",
+    ],
 )
 def test_cover_route_node_counts_are_pinned(mode, q, n, nodes):
     assert run_search(SearchParams(q=q, n=n, mode=mode, workers=1)).nodes == nodes
@@ -562,6 +567,7 @@ def test_loss_route_rejects_budgets_below_one_node():
 @pytest.mark.parametrize(
     "q, radius, odd_nodes, even_nodes",
     [(5, 4, 491, 738), (6, 3, 881, 2_199), (6, 5, 6_821, 7_230)],
+    ids=["5-4", "6-3", "6-5"],
 )
 def test_loss_route_node_counts_are_pinned(q, radius, odd_nodes, even_nodes):
     # Per parity, each scan counting from zero; see the cover route's pins.
