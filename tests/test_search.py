@@ -217,29 +217,50 @@ def test_windowed_matches_plain_enumeration(qnw):
     assert _as_set(result.configurations) == argmax
 
 
-# Node counts at workers=1.  A change to the branch-and-bound that claims to
-# keep its search order and bound must keep these counts exactly.
+# Node counts at workers=1, with the second-level stabilizer skips and with
+# them turned off (the ids carry the latter).  A change to the branch-and-bound
+# that claims to keep its search order and bound must keep these counts
+# exactly; the unskipped counts also show that the skips change nothing else
+# in the walk.
+_COVER_NODES = {
+    ("windowed", 5, 17): 254,
+    ("windowed", 5, 18): 423,
+    ("windowed", 6, 21): 14_829,
+    ("windowed", 6, 22): 8_977,
+    ("windowed", 7, 24): 20_025,
+    ("windowed", 7, 25): 10_847,
+    ("exhaustive", 2, 10): 12,
+    ("exhaustive", 3, 9): 188,
+    ("exhaustive", 4, 30): 242,
+}
+
+
+def _no_stabilizer_skips(monkeypatch):
+    monkeypatch.setattr(queencover.search, "_stabilizer_skips", lambda *args: frozenset())
+
+
 @pytest.mark.parametrize(
-    "mode, q, n, nodes",
+    "mode, q, n, unskipped_nodes",
     [
-        ("windowed", 5, 17, 254),
-        ("windowed", 5, 18, 423),
-        ("windowed", 6, 21, 14_829),
-        ("windowed", 6, 22, 8_977),
-        ("windowed", 7, 24, 20_025),
-        ("windowed", 7, 25, 10_847),
-        ("exhaustive", 2, 10, 12),
-        ("exhaustive", 3, 9, 188),
-        ("exhaustive", 4, 30, 242),
-    ],
-    # Ids name the case, not the count, so that a re-pin keeps the test names.
-    ids=[
-        "windowed-5-17", "windowed-5-18", "windowed-6-21", "windowed-6-22",
-        "windowed-7-24", "windowed-7-25", "exhaustive-2-10", "exhaustive-3-9", "exhaustive-4-30",
+        ("windowed", 5, 17, 500),
+        ("windowed", 5, 18, 552),
+        ("windowed", 6, 21, 25_614),
+        ("windowed", 6, 22, 11_549),
+        ("windowed", 7, 24, 26_160),
+        ("windowed", 7, 25, 20_059),
+        ("exhaustive", 2, 10, 14),
+        ("exhaustive", 3, 9, 285),
+        ("exhaustive", 4, 30, 311),
     ],
 )
-def test_cover_route_node_counts_are_pinned(mode, q, n, nodes):
-    assert run_search(SearchParams(q=q, n=n, mode=mode, workers=1)).nodes == nodes
+def test_cover_route_node_counts_are_pinned(mode, q, n, unskipped_nodes, monkeypatch):
+    params = SearchParams(q=q, n=n, mode=mode, workers=1)
+    skipped = run_search(params)
+    assert skipped.nodes == _COVER_NODES[mode, q, n]
+    _no_stabilizer_skips(monkeypatch)
+    unskipped = run_search(params)
+    assert unskipped.nodes == unskipped_nodes
+    assert unskipped.configurations == skipped.configurations
 
 
 @pytest.mark.parametrize(
@@ -564,16 +585,24 @@ def test_loss_route_rejects_budgets_below_one_node():
             loss_minimal_patterns(2, 3, budget=budget)
 
 
+_LOSS_NODES = {(5, 4): (491, 738), (6, 3): (881, 2_199), (6, 5): (6_821, 7_230)}
+
+
 @pytest.mark.parametrize(
     "q, radius, odd_nodes, even_nodes",
-    [(5, 4, 491, 738), (6, 3, 881, 2_199), (6, 5, 6_821, 7_230)],
-    ids=["5-4", "6-3", "6-5"],
+    [(5, 4, 849, 926), (6, 3, 1_684, 2_847), (6, 5, 12_599, 9_421)],
 )
-def test_loss_route_node_counts_are_pinned(q, radius, odd_nodes, even_nodes):
-    # Per parity, each scan counting from zero; see the cover route's pins.
-    _, odd = _loss_scan_parity(q, radius, True, DEFAULT_BUDGET, 0)
-    _, even = _loss_scan_parity(q, radius, False, DEFAULT_BUDGET, 0)
-    assert (odd, even) == (odd_nodes, even_nodes)
+def test_loss_route_node_counts_are_pinned(q, radius, odd_nodes, even_nodes, monkeypatch):
+    # Per parity, each scan counting from zero, with the skips and (the ids'
+    # counts) without them; see the cover route's pins.
+    def nodes():
+        _, odd = _loss_scan_parity(q, radius, True, DEFAULT_BUDGET, 0)
+        _, even = _loss_scan_parity(q, radius, False, DEFAULT_BUDGET, 0)
+        return odd, even
+
+    assert nodes() == _LOSS_NODES[q, radius]
+    _no_stabilizer_skips(monkeypatch)
+    assert nodes() == (odd_nodes, even_nodes)
 
 
 def test_crossing_masks_match_pair_crossings():
