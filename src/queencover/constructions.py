@@ -16,7 +16,7 @@ from typing import Iterable
 
 from .coverage import Configuration, is_nonattacking
 from .errors import DoesNotFitError, DomainError, InvariantError
-from .geometry import BoardSpec, Square, transform_square, TRANSFORM_KINDS
+from .geometry import BoardSpec, Square
 from .loss import center_loss, internal_loss_stable
 
 log = logging.getLogger(__name__)
@@ -43,7 +43,8 @@ class Pattern:
             raise DomainError("pattern must contain at least one queen")
         mx = min(x for x, _ in sq)
         my = min(y for _, y in sq)
-        return cls(tuple(sorted((x - mx, y - my) for x, y in sq)))
+        # A translation keeps the sorted order.
+        return cls(tuple((x - mx, y - my) for x, y in sq))
 
     @property
     def q(self) -> int:
@@ -61,15 +62,26 @@ class Pattern:
         return Configuration.of((x + dx, y + dy) for x, y in self.offsets)
 
     def canonical(self) -> "Pattern":
-        """Least equivalent pattern over the eight symmetries; translation-free key."""
-        best = None
-        for kind in TRANSFORM_KINDS:
-            img = [transform_square(kind, 0, s) for s in self.offsets]
-            mx = min(x for x, _ in img)
-            my = min(y for _, y in img)
-            offsets = sorted((x - mx, y - my) for x, y in img)
-            if best is None or offsets < best:
-                best = offsets
+        """Least equivalent pattern over the eight symmetries; translation-free key.
+
+        The offsets fill the box [0, w] x [0, h], and each symmetry maps that
+        box onto [0, w] x [0, h] or [0, h] x [0, w], so each image is built
+        already normalized: rot90 sends (x, y) to (h - y, x), mirror-x to
+        (w - x, y), and so on through geometry.TRANSFORM_KINDS, in its order.
+        """
+        offs = self.offsets
+        w = max(x for x, _ in offs)
+        h = max(y for _, y in offs)
+        best = min(
+            list(offs),
+            sorted([(h - y, x) for x, y in offs]),
+            sorted([(w - x, h - y) for x, y in offs]),
+            sorted([(y, w - x) for x, y in offs]),
+            sorted([(w - x, y) for x, y in offs]),
+            sorted([(x, h - y) for x, y in offs]),
+            sorted([(y, x) for x, y in offs]),
+            sorted([(h - y, w - x) for x, y in offs]),
+        )
         return Pattern(tuple(best))
 
 

@@ -32,8 +32,12 @@ itself (the group G0) sends j to a candidate ranked ahead of it.  G0 fixes
 the placed lines, so second-level gains and loss scores are G0-invariant:
 of the G0-images of a configuration holding j0, the one whose best-ranked
 member after j0 ranks earliest keeps that member unskipped and is still
-searched.  Finally the search's index selections are expanded to their
-orbits in index space, which restores every skipped image, and reported as
+searched.  A symmetry fixing j0 maps the box and j0's lines onto
+themselves, so it keeps j0's list exactly when it keeps the candidates
+before j0 that j0 allows: G0 costs a pass over j0's predecessors, and a
+child is tested against it only when the loop reaches that child.
+Finally the search's index selections are expanded to their orbits in
+index space, which restores every skipped image, and reported as
 fundamental classes (orbits with a lexicographically least representative);
 the loss route reports canonical patterns, the same for every image.
 
@@ -69,6 +73,7 @@ import hashlib
 import math
 import multiprocessing
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import accumulate, islice
@@ -261,16 +266,29 @@ def _engine(n: int) -> _Engine:
     return _Engine(n)
 
 
-def _stabilizer_skips(
-    perms: tuple[tuple[int, ...], ...], j0: int, avail: list[int], ahead: Callable[[int, int], bool]
-) -> frozenset[int]:
-    """The candidates in avail that a symmetry fixing j0 and avail maps ahead of themselves."""
-    group = [h for h in perms if h[j0] == j0]
-    if len(group) == 1:
-        return frozenset()
-    members = set(avail)
-    group = [h for h in group if all(h[i] in members for i in avail)]
-    return frozenset(j for j in avail if any(ahead(h[j], j) for h in group))
+def _stabilizer_skip(
+    perms: tuple[tuple[int, ...], ...],
+    j0: int,
+    allowed: Optional[frozenset[int]],
+    ahead: Callable[[int, int], bool],
+) -> Optional[Callable[[int], bool]]:
+    """The test whether a symmetry fixing j0 and its list maps a child ahead of itself.
+
+    j0's second-level list is the candidates after j0 that j0 allows (all of
+    them when allowed is None).  A symmetry fixing j0 maps the box and j0's
+    lines onto themselves, so it maps that list onto itself exactly when it
+    maps the candidates before j0 that j0 allows onto themselves, a pass
+    over at most j0 candidates instead of over the list.  Returns None when
+    only the identity passes, so that no child is skipped.
+    """
+    group = [
+        h
+        for h in perms[1:]  # perms[0] is the identity
+        if h[j0] == j0 and all(h[i] < j0 for i in range(j0) if allowed is None or i in allowed)
+    ]
+    if not group:
+        return None
+    return lambda j: any(ahead(h[j], j) for h in group)
 
 
 class _Problem:
@@ -366,12 +384,12 @@ class _Problem:
                 )
 
         def rec(
-            avail: list[int], r: int, m: int, cov: int, sel: tuple[int, ...], skip=frozenset()
+            avail: list[int], r: int, m: int, cov: int, sel: tuple[int, ...], skip=None
         ):
             """Add r more queens from avail to the selection sel covering m.
 
-            The children in skip are neither counted nor entered; only the
-            second level passes any (see _stabilizer_skips).
+            A child j with skip(j) true is neither counted nor entered; only
+            the second level passes a skip test (see _stabilizer_skip).
             """
             nm = ~m
             gains = [bc(lines[j] & nm) for j in avail]
@@ -379,7 +397,9 @@ class _Problem:
                 top = max(gains)
                 if cov + top < hint():
                     return
-                ties = [j for g, j in zip(gains, avail) if g == top and j not in skip]
+                ties = [
+                    j for g, j in zip(gains, avail) if g == top and (skip is None or not skip(j))
+                ]
                 spend(len(ties))
                 for j in ties:
                     note(cov + top, sel + (j,))
@@ -394,20 +414,24 @@ class _Problem:
             # siblings, so a child's subtree draws only from the candidates
             # after it, whose r - 1 largest gains bound its completion.
             ranked = sorted(zip(gains, avail), reverse=True)
+            if free is None:
+                # Ascending, so the kids that can reach the cut are a slice.
+                neg = [-gi for gi, _ in ranked]
+                idx = [i for _, i in ranked]
             last = len(ranked) - r
             for p in range(last + 1):
                 g, j = ranked[p]
-                if j not in skip:
+                if skip is None or not skip(j):
                     spend(1)
-                    rest = ranked[p + 1 :]
                     # Gains here bound the child's (they only shrink), so keep
                     # only those that can reach the cut with the r - 2 best others.
                     floor = cut - cov - g
                     if free is None:
                         if r > 2:
-                            floor -= sum(e[0] for e in rest[: r - 2])
-                        kids = [i for gi, i in rest if gi >= floor]
+                            floor += sum(neg[p + 1 : p + r - 1])
+                        kids = idx[p + 1 : bisect_right(neg, -floor, p + 1)]
                     else:
+                        rest = ranked[p + 1 :]
                         fj = free[j]
                         if r > 2:
                             floor -= sum(islice((gi for gi, i in rest if i in fj), r - 2))
@@ -432,7 +456,7 @@ class _Problem:
                 continue
             avail = [i for i in range(j0 + 1, W) if free is None or i in free[j0]]
             if len(avail) >= q - 1:
-                skip = _stabilizer_skips(eng.perms, j0, avail, gt)
+                skip = _stabilizer_skip(eng.perms, j0, None if free is None else free[j0], gt)
                 rec(avail, q - 1, m0, bc(m0), (j0,), skip)
 
         if tally is not None and unadded:
@@ -595,14 +619,15 @@ def canonical_pattern_fingerprint(classes: Iterable[FundamentalClass]) -> str:
     The multiset runs over every member of every orbit.  Board symmetries are
     translations composed with the eight plane symmetries, so all members of
     an orbit share the representative's normalized pattern: it is computed
-    once per class and counted orbit_size times.
+    once per class, and each distinct pattern is counted with the summed
+    orbit sizes of its classes.  The hashed bytes are the repr of the sorted
+    multiset as a list, each distinct pattern's repr written count times.
     """
-    canon = []
+    counts: Counter[tuple[Square, ...]] = Counter()
     for c in classes:
-        canon += [pattern_of(c.representative).canonical().offsets] * c.orbit_size
-    canon.sort()
-    blob = repr(canon).encode()
-    return hashlib.sha256(blob).hexdigest()
+        counts[pattern_of(c.representative).canonical().offsets] += c.orbit_size
+    blob = ", ".join(", ".join([repr(offs)] * k) for offs, k in sorted(counts.items()))
+    return hashlib.sha256(f"[{blob}]".encode()).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -762,12 +787,13 @@ def _loss_scan_parity(
         inloss: int,
         cen: int,
         sel: tuple[int, ...],
-        skip=frozenset(),
+        skip=None,
     ):
         # r >= 1 queens still to place from avail on top of sel, whose crossing
         # masks OR to lines and whose internal and center losses are inloss
-        # and cen.  The children in skip are neither counted nor entered; only
-        # the second level passes any (see _stabilizer_skips).
+        # and cen.  A child j with skip(j) true is neither counted nor
+        # entered; only the second level passes a skip test (see
+        # _stabilizer_skip).
         nonlocal best
         scores = [(lines & cross[j]).bit_count() + cl[j] for j in avail]
         window = inloss + cen + sum(sorted(scores)[:r])
@@ -777,7 +803,7 @@ def _loss_scan_parity(
         last = len(ranked) - r
         for p in range(last + 1):
             v, j = ranked[p]
-            if j not in skip:
+            if skip is None or not skip(j):
                 spend()
                 if r == 1:
                     if window < best:
@@ -809,7 +835,7 @@ def _loss_scan_parity(
         else:
             fj = free[j0]
             avail = [i for i in range(j0 + 1, W) if i in fj]
-            skip = _stabilizer_skips(eng.perms, j0, avail, lt)
+            skip = _stabilizer_skip(eng.perms, j0, fj, lt)
             rec(avail, q - 1, cross[j0], 0, cl[j0], (j0,), skip)
 
     if not found:

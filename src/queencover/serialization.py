@@ -55,8 +55,9 @@ def _is_int(value) -> bool:
 
 
 def _decode_config(payload, where: str) -> Configuration:
-    if not isinstance(payload, list) or not all(
-        isinstance(p, list) and len(p) == 2 and isinstance(p[0], int) and isinstance(p[1], int)
+    # Exact type tests: a JSON `false` decodes to a bool, an int subclass.
+    if type(payload) is not list or not all(
+        type(p) is list and len(p) == 2 and type(p[0]) is int and type(p[1]) is int
         for p in payload
     ):
         raise RecordError(f"{where}: configuration must be a list of [x, y] pairs")
@@ -162,7 +163,7 @@ def record_to_optimal_set(record: dict) -> OptimalSet:
         rep = _decode_config(cls.get("representative"), f"classes[{i}].representative")
         size = cls.get("orbit_size")
         stab = cls.get("stabilizer_order")
-        if not isinstance(size, int) or not isinstance(stab, int) or size * stab != 8:
+        if not _is_int(size) or not _is_int(stab) or size * stab != 8:
             raise RecordError(f"classes[{i}]: orbit_size x stabilizer_order must be 8")
         classes.append(FundamentalClass(rep, size, stab))
     if sum(c.orbit_size for c in classes) != len(configs):

@@ -44,7 +44,7 @@ def test_pattern_canonical_is_symmetry_invariant():
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), min_size=1, max_size=7))
+@given(st.lists(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), min_size=1, max_size=10))
 def test_pattern_canonical_is_least_symmetry_image(squares):
     pattern = Pattern.of(squares)
     assert pattern.canonical() == brute_canonical(pattern)

@@ -42,13 +42,14 @@ from queencover.search import (
     _Problem,
     _loss_scan_parity,
     _loss_tables,
-    _stabilizer_skips,
+    _stabilizer_skip,
     canonical_pattern_fingerprint,
 )
 
 from conftest import (
     brute_attack_number,
     brute_attacks,
+    brute_canonical,
     brute_center_distance,
     brute_classes,
     brute_cover,
@@ -236,7 +237,7 @@ _COVER_NODES = {
 
 
 def _no_stabilizer_skips(monkeypatch):
-    monkeypatch.setattr(queencover.search, "_stabilizer_skips", lambda *args: frozenset())
+    monkeypatch.setattr(queencover.search, "_stabilizer_skip", lambda *args: None)
 
 
 @pytest.mark.parametrize(
@@ -287,14 +288,16 @@ def test_stabilizer_skips_keep_the_best_ranked_member_of_each_orbit(n, square, r
     pos = {s: i for i, s in enumerate(eng.order)}
     j0 = pos[square]
     assert eng.in_f[j0]
-    avail = [i for i in range(j0 + 1, problem.W) if radius is None or i in problem.free[j0]]
+    allowed = None if radius is None else problem.free[j0]
+    avail = [i for i in range(j0 + 1, problem.W) if allowed is None or i in allowed]
     p = eng.board.parity_offset
     orbits = {frozenset(pos[transform_square(k, p, eng.order[j])] for k in kinds) for j in avail}
     assert set().union(*orbits) == set(avail)
     # Among equal gains cover children rank by descending index, and among
     # equal scores loss children by ascending index.
     for ahead, first in ((gt, max), (lt, min)):
-        kept = set(avail) - _stabilizer_skips(eng.perms, j0, avail, ahead)
+        skip = _stabilizer_skip(eng.perms, j0, allowed, ahead)
+        kept = {j for j in avail if skip is None or not skip(j)}
         assert kept == {first(orbit) for orbit in orbits}
 
 
@@ -743,10 +746,40 @@ def test_pattern_fingerprint_translation_invariance():
 
 
 def test_pattern_fingerprint_counts_every_orbit_member():
-    # One pattern per class, repeated orbit_size times, hashes the same
-    # multiset as normalizing every configuration of the optimal set.
+    # One pattern per class, counted with its orbit size, hashes the same
+    # multiset as normalizing every configuration of the optimal set with
+    # the square-by-square oracle.
     for q, n in ((2, 10), (3, 13), (4, 9)):
         result = exhaustive_optimal(SearchParams(q=q, n=n))
-        canon = sorted(pattern_of(c).canonical().offsets for c in result.configurations)
+        canon = sorted(brute_canonical(pattern_of(c)).offsets for c in result.configurations)
         expected = hashlib.sha256(repr(canon).encode()).hexdigest()
         assert canonical_pattern_fingerprint(result.classes) == expected, (q, n)
+
+
+# Literal digests: stored threshold records carry them, so a faster canonical
+# form or fingerprint must reproduce them byte for byte.
+_FINGERPRINTS = {
+    ("exhaustive", 4, 13): "b567b90cecc4803f6d16f6088a8723f8acff9c52cff8df20902161fcef9d23a1",
+    ("exhaustive", 3, 13): "9623b135d2d472cf618693ebbaf6b76654638e03e5320f3e5442b72db6ec4985",
+    ("windowed", 7, 24): "2bee152f9f3fb2ab37ce8799cef6506ca07306b349accb8e0120266c8bbeedc8",
+}
+# Per criterion-4 scan: the digest of its entries' fingerprints, space-joined.
+_SCAN_FINGERPRINTS = {
+    (nonattacking_threshold, 2, 4, 14): "af61f31fce4b6cfe6b81894ca08240b371840c5e440c60e9c2ac50a3b86e221b",
+    (nonattacking_threshold, 3, 4, 14): "2ccab2d6574d816135b5e3884cfc2fc0b564ba8fae69cc61a3bef773f1dedd04",
+    (nonattacking_threshold, 4, 5, 13): "f09088b243bcb615cd161935398f2e3752a8a894bde97ff1d2b901bf02746c96",
+    (stabilizing_threshold, 2, 6, 16): "bd3eee2ac46d3bab3f204fd129c04cef495bb853535e645f3e434fbf2dc9b9bf",
+    (stabilizing_threshold, 3, 6, 18): "8a97a87f64f6209f3018f8cb1b10e6d6db412c95aef599cb5ef4f1088bacabad",
+    (stabilizing_threshold, 4, 8, 20): "2f7a2fbf244130283a8a50e65f00af7b27297353122ff43edb26183c9fd006d6",
+}
+
+
+def test_pattern_fingerprints_are_pinned():
+    for (mode, q, n), digest in _FINGERPRINTS.items():
+        result = run_search(SearchParams(q=q, n=n, mode=mode))
+        assert canonical_pattern_fingerprint(result.classes) == digest, (mode, q, n)
+    run = functools.lru_cache(maxsize=None)(run_search)
+    for (scan, q, n_lo, n_hi), digest in _SCAN_FINGERPRINTS.items():
+        report = scan(q, n_lo, n_hi, runner=run)
+        joined = " ".join(e.pattern_fingerprint for e in report.entries)
+        assert hashlib.sha256(joined.encode()).hexdigest() == digest, (scan.__name__, q)

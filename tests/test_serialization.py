@@ -74,6 +74,30 @@ def test_record_rejects_bad_class_arithmetic(small_result):
         record_to_optimal_set(record)
 
 
+@pytest.mark.parametrize("value", [False, True])
+@pytest.mark.parametrize("edit", ["configuration", "representative", "orbit_size"])
+def test_record_rejects_booleans_as_integers(edit, value):
+    # JSON booleans decode to bool, an int subclass, but are no coordinates
+    # or counts.
+    record = {
+        "schema_version": 1,
+        "kind": "search_result",
+        "params": {"q": 1, "n": 3, "mode": "exhaustive"},
+        "max_cover": 9,
+        "configurations": [[[0, 0]]],
+        "classes": [{"representative": [[0, 0]], "orbit_size": 1, "stabilizer_order": 8}],
+    }
+    record_to_optimal_set(record)
+    if edit == "configuration":
+        record["configurations"][0] = [[value, value]]
+    elif edit == "representative":
+        record["classes"][0]["representative"] = [[value, value]]
+    else:
+        record["classes"][0]["orbit_size"] = value
+    with pytest.raises(RecordError):
+        record_to_optimal_set(record)
+
+
 def test_parse_error_names_byte_offset():
     data = b'{"schema_version":1}\n{"broken\n'
     with pytest.raises(RecordError, match=r"byte 2[0-9]"):
