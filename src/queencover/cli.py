@@ -70,15 +70,15 @@ def render_board(config: Configuration, board: BoardSpec, annotate: str = "none"
     if not config.is_feasible(board):
         raise DomainError("render requires a board-feasible configuration")
     lo = board.lo
-    counts = attack_field(config, board).as_array() if annotate == "attack-numbers" else None
+    field = attack_field(config, board) if annotate == "attack-numbers" else None
     lines = []
     for y in range(board.hi, lo - 1, -1):
         cells = []
         for x in range(lo, board.hi + 1):
             if (x, y) in config:
                 cells.append("Q")
-            elif counts is not None:
-                a = int(counts[x - lo, y - lo])
+            elif field is not None:
+                a = field.count((x, y))
                 cells.append(str(a) if 2 <= a <= 9 else "*" if a > 9 else ".")
             else:
                 cells.append(".")

@@ -4,18 +4,21 @@ The cover of a configuration on a board is the number of squares that are
 occupied or attacked at least once.  A queen covers her own square but does
 not attack it.  Configurations need not be board-feasible: attack lines from
 off-board queens still count on the on-board squares they cross.
+
+Both kernels run on row-major bitboards over B_n, bit k = (y - lo) * n +
+(x - lo).  The cover count ORs the queens' line masks.  The attack field adds
+each queen's attack mask into a bit-sliced binary counter: planes[b] is the
+set of squares whose attacking number has bit b set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator
-
-import numpy as np
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import DomainError
-from .geometry import BoardSpec, Square, board_contains, chebyshev_center_distance
+from .geometry import BoardSpec, Square, board_contains, chebyshev_center_distance, check_int
 
 
 @dataclass(frozen=True)
@@ -32,7 +35,11 @@ class Configuration:
 
     @classmethod
     def of(cls, queens: Iterable[Square]) -> "Configuration":
-        return cls(tuple(sorted((int(x), int(y)) for x, y in queens)))
+        squares = [(x, y) for x, y in queens]
+        for x, y in squares:
+            check_int(x, "queen coordinate")
+            check_int(y, "queen coordinate")
+        return cls(tuple(sorted(squares)))
 
     @property
     def q(self) -> int:
@@ -100,28 +107,53 @@ def is_nonattacking(config: Configuration) -> bool:
 
 
 class AttackField:
-    """Dense per-square attacking numbers a(s) over one board.
+    """Per-square attacking numbers a(s) over one board, as bit-sliced counters.
 
-    Immutable after construction; the underlying array is read-only.  Every
-    statistic derives from one histogram of the counts, built on first use.
+    planes[b] is the row-major bitboard of the squares whose a(s) has bit b
+    set, so a(s) is the sum of 2**b over the planes holding the square's bit.
+    Immutable after construction.  Every statistic derives from one
+    histogram of the counts, built on first use.
     """
 
-    def __init__(self, board: BoardSpec, counts: np.ndarray):
-        counts.flags.writeable = False
+    def __init__(self, board: BoardSpec, planes: tuple[int, ...]):
         self.board = board
-        self._counts = counts  # shape (n, n), indexed [x - lo, y - lo]
+        self.planes = planes
 
     @cached_property
     def _freqs(self) -> list[int]:
         """_freqs[a]: the number of squares attacked exactly a times."""
-        return np.bincount(self._counts.ravel()).tolist()
+        # Splitting on the planes from the top one down keeps the masks in
+        # order of value: masks[v] holds the squares whose counter reads v.
+        masks = [line_shifts(self.board.n).full]
+        for plane in reversed(self.planes):
+            split = []
+            for m in masks:
+                high = m & plane
+                split += (m ^ high, high)
+            masks = split
+        freqs = [m.bit_count() for m in masks]
+        while len(freqs) > 1 and not freqs[-1]:
+            freqs.pop()
+        return freqs
+
+    @cached_property
+    def _plane_bytes(self) -> list[bytes]:
+        # Bytes read one bit in O(1), where shifting a plane to read a square
+        # copies up to n * n bits: an annotated render reads every square.
+        size = (self.board.n**2 + 7) // 8
+        return [plane.to_bytes(size, "little") for plane in self.planes]
 
     def count(self, square: Square) -> int:
         if not board_contains(self.board, square):
             raise DomainError(f"square {square} is not on B_{self.board.n}")
         x, y = square
         lo = self.board.lo
-        return int(self._counts[x - lo, y - lo])
+        k = (y - lo) * self.board.n + (x - lo)
+        i, r = k >> 3, k & 7
+        a = 0
+        for b, bits in enumerate(self._plane_bytes):
+            a |= (bits[i] >> r & 1) << b
+        return a
 
     def histogram(self) -> dict[int, int]:
         """Multiplicity histogram {attacking number: square count}, zeros omitted."""
@@ -138,52 +170,49 @@ class AttackField:
         """Sum of C(a(s), 2) - (a(s) - 1) over attacked squares."""
         return sum((a * (a - 1) // 2 - (a - 1)) * f for a, f in enumerate(self._freqs) if a > 0)
 
-    def as_array(self) -> np.ndarray:
-        return self._counts
-
 
 def attack_field(config: Configuration, board: BoardSpec) -> AttackField:
     """Attacking numbers of every board square; queens may sit off board.
 
     Two distinct squares share at most one line, so a square's attacking
-    number is a sum over its four lines:
-
-        a(s) = col(x) + row(y) + diag(x - y) + anti(x + y) - 4 [s occupied]
-
-    where each term counts the queens on that line (a queen on s lies on all
-    four of s's lines but does not attack s).  One pass over the queens
-    counts them per line; the field is one broadcast sum of four vectors.
+    number counts the queens whose four lines hold it, less the queen on it,
+    if any: she lies on all four of its lines but does not attack it.  Each
+    queen's attack mask is the OR of her four line masks (see LineShifts)
+    with her own bit XORed out when she is on the board; an off-board queen
+    keeps the on-board squares of her lines.  The masks are added into a
+    binary counter of bit planes, one XOR/AND ripple per mask.
     """
     n, lo = board.n, board.lo
-    # One vector of per-line counts, by board index ix = x - lo, iy = y - lo:
-    # columns at ix, rows at n + iy, diagonals at 3n - 1 - (ix - iy) (so in
-    # [2n, 4n - 2]) and antidiagonals at 4n - 1 + (ix + iy) (in [4n - 1, 6n - 3]).
-    lines = []
-    occupied = []
+    full, row, col, diag, anti = line_shifts(n)
+    planes: list[int] = []
     for x, y in config.queens:
         ix, iy = x - lo, y - lo
+        m = 0
         if 0 <= ix < n:
-            lines.append(ix)
-            if 0 <= iy < n:
-                occupied.append((ix, iy))
+            m = col << ix
         if 0 <= iy < n:
-            lines.append(n + iy)
-        if -n < ix - iy < n:
-            lines.append(3 * n - 1 - (ix - iy))
-        if 0 <= ix + iy <= 2 * n - 2:
-            lines.append(4 * n - 1 + ix + iy)
-    per_line = np.bincount(lines, minlength=6 * n - 2).astype(np.int32)
-    # Strided views of per_line: [ix, iy] reads the diagonal entry
-    # 3n - 1 - ix + iy and the antidiagonal entry 4n - 1 + ix + iy.
-    item = per_line.itemsize
-    diag = np.ndarray((n, n), np.int32, per_line, (3 * n - 1) * item, (-item, item))
-    anti = np.ndarray((n, n), np.int32, per_line, (4 * n - 1) * item, (item, item))
-    counts = diag + anti
-    counts += per_line[:n, None]
-    counts += per_line[n : 2 * n]
-    for ix, iy in occupied:
-        counts[ix, iy] -= 4
-    return AttackField(board, counts)
+            m |= row << iy * n
+        d = ix - iy
+        if 0 <= d < n:
+            m |= diag >> d * n
+        elif -n < d < 0:
+            m |= (diag << -d * n) & full
+        e = ix + iy - (n - 1)
+        if 0 < e < n:
+            m |= (anti << e * n) & full
+        elif -n < e <= 0:
+            m |= anti >> -e * n
+        if 0 <= ix < n and 0 <= iy < n:
+            m ^= 1 << iy * n + ix
+        for b, plane in enumerate(planes):
+            planes[b] = plane ^ m
+            m &= plane
+            if not m:
+                break
+        else:
+            if m:
+                planes.append(m)
+    return AttackField(board, tuple(planes))
 
 
 def pair_crossings(a: Square, b: Square) -> list[Square]:
@@ -219,10 +248,11 @@ def pair_crossings(a: Square, b: Square) -> list[Square]:
 
 
 class BoardMasks:
-    """Per-line bitsets over one board: the package's only line-mask builder.
+    """Per-line bitsets over one board, one dict entry per line.
 
     Bit k corresponds to the k-th square of the given order over B_n: the
     cover count indexes row-major order, the search engine center-out order.
+    The attack field needs no table: its row-major lines are LineShifts.
     """
 
     def __init__(self, squares: Iterable[Square]):
@@ -255,8 +285,45 @@ class BoardMasks:
         return m
 
 
-# Callers interleave many board sizes (scans, mixed evaluations); a full cache
-# of boards up to n = 41 holds about 3.7 MB.
+class LineShifts(NamedTuple):
+    """The lines of B_n on the row-major bitboard, as shifts of five integers.
+
+    With ix = x - lo and iy = y - lo, a square's row is row << iy * n and
+    its column col << ix.  Its diagonal, ix - iy = d, is the main diagonal
+    moved by d rows: the bits that leave the board fall off the bottom
+    (diag >> d * n) or are cut by full (diag << -d * n & full).  Its
+    antidiagonal, ix + iy = n - 1 + e, is the main antidiagonal moved the
+    same way by e rows.  A full cache of the 64 sides 60..123 holds about
+    0.32 MB (tracemalloc), so mixed board sizes do not thrash it.
+    """
+
+    full: int
+    row: int
+    col: int
+    diag: int
+    anti: int
+
+
+def _repunit(step: int, count: int) -> int:
+    """count bits set, step apart, from bit 0 up."""
+    return int("1" + ("0" * (step - 1) + "1") * (count - 1), 2)
+
+
+@lru_cache(maxsize=64)
+def line_shifts(n: int) -> LineShifts:
+    return LineShifts(
+        full=(1 << n * n) - 1,
+        row=(1 << n) - 1,
+        col=_repunit(n, n),
+        diag=_repunit(n + 1, n),
+        anti=_repunit(n - 1, n) << (n - 1),
+    )
+
+
+# The cover count's tables, in row-major order.  Callers interleave many
+# board sizes (scans, mixed evaluations); each board holds 6n - 2 line masks
+# of up to n * n bits, and a full cache of the 32 sides 9..40 holds about
+# 0.75 MB (tracemalloc).
 @lru_cache(maxsize=32)
 def _board_masks(n: int) -> BoardMasks:
     return BoardMasks(BoardSpec(n).squares())

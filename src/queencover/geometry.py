@@ -30,6 +30,12 @@ TRANSFORM_KINDS = (
 )
 
 
+def check_int(value, what: str) -> None:
+    """Refuse anything but a plain integer; bools and integral floats included."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DomainError(f"{what} must be an int, got {value!r}")
+
+
 @dataclass(frozen=True, order=True)
 class BoardSpec:
     """An n x n board in centered coordinates."""
@@ -37,6 +43,7 @@ class BoardSpec:
     n: int
 
     def __post_init__(self):
+        check_int(self.n, "board side")
         if self.n < 1:
             raise DomainError(f"board side must be >= 1, got {self.n}")
 

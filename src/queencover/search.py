@@ -608,9 +608,15 @@ def border_certificate(config: Configuration, board: BoardSpec) -> bool:
         raise DomainError("border certificate requires a board-feasible configuration")
     if not is_nonattacking(config):
         raise DomainError("border certificate requires a non-attacking configuration")
-    a = _coverage.attack_field(config, BoardSpec(board.n + 2)).as_array()
-    # The ring is the first and last column and row of the bigger board.
-    return int(max(a[0].max(), a[-1].max(), a[:, 0].max(), a[:, -1].max())) <= 1
+    m = board.n + 2
+    field = _coverage.attack_field(config, BoardSpec(m))
+    twice = 0
+    for plane in field.planes[1:]:
+        twice |= plane
+    # The ring is the first and last row and column of the bigger board.
+    _, row, col, _, _ = _coverage.line_shifts(m)
+    ring = row | row << (m - 1) * m | col | col << (m - 1)
+    return not twice & ring
 
 
 def canonical_pattern_fingerprint(classes: Iterable[FundamentalClass]) -> str:

@@ -34,6 +34,15 @@ def run_cli(*args, check=False):
     return result
 
 
+def test_import_does_not_load_numpy():
+    code = "import sys, queencover, queencover.cli; print('numpy' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=ENV
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
+
+
 def test_cover_example():
     result = run_cli("cover", "--config", KNIGHT, "--n", "12", check=True)
     assert "cover: 120" in result.stdout

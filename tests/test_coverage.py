@@ -13,9 +13,12 @@ from queencover import (
     apply_transform,
     attack_field,
     attacks,
+    board_contains,
     cover_count,
     is_nonattacking,
 )
+from queencover.coverage import BoardMasks
+from queencover.loss import stable_board
 
 from conftest import brute_attack_number, brute_attacks, brute_cover, random_config, random_nonattacking
 
@@ -27,6 +30,13 @@ def test_configuration_sorts_and_rejects_duplicates():
     assert c.queens == ((-1, 0), (2, 1))
     with pytest.raises(DomainError):
         Configuration.of([(0, 0), (0, 0)])
+
+
+@pytest.mark.parametrize("squares", [[(1.5, 0)], [(True, 2)], [(0, False)], [(2.0, 1)], [("1", 0)]])
+def test_configuration_refuses_non_integer_coordinates(squares):
+    # int() used to truncate these: [(1.5, 0), (True, 2)] became ((1, 0), (1, 2)).
+    with pytest.raises(DomainError):
+        Configuration.of(squares)
 
 
 def test_configuration_parity_counts():
@@ -160,15 +170,47 @@ def test_attack_field_matches_brute_attack_numbers(data):
     coord = st.integers(board.lo - 2, board.hi + 2)
     config = Configuration.of(data.draw(st.sets(st.tuples(coord, coord), max_size=9)))
     field = attack_field(config, board)
-    counts = field.as_array()
     brute = {s: brute_attack_number(config, s) for s in board.squares()}
-    for (x, y), a in brute.items():
-        assert counts[x - board.lo, y - board.lo] == a
+    for s, a in brute.items():
+        assert field.count(s) == a
     attacked = [a for a in brute.values() if a >= 1]
     assert field.histogram() == {a: attacked.count(a) for a in set(attacked)}
     assert field.internal_loss() == sum(a - 1 for a in attacked)
     assert field.overlap_concentration() == sum(a * (a - 1) // 2 - (a - 1) for a in attacked)
     assert field.max_count() == max(brute.values())
+
+
+@pytest.mark.parametrize("n", range(1, 21))
+def test_attack_masks_are_line_unions_less_the_queen(n):
+    # A one-queen field has one plane, her attack mask: the row-major line
+    # union of BoardMasks with her own bit cleared when she is on the board.
+    # Squares within 3 of B_n cover every kind of off-board line, and n = 1
+    # the degenerate one-bit lines.
+    board = BoardSpec(n)
+    masks = BoardMasks(board.squares())
+    for x in range(board.lo - 3, board.hi + 4):
+        for y in range(board.lo - 3, board.hi + 4):
+            expected = masks.line_union((x, y))
+            if board_contains(board, (x, y)):
+                expected ^= 1 << (y - board.lo) * n + (x - board.lo)
+            planes = attack_field(Configuration.of([(x, y)]), board).planes
+            assert planes == ((expected,) if expected else ())
+
+
+def test_attack_field_matches_brute_attack_numbers_on_stable_boards():
+    # Sides 121 and 123, the stable boards n and n + 2 that
+    # internal_loss_stable evaluates for a queen 20 squares off center.
+    config = Configuration.of([(0, 0), (20, 3), (-7, 20), (5, -20), (-20, -9)])
+    assert is_nonattacking(config)
+    n = stable_board(config, odd=True).n
+    assert n == 121
+    for board in (BoardSpec(n), BoardSpec(n + 2)):
+        field = attack_field(config, board)
+        brute = [brute_attack_number(config, s) for s in board.squares()]
+        assert [field.count(s) for s in board.squares()] == brute
+        attacked = [a for a in brute if a >= 1]
+        assert field.histogram() == {a: attacked.count(a) for a in set(attacked)}
+        assert field.internal_loss() == sum(a - 1 for a in attacked)
 
 
 @settings(max_examples=200, deadline=None)

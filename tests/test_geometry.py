@@ -40,6 +40,14 @@ def test_board_size_and_validation():
         BoardSpec(0)
 
 
+@pytest.mark.parametrize("side", [5.0, 5.5, True, False, "5", None])
+def test_board_side_must_be_an_int(side):
+    # BoardSpec(5.0) used to pass and fail later in cover_count with a
+    # TypeError; BoardSpec(True) was a 1x1 board.
+    with pytest.raises(DomainError):
+        BoardSpec(side)
+
+
 def test_border_listings():
     assert border_squares(BoardSpec(2)) == set(BoardSpec(2).squares())
     assert border_squares(BoardSpec(3)) == set(BoardSpec(3).squares()) - {(0, 0)}
