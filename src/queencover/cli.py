@@ -73,15 +73,13 @@ def render_board(config: Configuration, board: BoardSpec, annotate: str = "none"
     field = attack_field(config, board) if annotate == "attack-numbers" else None
     lines = []
     for y in range(board.hi, lo - 1, -1):
-        cells = []
-        for x in range(lo, board.hi + 1):
-            if (x, y) in config:
-                cells.append("Q")
-            elif field is not None:
-                a = field.count((x, y))
-                cells.append(str(a) if 2 <= a <= 9 else "*" if a > 9 else ".")
-            else:
-                cells.append(".")
+        if field is None:
+            cells = ["."] * board.n
+        else:
+            cells = [str(a) if 2 <= a <= 9 else "*" if a > 9 else "." for a in field.row_counts(y)]
+        for x, qy in config.queens:
+            if qy == y:
+                cells[x - lo] = "Q"
         label = "0" if y == 0 else " "
         lines.append(label + " " + " ".join(cells))
     lines.append(" " * (2 + 2 * (0 - board.lo)) + "0")

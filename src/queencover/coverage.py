@@ -6,9 +6,12 @@ not attack it.  Configurations need not be board-feasible: attack lines from
 off-board queens still count on the on-board squares they cross.
 
 Both kernels run on row-major bitboards over B_n, bit k = (y - lo) * n +
-(x - lo).  The cover count ORs the queens' line masks.  The attack field adds
-each queen's attack mask into a bit-sliced binary counter: planes[b] is the
-set of squares whose attacking number has bit b set.
+(x - lo).  The cover count ORs the queens' line masks.  Each queen's attack
+mask comes from attack_masks, the one copy of the line-shift arithmetic; the
+attack field adds those masks into a bit-sliced binary counter: planes[b] is
+the set of squares whose attacking number has bit b set.  The loss
+statistics are popcounts of the masks (loss.internal_loss) or of the planes
+(AttackField), never a per-square scan.
 """
 
 from __future__ import annotations
@@ -61,7 +64,8 @@ class Configuration:
         return even, len(self.queens) - even
 
     def is_feasible(self, board: BoardSpec) -> bool:
-        return all(board_contains(board, s) for s in self.queens)
+        lo, hi = board.lo, board.hi
+        return all(lo <= x <= hi and lo <= y <= hi for x, y in self.queens)
 
     def radius(self, board: BoardSpec) -> int:
         """Largest Chebyshev center distance of any queen on the given board."""
@@ -111,8 +115,14 @@ class AttackField:
 
     planes[b] is the row-major bitboard of the squares whose a(s) has bit b
     set, so a(s) is the sum of 2**b over the planes holding the square's bit.
-    Immutable after construction.  Every statistic derives from one
-    histogram of the counts, built on first use.
+    Immutable after construction.  The loss statistics are popcounts of the
+    planes, with |P| the popcount of a plane P:
+
+        sum of a(s)      = sum_b 2**b |P_b|
+        sum of a(s)**2   = sum_b 4**b |P_b| + sum_{b<c} 2**(b+c+1) |P_b & P_c|
+
+    and the attacked squares are P_0 | P_1 | ....  Only histogram() and
+    max_count() split the board into one mask per counter value.
     """
 
     def __init__(self, board: BoardSpec, planes: tuple[int, ...]):
@@ -137,11 +147,13 @@ class AttackField:
         return freqs
 
     @cached_property
-    def _plane_bytes(self) -> list[bytes]:
-        # Bytes read one bit in O(1), where shifting a plane to read a square
-        # copies up to n * n bits: an annotated render reads every square.
-        size = (self.board.n**2 + 7) // 8
-        return [plane.to_bytes(size, "little") for plane in self.planes]
+    def _first_moment(self) -> tuple[int, int]:
+        """(attacked squares, sum of a(s)) over the board."""
+        attacked = total = 0
+        for b, plane in enumerate(self.planes):
+            attacked |= plane
+            total += plane.bit_count() << b
+        return attacked.bit_count(), total
 
     def count(self, square: Square) -> int:
         if not board_contains(self.board, square):
@@ -149,11 +161,22 @@ class AttackField:
         x, y = square
         lo = self.board.lo
         k = (y - lo) * self.board.n + (x - lo)
-        i, r = k >> 3, k & 7
-        a = 0
-        for b, bits in enumerate(self._plane_bytes):
-            a |= (bits[i] >> r & 1) << b
-        return a
+        return sum((plane >> k & 1) << b for b, plane in enumerate(self.planes))
+
+    def row_counts(self, y: int) -> list[int]:
+        """a(s) of every square of row y, from x = lo up."""
+        n, lo = self.board.n, self.board.lo
+        if not lo <= y <= self.board.hi:
+            raise DomainError(f"row {y} is not on B_{n}")
+        shift, row = (y - lo) * n, (1 << n) - 1
+        counts = [0] * n
+        for b, plane in enumerate(self.planes):
+            bits = plane >> shift & row
+            while bits:
+                low = bits & -bits
+                counts[low.bit_length() - 1] += 1 << b
+                bits ^= low
+        return counts
 
     def histogram(self) -> dict[int, int]:
         """Multiplicity histogram {attacking number: square count}, zeros omitted."""
@@ -164,27 +187,32 @@ class AttackField:
 
     def internal_loss(self) -> int:
         """Sum of a(s) - 1 over attacked squares."""
-        return sum((a - 1) * f for a, f in enumerate(self._freqs) if a > 0)
+        attacked, total = self._first_moment
+        return total - attacked
 
     def overlap_concentration(self) -> int:
         """Sum of C(a(s), 2) - (a(s) - 1) over attacked squares."""
-        return sum((a * (a - 1) // 2 - (a - 1)) * f for a, f in enumerate(self._freqs) if a > 0)
+        attacked, total = self._first_moment
+        planes = self.planes
+        squares = 0
+        for b, plane in enumerate(planes):
+            squares += plane.bit_count() << 2 * b
+            for c in range(b + 1, len(planes)):
+                squares += (plane & planes[c]).bit_count() << b + c + 1
+        return (squares - total) // 2 - (total - attacked)
 
 
-def attack_field(config: Configuration, board: BoardSpec) -> AttackField:
-    """Attacking numbers of every board square; queens may sit off board.
+def attack_masks(config: Configuration, board: BoardSpec) -> list[int]:
+    """Each queen's attack mask on the board; queens may sit off board.
 
-    Two distinct squares share at most one line, so a square's attacking
-    number counts the queens whose four lines hold it, less the queen on it,
-    if any: she lies on all four of its lines but does not attack it.  Each
-    queen's attack mask is the OR of her four line masks (see LineShifts)
-    with her own bit XORed out when she is on the board; an off-board queen
-    keeps the on-board squares of her lines.  The masks are added into a
-    binary counter of bit planes, one XOR/AND ripple per mask.
+    A queen's mask is the OR of her four line masks (see LineShifts) with her
+    own bit XORed out when she is on the board: she lies on all four of its
+    lines but does not attack it.  An off-board queen keeps the on-board
+    squares of her lines.
     """
     n, lo = board.n, board.lo
     full, row, col, diag, anti = line_shifts(n)
-    planes: list[int] = []
+    masks = []
     for x, y in config.queens:
         ix, iy = x - lo, y - lo
         m = 0
@@ -204,6 +232,20 @@ def attack_field(config: Configuration, board: BoardSpec) -> AttackField:
             m |= anti >> -e * n
         if 0 <= ix < n and 0 <= iy < n:
             m ^= 1 << iy * n + ix
+        masks.append(m)
+    return masks
+
+
+def attack_field(config: Configuration, board: BoardSpec) -> AttackField:
+    """Attacking numbers of every board square; queens may sit off board.
+
+    Two distinct squares share at most one line, so a square's attacking
+    number counts the queens whose attack masks (attack_masks) hold it.  The
+    masks are added into a binary counter of bit planes, one XOR/AND ripple
+    per mask.
+    """
+    planes: list[int] = []
+    for m in attack_masks(config, board):
         for b, plane in enumerate(planes):
             planes[b] = plane ^ m
             m &= plane

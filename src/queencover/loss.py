@@ -7,13 +7,19 @@ with Chebyshev distance from the board center).  The internal loss of a
 non-attacking configuration further decomposes as ``crossing_budget - overlap
 concentration``, where the crossing budget depends only on the queens' parity
 counts.
+
+The internal loss is a popcount sum over the queens' attack masks M_i,
+sum |M_i| - |M_1 | M_2 | ...|, so it needs no attack field.  total_loss also
+reads the overlap concentration, from the popcounts of the attack field's bit
+planes (coverage.AttackField).  Feasibility, center loss and stability are
+one pass each over the queens.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coverage import Configuration, attack_field, is_nonattacking
+from .coverage import Configuration, attack_field, attack_masks, is_nonattacking
 # Unused here, but perfbench/tracer.py wraps loss.pair_crossings by name.
 from .coverage import pair_crossings  # noqa: F401
 from .errors import DomainError, InvariantError, NotStableError, UnboundedLossError
@@ -39,8 +45,16 @@ class LossBreakdown:
 
 
 def internal_loss(config: Configuration, board: BoardSpec) -> int:
-    """Sum of (a(s) - 1) over board squares attacked at least once."""
-    return attack_field(config, board).internal_loss()
+    """Sum of (a(s) - 1) over board squares attacked at least once.
+
+    a(s) counts the attack masks holding s, so the sum of a(s) is the sum of
+    the masks' popcounts and the attacked squares are their union.
+    """
+    total = union = 0
+    for m in attack_masks(config, board):
+        total += m.bit_count()
+        union |= m
+    return total - union.bit_count()
 
 
 def _centered(config: Configuration) -> Configuration:
@@ -96,7 +110,19 @@ def center_loss_of_square(square: Square, board: BoardSpec) -> int:
 
 
 def center_loss(config: Configuration, board: BoardSpec) -> int:
-    return sum(center_loss_of_square(s, board) for s in config.queens)
+    """Sum of center_loss_of_square over the queens, which must be on the board."""
+    lo, hi = board.lo, board.hi
+    for x, y in config.queens:
+        if not (lo <= x <= hi and lo <= y <= hi):
+            raise DomainError(f"square {(x, y)} is not on B_{board.n}")
+    return _center_loss_on_board(config, board)
+
+
+def _center_loss_on_board(config: Configuration, board: BoardSpec) -> int:
+    """center_loss for a configuration already known to be on the board."""
+    if board.is_odd:
+        return 2 * sum(max(abs(x), abs(y)) for x, y in config.queens)
+    return sum(1 + 2 * max(0, -x, x - 1, -y, y - 1) for x, y in config.queens)
 
 
 def crossing_budget(even_count: int, odd_count: int) -> int:
@@ -141,13 +167,18 @@ def _crossings_on_board(config: Configuration, board: BoardSpec) -> bool:
         return False
     lo, hi = board.lo, board.hi
     qs = config.queens
+    # The queens are sorted, so x1 <= x2 and dx = x2 - x1.
     for i, (x1, y1) in enumerate(qs):
         for x2, y2 in qs[i + 1 :]:
-            dx, dy = abs(x2 - x1), abs(y2 - y1)
-            if min(x1, x2) - dy < lo or max(x1, x2) + dy > hi:
-                return False
-            if min(y1, y2) - dx < lo or max(y1, y2) + dx > hi:
-                return False
+            dx = x2 - x1
+            if y1 <= y2:
+                dy = y2 - y1
+                if x1 - dy < lo or x2 + dy > hi or y1 - dx < lo or y2 + dx > hi:
+                    return False
+            else:
+                dy = y1 - y2
+                if x1 - dy < lo or x2 + dy > hi or y2 - dx < lo or y1 + dx > hi:
+                    return False
     return True
 
 
@@ -158,7 +189,7 @@ def total_loss(config: Configuration, board: BoardSpec) -> LossBreakdown:
     e, o = config.parity_counts
     field = attack_field(config, board)
     internal = field.internal_loss()
-    central = center_loss(config, board)
+    central = _center_loss_on_board(config, board)
     return LossBreakdown(
         internal=internal,
         central=central,
@@ -185,13 +216,15 @@ def noncongruent_pairs(config: Configuration) -> int:
 
 def predicted_cover(config: Configuration, board: BoardSpec) -> int:
     """Cover via the loss identity (4n - 3) q - loss; exact on stable boards only."""
-    breakdown = total_loss(config, board)
-    if not breakdown.stable:
+    if not config.is_feasible(board):
+        raise DomainError("total loss requires all queens on board")
+    if not _crossings_on_board(config, board):
         raise NotStableError(
             f"B_{board.n} is too small for the cover identity at radius "
             f"{config.radius(board)}"
         )
-    return (4 * board.n - 3) * config.q - breakdown.total
+    central = _center_loss_on_board(config, board)
+    return (4 * board.n - 3) * config.q - internal_loss(config, board) - central
 
 
 __all__ = [

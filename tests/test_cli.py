@@ -108,6 +108,36 @@ def test_render_annotated_knight():
     assert grid.count("2") == 28
 
 
+def test_render_annotated_matches_per_square_counts():
+    # B_60 with queens on its edges and thirteen queens on the lines through
+    # (0, 0), two of them corners, so (0, 0) is drawn "*": the row-wise
+    # render must draw the same grid as reading every square's count.
+    from queencover import BoardSpec, Configuration, attack_field
+    from queencover.cli import render_board
+
+    board = BoardSpec(60)
+    config = Configuration.of(
+        [(5, 0), (-5, 0), (0, 5), (0, -5), (5, 5), (-5, -5), (5, -5), (-5, 5), (10, 0), (0, 10), (10, 10)]
+        + [(-29, -29), (30, 30), (30, -29), (-29, 17)]
+    )
+    field = attack_field(config, board)
+
+    def cell(s):
+        if s in config:
+            return "Q"
+        a = field.count(s)
+        return str(a) if 2 <= a <= 9 else "*" if a > 9 else "."
+
+    xs = range(board.lo, board.hi + 1)
+    expected = [
+        ("0" if y == 0 else " ") + " " + " ".join(cell((x, y)) for x in xs)
+        for y in range(board.hi, board.lo - 1, -1)
+    ]
+    rows = render_board(config, board, annotate="attack-numbers").splitlines()
+    assert rows[:-1] == expected
+    assert field.count((0, 0)) == 13 and "*" in rows[30]
+
+
 def test_render_empty_board():
     result = run_cli("render", "--config", "", "--n", "3", check=True)
     assert result.stdout.count(".") == 9

@@ -18,7 +18,7 @@ from queencover import (
     is_nonattacking,
 )
 from queencover.coverage import BoardMasks
-from queencover.loss import stable_board
+from queencover.loss import internal_loss, overlap_concentration, stable_board
 
 from conftest import brute_attack_number, brute_attacks, brute_cover, random_config, random_nonattacking
 
@@ -173,9 +173,16 @@ def test_attack_field_matches_brute_attack_numbers(data):
     brute = {s: brute_attack_number(config, s) for s in board.squares()}
     for s, a in brute.items():
         assert field.count(s) == a
+    xs = range(board.lo, board.hi + 1)
+    for y in xs:
+        assert field.row_counts(y) == [brute[(x, y)] for x in xs]
+    for y in (board.lo - 1, board.hi + 1):
+        with pytest.raises(DomainError):
+            field.row_counts(y)
     attacked = [a for a in brute.values() if a >= 1]
     assert field.histogram() == {a: attacked.count(a) for a in set(attacked)}
     assert field.internal_loss() == sum(a - 1 for a in attacked)
+    assert internal_loss(config, board) == sum(a - 1 for a in attacked)
     assert field.overlap_concentration() == sum(a * (a - 1) // 2 - (a - 1) for a in attacked)
     assert field.max_count() == max(brute.values())
 
@@ -211,6 +218,8 @@ def test_attack_field_matches_brute_attack_numbers_on_stable_boards():
         attacked = [a for a in brute if a >= 1]
         assert field.histogram() == {a: attacked.count(a) for a in set(attacked)}
         assert field.internal_loss() == sum(a - 1 for a in attacked)
+        assert internal_loss(config, board) == sum(a - 1 for a in attacked)
+        assert overlap_concentration(config, board) == sum(a * (a - 1) // 2 - (a - 1) for a in attacked)
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,5 +1,6 @@
 """Loss calculus: internal/center losses, the decomposition and the cover identity."""
 
+import re
 from itertools import combinations
 
 import pytest
@@ -34,9 +35,15 @@ from queencover import (
 )
 
 from queencover.coverage import pair_crossings
-from queencover.loss import stable_board
+from queencover.loss import LossBreakdown, stable_board
 
-from conftest import brute_attacks, brute_center_distance, random_nonattacking
+from conftest import (
+    brute_attack_number,
+    brute_attacks,
+    brute_center_distance,
+    brute_cover,
+    random_nonattacking,
+)
 
 KNIGHT = Configuration.of([(-1, 0), (0, 2), (1, -1), (2, 1)])
 PAIR = Configuration.of([(0, 0), (1, 2)])
@@ -157,6 +164,50 @@ def test_total_loss_examples():
     assert total_loss(stairs2, BoardSpec(15)).total == 14
     single = total_loss(Configuration.of([(0, 0)]), BoardSpec(9))
     assert single.total == 0 and single.stable
+
+
+@pytest.mark.parametrize("n", [9, 10])
+def test_off_board_queens_raise_domain_error(n):
+    board = BoardSpec(n)
+    for off in ((board.hi + 1, 0), (0, board.lo - 1)):
+        config = Configuration.of([(0, 0), off])
+        with pytest.raises(DomainError, match=re.escape(f"square {off} is not on B_{n}")):
+            center_loss(config, board)
+        for fn in (total_loss, predicted_cover):
+            with pytest.raises(DomainError, match="total loss requires all queens on board"):
+                fn(config, board)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_total_loss_matches_brute_force(data):
+    # Every field of the breakdown against per-square scans, on boards of
+    # both parities; predicted_cover against the brute cover when stable.
+    board = BoardSpec(data.draw(st.integers(1, 30)))
+    coord = st.integers(board.lo, board.hi)
+    config = Configuration.of(data.draw(st.sets(st.tuples(coord, coord), max_size=8)))
+    attacked = [a for a in (brute_attack_number(config, s) for s in board.squares()) if a >= 1]
+    base = 0 if board.is_odd else 1
+    e = sum(1 for x, y in config.queens if (x - y) % 2 == 0)
+    o = config.q - e
+    internal = sum(a - 1 for a in attacked)
+    central = sum(base + 2 * brute_center_distance(board, s) for s in config.queens)
+    stable = _stable_reference(config, board)
+    assert total_loss(config, board) == LossBreakdown(
+        internal=internal,
+        central=central,
+        total=internal + central,
+        crossing_budget=12 * (e * (e - 1) // 2 + o * (o - 1) // 2) + 10 * e * o,
+        overlap_concentration=sum(a * (a - 1) // 2 - (a - 1) for a in attacked),
+        even_count=e,
+        odd_count=o,
+        stable=stable,
+    )
+    if stable:
+        assert predicted_cover(config, board) == brute_cover(config, board)
+    else:
+        with pytest.raises(NotStableError):
+            predicted_cover(config, board)
 
 
 def test_crossing_budget_examples():
