@@ -5,12 +5,14 @@ occupied or attacked at least once.  A queen covers her own square but does
 not attack it.  Configurations need not be board-feasible: attack lines from
 off-board queens still count on the on-board squares they cross.
 
-Both kernels run on row-major bitboards over B_n, bit k = (y - lo) * n +
-(x - lo).  The cover count ORs the queens' line masks.  Each queen's attack
-mask comes from attack_masks, the one copy of the line-shift arithmetic; the
-attack field adds those masks into a bit-sliced binary counter: planes[b] is
-the set of squares whose attacking number has bit b set.  The loss
-statistics are popcounts of the masks (loss.internal_loss) or of the planes
+Every mask is a row-major bitboard over B_n, bit k = (y - lo) * n +
+(x - lo), and every line mask comes from line_masks, the one copy of the
+line-shift arithmetic.  The cover count ORs the queens' line masks; the
+search engine (search._Engine) keeps one per candidate square.  A queen's
+attack mask (attack_masks) is her line mask less her own square; the attack
+field adds those masks into a bit-sliced binary counter: planes[b] is the
+set of squares whose attacking number has bit b set.  The loss statistics
+are popcounts of the masks (loss.internal_loss) or of the planes
 (AttackField), never a per-square scan.
 """
 
@@ -202,18 +204,17 @@ class AttackField:
         return (squares - total) // 2 - (total - attacked)
 
 
-def attack_masks(config: Configuration, board: BoardSpec) -> list[int]:
-    """Each queen's attack mask on the board; queens may sit off board.
+def line_masks(squares: Iterable[Square], board: BoardSpec) -> list[int]:
+    """Each square's on-board line union; squares may lie off board.
 
-    A queen's mask is the OR of her four line masks (see LineShifts) with her
-    own bit XORed out when she is on the board: she lies on all four of its
-    lines but does not attack it.  An off-board queen keeps the on-board
-    squares of her lines.
+    A square's mask is the OR of its four line masks (see LineShifts), so it
+    holds the square's own bit when the square is on the board.  An
+    off-board square keeps the on-board squares of its lines.
     """
     n, lo = board.n, board.lo
     full, row, col, diag, anti = line_shifts(n)
     masks = []
-    for x, y in config.queens:
+    for x, y in squares:
         ix, iy = x - lo, y - lo
         m = 0
         if 0 <= ix < n:
@@ -230,9 +231,23 @@ def attack_masks(config: Configuration, board: BoardSpec) -> list[int]:
             m |= (anti << e * n) & full
         elif -n < e <= 0:
             m |= anti >> -e * n
-        if 0 <= ix < n and 0 <= iy < n:
-            m ^= 1 << iy * n + ix
         masks.append(m)
+    return masks
+
+
+def attack_masks(config: Configuration, board: BoardSpec) -> list[int]:
+    """Each queen's attack mask on the board; queens may sit off board.
+
+    A queen's mask is her line union (line_masks) with her own bit XORed out
+    when she is on the board: she lies on all four of its lines but does not
+    attack it.
+    """
+    n, lo = board.n, board.lo
+    masks = line_masks(config.queens, board)
+    for i, (x, y) in enumerate(config.queens):
+        ix, iy = x - lo, y - lo
+        if 0 <= ix < n and 0 <= iy < n:
+            masks[i] ^= 1 << iy * n + ix
     return masks
 
 
@@ -289,44 +304,6 @@ def pair_crossings(a: Square, b: Square) -> list[Square]:
     return [s for s in out if s != a and s != b]
 
 
-class BoardMasks:
-    """Per-line bitsets over one board, one dict entry per line.
-
-    Bit k corresponds to the k-th square of the given order over B_n: the
-    cover count indexes row-major order, the search engine center-out order.
-    The attack field needs no table: its row-major lines are LineShifts.
-    """
-
-    def __init__(self, squares: Iterable[Square]):
-        rows: dict[int, int] = {}
-        cols: dict[int, int] = {}
-        diags: dict[int, int] = {}
-        antis: dict[int, int] = {}
-        for k, (x, y) in enumerate(squares):
-            bit = 1 << k
-            rows[y] = rows.get(y, 0) | bit
-            cols[x] = cols.get(x, 0) | bit
-            diags[x - y] = diags.get(x - y, 0) | bit
-            antis[x + y] = antis.get(x + y, 0) | bit
-        self.rows, self.cols, self.diags, self.antis = rows, cols, diags, antis
-
-    def line_union(self, square: Square) -> int:
-        """All on-board squares sharing a line with the given (possibly off-board) square."""
-        x, y = square
-        return (
-            self.rows.get(y, 0)
-            | self.cols.get(x, 0)
-            | self.diags.get(x - y, 0)
-            | self.antis.get(x + y, 0)
-        )
-
-    def cover_mask(self, config: Configuration) -> int:
-        m = 0
-        for s in config.queens:
-            m |= self.line_union(s)  # includes the queen's own square when on board
-        return m
-
-
 class LineShifts(NamedTuple):
     """The lines of B_n on the row-major bitboard, as shifts of five integers.
 
@@ -362,15 +339,9 @@ def line_shifts(n: int) -> LineShifts:
     )
 
 
-# The cover count's tables, in row-major order.  Callers interleave many
-# board sizes (scans, mixed evaluations); each board holds 6n - 2 line masks
-# of up to n * n bits, and a full cache of the 32 sides 9..40 holds about
-# 0.75 MB (tracemalloc).
-@lru_cache(maxsize=32)
-def _board_masks(n: int) -> BoardMasks:
-    return BoardMasks(BoardSpec(n).squares())
-
-
 def cover_count(config: Configuration, board: BoardSpec) -> int:
     """Number of board squares occupied or attacked at least once."""
-    return _board_masks(board.n).cover_mask(config).bit_count()
+    m = 0
+    for line in line_masks(config.queens, board):
+        m |= line  # includes the queen's own square when on board
+    return m.bit_count()

@@ -42,9 +42,9 @@ fundamental classes (orbits with a lexicographically least representative);
 the loss route reports canonical patterns, the same for every image.
 
 Every centered box is a prefix of the center-out order, so one per-board
-engine (order, center losses and their prefix sums, line masks from
-coverage.BoardMasks, and the symmetry permutations) and one search instance
-over it (_Problem: a box prefix and, for a box, each candidate's
+engine (order, center losses and their prefix sums, the row-major line masks
+of coverage.line_masks, and the symmetry permutations) and one search
+instance over it (_Problem: a box prefix and, for a box, each candidate's
 non-attacking partners free[j]) serve the exhaustive search, the windowed
 search and the loss route.
 
@@ -83,11 +83,11 @@ from typing import Callable, Iterable, Optional
 from .constructions import Pattern, pattern_of
 # Unused here, but perfbench/tracer.py wraps these three by name.
 from .constructions import centralize, stairs, stairs_details  # noqa: F401
-from .coverage import Configuration, cover_count, is_nonattacking
-# Unused here, but perfbench/tracer.py wraps search.pair_crossings by name.
-from .coverage import pair_crossings  # noqa: F401
+from .coverage import Configuration, is_nonattacking
+# Unused here, but perfbench/tracer.py wraps these two by name.
+from .coverage import cover_count, pair_crossings  # noqa: F401
 from .errors import BudgetExceededError, DomainError, InvariantError
-from .geometry import BoardSpec, Square, TRANSFORM_KINDS, transform_square
+from .geometry import BoardSpec, Square, TRANSFORM_KINDS, check_int, transform_square
 from .loss import center_loss_of_square, stable_board
 from . import coverage as _coverage
 
@@ -186,8 +186,7 @@ def fundamental_classes(
             raise DomainError(f"configuration {c.queens} is not feasible on B_{board.n}")
         pool.add(c.queens)
     eng = _engine(board.n)
-    pos = {s: i for i, s in enumerate(eng.order)}
-    return tuple(_orbit_classes(eng, ([pos[s] for s in queens] for queens in sorted(pool)))[1])
+    return tuple(_orbit_classes(eng, ([eng.pos[s] for s in queens] for queens in sorted(pool)))[1])
 
 
 def _orbit_classes(
@@ -225,7 +224,9 @@ def _orbit_classes(
 class _Engine:
     """Per-board bitboard tables in center-out candidate order.
 
-    lines[j] is the line union of square j, its own bit included.
+    order[j] is candidate j's square and pos its inverse.  lines[j] is the
+    line union of candidate j on the row-major bitboard (coverage.line_masks),
+    its own bit included: indices are center-out, bits row-major.
     cl_prefix[j + r] - cl_prefix[j] is the least center loss of r candidates
     from j on, because the order sorts by center loss.  perms[k][j] is the
     index of square j's image under the k-th of the TRANSFORM_KINDS; it is
@@ -242,9 +243,8 @@ class _Engine:
         self.order = squares
         self.cl = [c for c, _ in keyed]
         self.cl_prefix = list(accumulate(self.cl, initial=0))
-        masks = _coverage.BoardMasks(squares)
-        self.lines = [masks.line_union(s) for s in squares]
-        pos = {s: i for i, s in enumerate(squares)}
+        self.lines = _coverage.line_masks(squares, board)
+        self.pos = pos = {s: i for i, s in enumerate(squares)}
         p = board.parity_offset
         self.perms = tuple(
             tuple(pos[transform_square(kind, p, s)] for s in squares) for kind in TRANSFORM_KINDS
@@ -306,10 +306,13 @@ class _Problem:
         self.q = q
         W = len(eng.order) if radius is None else eng.box_size(radius)
         self.W = W
-        # free[j]: the candidates that a queen on candidate j does not attack.
+        # free[j]: the candidates that a queen on candidate j does not attack,
+        # those whose row-major bit is off j's lines.
         if radius is not None:
+            lo = eng.board.lo
+            bits = [(y - lo) * n + x - lo for x, y in eng.order[:W]]
             self.free = [
-                frozenset(i for i in range(W) if not (eng.lines[j] >> i) & 1)
+                frozenset(i for i, k in enumerate(bits) if not (eng.lines[j] >> k) & 1)
                 for j in range(W)
             ]
         else:
@@ -516,12 +519,14 @@ def _finish(
     window_used: Optional[int],
     window_retries: int,
 ) -> OptimalSet:
-    board = eng.board
+    lines, pos = eng.lines, eng.pos
     members, classes = _orbit_classes(eng, sels)
     configurations = []
     for queens in members:
         config = Configuration(queens)
-        if cover_count(config, board) != best:
+        # The engine's lines of these squares are their coverage.line_masks,
+        # so this counts what cover_count would.
+        if reduce(or_, (lines[pos[s]] for s in queens), 0).bit_count() != best:
             raise InvariantError(
                 f"reported optimum {queens} does not reach cover {best}"
             )
@@ -680,6 +685,8 @@ def _scan(
 
     A board whose search exceeds the node budget raises BudgetExceededError.
     """
+    _check_positive("n_lo", n_lo)
+    _check_positive("n_hi", n_hi)
     if n_lo > n_hi:
         raise DomainError(f"empty scan range [{n_lo}, {n_hi}]")
     run = runner or run_search
@@ -869,6 +876,7 @@ def loss_minimal_patterns(q: int, radius: int, budget: int = DEFAULT_BUDGET) -> 
     """
     _check_positive("q", q)
     _check_positive("budget", budget)
+    check_int(radius, "radius")
     if radius < 0:
         raise DomainError(f"radius must be >= 0, got {radius}")
     odd, spent = _loss_scan_parity(q, radius, True, budget, 0)

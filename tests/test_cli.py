@@ -258,6 +258,10 @@ def test_exit_codes():
     assert run_cli("search", "--q", "6", "--n", "21", "--budget", "1000").returncode == 3
     assert run_cli("cover", "--config", "(0,0)", "--n", "0").returncode == 2
     assert run_cli("verify", "--input", "/nonexistent/file").returncode == 2
+    result = run_cli(
+        "thresholds", "--q", "2", "--kind", "nonattacking", "--n-lo", "0", "--n-hi", "3"
+    )
+    assert result.returncode == 2 and result.stderr.startswith("error: n_lo must be >= 1")
 
 
 def test_corrupt_result_file_parse_error(tmp_path):

@@ -13,11 +13,9 @@ from queencover import (
     apply_transform,
     attack_field,
     attacks,
-    board_contains,
     cover_count,
     is_nonattacking,
 )
-from queencover.coverage import BoardMasks
 from queencover.loss import internal_loss, overlap_concentration, stable_board
 
 from conftest import brute_attack_number, brute_attacks, brute_cover, random_config, random_nonattacking
@@ -150,22 +148,21 @@ def test_nonattacking_attack_numbers_bounded_by_four(rng):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_cover_count_matches_attack_field(data):
-    # Sizes run over 1..40, more than the 32 boards the mask cache holds, and
-    # change within an example, so cached and rebuilt masks are both checked.
+    # Sizes run over 1..40 and change within an example.
     for _ in range(data.draw(st.integers(1, 6))):
         board = BoardSpec(data.draw(st.integers(1, 40)))
         coord = st.integers(board.lo - 2, board.hi + 2)
         config = Configuration.of(data.draw(st.sets(st.tuples(coord, coord), max_size=9)))
         field = attack_field(config, board)
         expected = sum(1 for s in board.squares() if field.count(s) >= 1 or s in config)
-        assert cover_count(config, board) == expected
+        assert cover_count(config, board) == expected == brute_cover(config, board)
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_attack_field_matches_brute_attack_numbers(data):
-    # Sides run over 1..45, beyond the 32 boards of the mask cache, with
-    # queens up to two squares off board on every side.
+    # Sides run over 1..45, with queens up to two squares off board on every
+    # side.
     board = BoardSpec(data.draw(st.integers(1, 45)))
     coord = st.integers(board.lo - 2, board.hi + 2)
     config = Configuration.of(data.draw(st.sets(st.tuples(coord, coord), max_size=9)))
@@ -189,17 +186,15 @@ def test_attack_field_matches_brute_attack_numbers(data):
 
 @pytest.mark.parametrize("n", range(1, 21))
 def test_attack_masks_are_line_unions_less_the_queen(n):
-    # A one-queen field has one plane, her attack mask: the row-major line
-    # union of BoardMasks with her own bit cleared when she is on the board.
-    # Squares within 3 of B_n cover every kind of off-board line, and n = 1
-    # the degenerate one-bit lines.
+    # A one-queen field has one plane, her attack mask: the row-major bits of
+    # the squares she attacks, brute-tested square by square.  Squares within
+    # 3 of B_n cover every kind of off-board line, and n = 1 the degenerate
+    # one-bit lines.
     board = BoardSpec(n)
-    masks = BoardMasks(board.squares())
+    squares = list(board.squares())
     for x in range(board.lo - 3, board.hi + 4):
         for y in range(board.lo - 3, board.hi + 4):
-            expected = masks.line_union((x, y))
-            if board_contains(board, (x, y)):
-                expected ^= 1 << (y - board.lo) * n + (x - board.lo)
+            expected = sum(1 << k for k, s in enumerate(squares) if brute_attacks((x, y), s))
             planes = attack_field(Configuration.of([(x, y)]), board).planes
             assert planes == ((expected,) if expected else ())
 

@@ -428,6 +428,26 @@ def test_engine_perms_agree_with_transform_square(n):
     assert eng.in_f == canonical
 
 
+@pytest.mark.parametrize("n", range(1, 13))
+def test_engine_lines_and_free_are_row_major(n):
+    # Candidate indices are center-out, mask bits row-major: lines[j] is the
+    # line union of order[j], own bit included, and free[j], read from those
+    # bits, is the box candidates that order[j] does not attack.
+    eng = queencover.search._engine(n)
+    board = eng.board
+    squares = list(board.squares())
+    for j, a in enumerate(eng.order):
+        expected = sum(1 << k for k, s in enumerate(squares) if s == a or brute_attacks(a, s))
+        assert eng.lines[j] == expected, a
+    for radius in range(board.box_radius(n) + 1):
+        problem = _Problem(n, 2, radius)
+        box = eng.order[: problem.W]
+        assert problem.free == [
+            frozenset(i for i, b in enumerate(box) if b != a and not brute_attacks(a, b))
+            for a in box
+        ], radius
+
+
 def _assert_classes_are_brute_orbits(result):
     board = BoardSpec(result.params.n)
     members = set(_as_set(result.configurations))
@@ -517,6 +537,15 @@ def test_stabilizing_threshold_q2():
     assert report.n2_odd == 11
 
 
+@pytest.mark.parametrize("n_lo, n_hi", [(0, 3), (-1, 3), (-2, 3), (True, 3), (1.0, 3), (2, 3.0)])
+def test_threshold_scans_refuse_bad_board_sides(n_lo, n_hi):
+    # Sides 0 and -1 used to be reported as skipped, -2 raised mid-scan, True
+    # scanned from 1 and a float died with TypeError.
+    for scan in (nonattacking_threshold, stabilizing_threshold):
+        with pytest.raises(DomainError, match="n_(lo|hi) must be"):
+            scan(2, n_lo, n_hi)
+
+
 def test_exact_threshold_scans_q5():
     # Empirical, valid only within [9, 21]: n=9 has attacking optima, and the
     # 20 optima of n=17 (10 outside the side-7 window) keep odd N2 at 19.
@@ -588,6 +617,14 @@ def test_loss_route_rejects_budgets_below_one_node():
             loss_minimal_patterns(2, 3, budget=budget)
 
 
+@pytest.mark.parametrize("radius", [True, 1.0, "2"])
+def test_loss_route_refuses_a_non_integer_radius(radius):
+    # True used to run as radius 1, 1.0 to fail on a queen coordinate and
+    # "2" with a bare TypeError.
+    with pytest.raises(DomainError, match="radius must be an int"):
+        loss_minimal_patterns(2, radius)
+
+
 _LOSS_NODES = {(5, 4): (491, 738), (6, 3): (881, 2_199), (6, 5): (6_821, 7_230)}
 
 
@@ -626,7 +663,7 @@ def test_crossing_masks_match_pair_crossings():
                 for b in box:
                     if b != a and not brute_attacks(a, b):
                         expected.update(queencover.coverage.pair_crossings(a, b))
-                got = {s for k, s in enumerate(order) if (mask >> k) & 1}
+                got = {s for k, s in enumerate(board.squares()) if (mask >> k) & 1}
                 assert got == expected, (odd, radius, a)
 
 
