@@ -160,6 +160,9 @@ class FundamentalClass:
 class OptimalSet:
     """All cover-maximal configurations for one search, orbit-decomposed.
 
+    configurations are the orbit members, sorted; a stored record keeps only
+    the classes, from which decoding rebuilds them (orbits).
+
     A windowed result (window_used set) is the optimum within the final
     window, not certified as the optimum of B_n: optima that attack each
     other or leave the window are never seen.  nodes counts every window of
@@ -180,13 +183,24 @@ def fundamental_classes(
     configs: Iterable[Configuration], board: BoardSpec
 ) -> tuple[FundamentalClass, ...]:
     """Partition configurations into orbits under the eight board symmetries."""
+    return tuple(orbits(configs, board)[1])
+
+
+def orbits(
+    configs: Iterable[Configuration], board: BoardSpec
+) -> tuple[list[tuple[Square, ...]], list[FundamentalClass]]:
+    """The configurations' orbit members and classes (see _orbit_classes).
+
+    Classes come in the order of each orbit's least given configuration, so
+    sorted least representatives, one per orbit, give back their own classes.
+    """
     pool = set()
     for c in configs:
         if not c.is_feasible(board):
             raise DomainError(f"configuration {c.queens} is not feasible on B_{board.n}")
         pool.add(c.queens)
     eng = _engine(board.n)
-    return tuple(_orbit_classes(eng, ([eng.pos[s] for s in queens] for queens in sorted(pool)))[1])
+    return _orbit_classes(eng, ([eng.pos[s] for s in queens] for queens in sorted(pool)))
 
 
 def _orbit_classes(
@@ -702,9 +716,9 @@ def _scan(
                 n=n,
                 max_cover=result.max_cover,
                 optimal_count=len(result.configurations),
-                all_nonattacking=all(
-                    is_nonattacking(c) for c in result.configurations
-                ),
+                # The symmetries map lines to lines, so an orbit's members
+                # attack each other exactly when its representative does.
+                all_nonattacking=all(is_nonattacking(c.representative) for c in result.classes),
                 class_sizes=tuple(
                     sorted((c.orbit_size for c in result.classes), reverse=True)
                 ),

@@ -1,6 +1,8 @@
 """Stable result records, fingerprinting and the on-disk result cache.
 
 Records are single-line JSON with sorted keys and an explicit schema version.
+A search record stores an optimal set once, as its fundamental classes;
+decoding rebuilds the orbit members from the representatives (search.orbits).
 Identical inputs must produce bit-identical structured output, so the stable
 record view excludes volatile metadata (wall-clock timing, node counts);
 those are kept only inside cache files.  Cache files are keyed by a
@@ -21,10 +23,16 @@ from typing import Iterable, Optional
 
 from .coverage import Configuration
 from .errors import DomainError, RecordError, UnsupportedSchemaError
-from .geometry import Square
-from .search import FundamentalClass, OptimalSet, SearchParams
+from .geometry import BoardSpec, Square
+from .search import FundamentalClass, OptimalSet, SearchParams, orbits
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
+
+# A search record's fields: the stable record's, then the cache file's extras.
+_FIELDS = {
+    "schema_version", "kind", "fingerprint", "params", "max_cover", "classes",
+    "window_used", "window_retries", "timing_s", "nodes",
+}
 
 
 @lru_cache(maxsize=1)
@@ -75,7 +83,6 @@ def optimal_set_record(result: OptimalSet) -> dict:
         "fingerprint": params_fingerprint(result.params),
         "params": result.params.problem_key(),
         "max_cover": result.max_cover,
-        "configurations": [encode_squares(c.queens) for c in result.configurations],
         "classes": [
             {
                 "representative": encode_squares(c.representative.queens),
@@ -114,8 +121,11 @@ def parse_lines(data: bytes) -> list[dict]:
 def record_to_optimal_set(record: dict) -> OptimalSet:
     """Rebuild an OptimalSet from a record; a malformed record raises RecordError.
 
-    Schema version, field types and structural invariants are checked; params
-    go through SearchParams' own validation.
+    Schema version, field names and types and the window fields against the
+    mode are checked; params go through SearchParams' own validation.  The
+    classes must equal those rebuilt from their representatives, each params.q
+    queens on B_n, and the configurations are the rebuilt members.  Cover is
+    not checked.
     """
     if not isinstance(record, dict):
         raise RecordError("record must be an object")
@@ -126,7 +136,10 @@ def record_to_optimal_set(record: dict) -> OptimalSet:
         )
     if record.get("kind") != "search_result":
         raise RecordError(f"unexpected record kind {record.get('kind')!r}")
-    for key in ("params", "max_cover", "configurations", "classes"):
+    unknown = record.keys() - _FIELDS
+    if unknown:
+        raise RecordError(f"unknown field {min(unknown)!r}")
+    for key in ("params", "max_cover", "classes"):
         if key not in record:
             raise RecordError(f"missing field {key!r}")
     p = record["params"]
@@ -140,38 +153,42 @@ def record_to_optimal_set(record: dict) -> OptimalSet:
         raise RecordError(f"params: {e}") from e
     if not _is_int(record["max_cover"]):
         raise RecordError("max_cover: must be an integer")
-    window_used = record.get("window_used")
-    if window_used is not None and not (_is_int(window_used) and 1 <= window_used <= params.n):
-        raise RecordError(f"window_used: must be null or an integer from 1 to {params.n}")
     counts = {key: record.get(key, 0) for key in ("window_retries", "nodes")}
     for key, value in counts.items():
         if not (_is_int(value) and value >= 0):
             raise RecordError(f"{key}: must be an integer >= 0")
-    for key in ("configurations", "classes"):
-        if not isinstance(record[key], list):
-            raise RecordError(f"{key}: must be a list")
-    configs = tuple(
-        _decode_config(payload, f"configurations[{i}]")
-        for i, payload in enumerate(record["configurations"])
-    )
-    if len({c.queens for c in configs}) != len(configs):
-        raise RecordError("configurations: duplicate entries")
+    window_used, n = record.get("window_used"), params.n
+    if params.mode == "exhaustive":
+        if window_used is not None:
+            raise RecordError("window_used: must be null in exhaustive mode")
+        if counts["window_retries"]:
+            raise RecordError("window_retries: must be 0 in exhaustive mode")
+    elif not (_is_int(window_used) and 1 <= window_used <= n and (n - window_used) % 2 == 0):
+        raise RecordError(f"window_used: must be a side from 1 to {n} of the parity of n")
+    if not isinstance(record["classes"], list) or not record["classes"]:
+        raise RecordError("classes: must be a non-empty list")
     classes = []
     for i, cls in enumerate(record["classes"]):
         if not isinstance(cls, dict):
             raise RecordError(f"classes[{i}]: must be an object")
         rep = _decode_config(cls.get("representative"), f"classes[{i}].representative")
+        if len(rep) != params.q:
+            raise RecordError(f"classes[{i}].representative: must hold {params.q} queens")
         size = cls.get("orbit_size")
         stab = cls.get("stabilizer_order")
         if not _is_int(size) or not _is_int(stab) or size * stab != 8:
             raise RecordError(f"classes[{i}]: orbit_size x stabilizer_order must be 8")
         classes.append(FundamentalClass(rep, size, stab))
-    if sum(c.orbit_size for c in classes) != len(configs):
-        raise RecordError("classes: orbit sizes do not sum to the configuration count")
+    try:
+        members, rebuilt = orbits((c.representative for c in classes), BoardSpec(n))
+    except DomainError as e:
+        raise RecordError(f"classes: {e}") from e
+    if rebuilt != classes:
+        raise RecordError("classes: not the sorted orbits of least representatives")
     return OptimalSet(
         params=params,
         max_cover=record["max_cover"],
-        configurations=configs,
+        configurations=tuple(map(Configuration, members)),
         classes=tuple(classes),
         window_used=window_used,
         window_retries=counts["window_retries"],

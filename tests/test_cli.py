@@ -10,6 +10,8 @@ from pathlib import Path
 
 import pytest
 
+from queencover.serialization import SCHEMA_VERSION
+
 KNIGHT = "(-1,0);(0,2);(1,-1);(2,1)"
 
 # The subprocess imports queencover from this checkout's src, ahead of any
@@ -53,7 +55,7 @@ def test_cover_structured():
     payload = json.loads(result.stdout)
     assert payload["cover"] == 88  # (4 * 10 - 3) * 4 - 60
     assert payload["attack_histogram"] == {"1": 48, "2": 28, "3": 4, "4": 4}
-    assert payload["schema_version"] == 1
+    assert payload["schema_version"] == SCHEMA_VERSION
 
 
 def test_stairs_table_row():
@@ -273,8 +275,9 @@ def test_corrupt_result_file_parse_error(tmp_path):
 
 
 def test_unsupported_schema_version(tmp_path):
+    # The version-1 layout, which stored every orbit member.
     record = {
-        "schema_version": 2,
+        "schema_version": 1,
         "kind": "search_result",
         "params": {"q": 1, "n": 3, "mode": "exhaustive"},
         "max_cover": 9,
@@ -288,45 +291,70 @@ def test_unsupported_schema_version(tmp_path):
     assert "schema_version" in result.stderr
 
 
-@pytest.mark.parametrize(
-    "path, value",
-    [
-        (("params", "q"), "1"),
-        (("params", "n"), "3"),
-        (("params",), 7),
-        (("configurations",), 7),
-        (("classes", 0), 7),
-        (("max_cover",), True),
-        (("window_used",), [1]),
-        (("window_used",), 4),
-        (("window_retries",), "x"),
-        (("nodes",), -1),
-    ],
-    ids=[
-        "q-string", "n-string", "params-number", "configurations-number", "class-number",
-        "max-cover-bool", "window-list", "window-above-n", "retries-string", "nodes-negative",
-    ],
-)
-def test_malformed_record_is_an_input_error(tmp_path, path, value):
-    record = {
-        "schema_version": 1,
+def _center_record() -> dict:
+    """A valid q=1 record on B_3, whose one optimum is the center."""
+    return {
+        "schema_version": SCHEMA_VERSION,
         "kind": "search_result",
         "params": {"q": 1, "n": 3, "mode": "exhaustive"},
         "max_cover": 9,
-        "configurations": [[[0, 0]]],
         "classes": [{"representative": [[0, 0]], "orbit_size": 1, "stabilizer_order": 8}],
     }
-    parent = record
-    for key in path[:-1]:
-        parent = parent[key]
-    parent[path[-1]] = value
+
+
+def _assert_input_error(tmp_path, record: dict, field: str) -> None:
+    """verify and fundamentals both exit 2 on the record, naming the field."""
     stored = tmp_path / "record"
     stored.write_text(json.dumps(record) + "\n")
     for command in ("verify", "fundamentals"):
         result = run_cli(command, "--input", str(stored))
         assert result.returncode == 2, result.stderr
-        assert result.stderr.startswith("error: ")
+        assert result.stderr.startswith(f"error: {field}"), result.stderr
         assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize(
+    "path, value, field",
+    [
+        (("params", "q"), "1", "params: q "),
+        (("params", "n"), "3", "params: n "),
+        (("params",), 7, "params: "),
+        (("classes", 0), 7, "classes[0]: "),
+        (("max_cover",), True, "max_cover: "),
+        (("window_used",), [1], "window_used: "),
+        (("window_used",), 4, "window_used: "),
+        (("window_retries",), "x", "window_retries: "),
+        (("nodes",), -1, "nodes: "),
+    ],
+    ids=[
+        "q-string", "n-string", "params-number", "class-number", "max-cover-bool",
+        "window-list", "window-above-n", "retries-string", "nodes-negative",
+    ],
+)
+def test_malformed_record_is_an_input_error(tmp_path, path, value, field):
+    record = _center_record()
+    parent = record
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    _assert_input_error(tmp_path, record, field)
+
+
+@pytest.mark.parametrize(
+    "edits, field",
+    [
+        ({"window_used": 3}, "window_used: "),
+        ({"window_retries": 1}, "window_retries: "),
+        ({"params": {"q": 1, "n": 3, "mode": "windowed", "window": 3}}, "window_used: "),
+        (
+            {"params": {"q": 1, "n": 3, "mode": "windowed", "window": 3}, "window_used": 2},
+            "window_used: ",
+        ),
+    ],
+    ids=["exhaustive-with-window", "exhaustive-with-retries", "windowed-null", "windowed-parity"],
+)
+def test_window_fields_that_contradict_the_mode_are_input_errors(tmp_path, edits, field):
+    _assert_input_error(tmp_path, {**_center_record(), **edits}, field)
 
 
 def test_edited_cache_record_is_an_input_error(tmp_path):

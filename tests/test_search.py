@@ -530,6 +530,21 @@ def test_nonattacking_threshold_q2():
     assert not flags[8] and flags[9]
 
 
+@pytest.mark.parametrize("q, n_hi", [(2, 10), (3, 10), (4, 11)])
+def test_scan_reads_attacks_from_class_representatives(q, n_hi):
+    # all_nonattacking is read from the representatives: the symmetries map
+    # lines to lines, so every orbit member agrees with its representative.
+    run = functools.lru_cache(maxsize=None)(run_search)
+    report = nonattacking_threshold(q, q + 1, n_hi, runner=run)
+    assert {e.all_nonattacking for e in report.entries} == {False, True}
+    for e in report.entries:
+        result = run(SearchParams(q=q, n=e.n))
+        assert e.all_nonattacking == all(is_nonattacking(c) for c in result.configurations)
+        for c in result.configurations:
+            (cls,) = fundamental_classes([c], BoardSpec(e.n))
+            assert is_nonattacking(c) == is_nonattacking(cls.representative)
+
+
 def test_stabilizing_threshold_q2():
     report = stabilizing_threshold(2, 6, 16)
     assert report.n2_combined == 10

@@ -11,8 +11,11 @@ from queencover import (
     SearchParams,
     UnsupportedSchemaError,
     exhaustive_optimal,
+    is_nonattacking,
+    windowed_optimal,
 )
 from queencover.serialization import (
+    SCHEMA_VERSION,
     ResultCache,
     engine_fingerprint,
     optimal_set_record,
@@ -48,15 +51,15 @@ def test_stable_record_is_deterministic(small_result):
 
 def test_record_rejects_duplicate_queen(small_result):
     record = optimal_set_record(small_result)
-    record["configurations"][0] = [[0, 0], [0, 0]]
-    with pytest.raises(RecordError, match="duplicate"):
+    record["classes"][0]["representative"] = [[0, 0], [0, 0]]
+    with pytest.raises(RecordError, match=r"classes\[0\]\.representative.*duplicate"):
         record_to_optimal_set(record)
 
 
 def test_record_rejects_unsorted_configuration(small_result):
     record = optimal_set_record(small_result)
-    record["configurations"][0].reverse()
-    with pytest.raises(RecordError, match=r"configurations\[0\].*sorted"):
+    record["classes"][0]["representative"].reverse()
+    with pytest.raises(RecordError, match=r"classes\[0\]\.representative.*sorted"):
         record_to_optimal_set(record)
 
 
@@ -74,28 +77,111 @@ def test_record_rejects_bad_class_arithmetic(small_result):
         record_to_optimal_set(record)
 
 
-@pytest.mark.parametrize("value", [False, True])
-@pytest.mark.parametrize("edit", ["configuration", "representative", "orbit_size"])
-def test_record_rejects_booleans_as_integers(edit, value):
-    # JSON booleans decode to bool, an int subclass, but are no coordinates
-    # or counts.
+def _center_record(**fields) -> dict:
+    """A valid q=1 record on B_3, whose one optimum is the center; fields replace keys."""
     record = {
-        "schema_version": 1,
+        "schema_version": SCHEMA_VERSION,
         "kind": "search_result",
         "params": {"q": 1, "n": 3, "mode": "exhaustive"},
         "max_cover": 9,
-        "configurations": [[[0, 0]]],
         "classes": [{"representative": [[0, 0]], "orbit_size": 1, "stabilizer_order": 8}],
     }
+    return {**record, **fields}
+
+
+def _cls(rep, orbit_size):
+    return {"representative": rep, "orbit_size": orbit_size, "stabilizer_order": 8 // orbit_size}
+
+
+@pytest.mark.parametrize("value", [False, True])
+@pytest.mark.parametrize("edit", ["representative", "orbit_size", "stabilizer_order"])
+def test_record_rejects_booleans_as_integers(edit, value):
+    # JSON booleans decode to bool, an int subclass, but are no coordinates
+    # or counts.
+    record = _center_record()
     record_to_optimal_set(record)
-    if edit == "configuration":
-        record["configurations"][0] = [[value, value]]
-    elif edit == "representative":
-        record["classes"][0]["representative"] = [[value, value]]
-    else:
-        record["classes"][0]["orbit_size"] = value
-    with pytest.raises(RecordError):
+    cls = record["classes"][0]
+    cls[edit] = [[value, value]] if edit == "representative" else value
+    with pytest.raises(RecordError, match=rf"^classes\[0\].*{edit}"):
         record_to_optimal_set(record)
+
+
+def test_window_fields_must_match_the_mode():
+    windowed = {"q": 1, "n": 3, "mode": "windowed", "window": 3}
+    record_to_optimal_set(_center_record(params=windowed, window_used=3, window_retries=1))
+    record_to_optimal_set(_center_record(window_used=None, window_retries=0))
+    for record, field in [
+        (_center_record(window_used=3), "window_used"),
+        (_center_record(window_retries=1), "window_retries"),
+        (_center_record(params=windowed), "window_used"),
+        (_center_record(params=windowed, window_used=None), "window_used"),
+        (_center_record(params=windowed, window_used=2), "window_used"),
+        (_center_record(params=windowed, window_used=5), "window_used"),
+    ]:
+        with pytest.raises(RecordError, match=f"^{field}: "):
+            record_to_optimal_set(record)
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"configurations": [[[0, 0]], [[-1, -1]]]}, "unknown field 'configurations'"),
+        ({"classes": [_cls([[-1, -1], [0, 0]], 4)]}, r"classes\[0\]\.representative: .*1 queens"),
+        ({"classes": [_cls([[7, 7]], 1)]}, r"classes: .*not feasible on B_3"),
+        ({"classes": [_cls([[-1, -1]], 1)]}, "classes: not the sorted orbits"),
+        ({"classes": [_cls([[1, 1]], 4)]}, "classes: not the sorted orbits"),
+        ({"classes": [_cls([[-1, -1]], 4), _cls([[1, 1]], 4)]}, "classes: not the sorted orbits"),
+        ({"classes": [_cls([[0, 0]], 1), _cls([[-1, -1]], 4)]}, "classes: not the sorted orbits"),
+        ({"classes": [_cls([[0, 0]], 1), _cls([[0, 0]], 1)]}, "classes: not the sorted orbits"),
+        ({"classes": []}, "classes: must be a non-empty list"),
+    ],
+    ids=[
+        "configuration-outside-the-classes", "two-queens-for-q-1", "queen-off-the-board",
+        "corner-with-orbit-1", "non-least-representative", "two-representatives-of-one-orbit",
+        "classes-out-of-order", "repeated-class", "no-classes",
+    ],
+)
+def test_record_classes_must_be_their_own_orbits(fields, message):
+    # The classes are refused unless they equal the classes rebuilt from
+    # their representatives; sorted and least, they decode.
+    record_to_optimal_set(_center_record(classes=[_cls([[-1, -1]], 4), _cls([[0, 0]], 1)]))
+    with pytest.raises(RecordError, match=message):
+        record_to_optimal_set(_center_record(**fields))
+
+
+def test_version_1_record_is_refused(small_result):
+    record = {
+        **optimal_set_record(small_result),
+        "schema_version": 1,
+        "configurations": [[list(s) for s in c.queens] for c in small_result.configurations],
+    }
+    with pytest.raises(UnsupportedSchemaError, match="schema_version 1"):
+        record_to_optimal_set(record)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        SearchParams(q=2, n=6),
+        SearchParams(q=5, n=17, mode="windowed"),
+        SearchParams(q=5, n=18, mode="windowed"),
+    ],
+    ids=["exhaustive-2-6", "windowed-5-17", "windowed-5-18"],
+)
+def test_round_trip_rebuilds_the_orbit_members(params):
+    result = (exhaustive_optimal if params.mode == "exhaustive" else windowed_optimal)(params)
+    if params.mode == "exhaustive":
+        # Some optima of (2,6) attack each other, unlike any windowed optimum.
+        assert not all(is_nonattacking(c) for c in result.configurations)
+    record = optimal_set_record(result)
+    assert record["schema_version"] == SCHEMA_VERSION == 2
+    assert "configurations" not in record
+    line = to_json_line(record)
+    rebuilt = record_to_optimal_set(parse_lines(line.encode())[0])
+    assert rebuilt.configurations == result.configurations
+    assert rebuilt.classes == result.classes
+    assert (rebuilt.window_used, rebuilt.window_retries) == (result.window_used, result.window_retries)
+    assert to_json_line(optimal_set_record(rebuilt)) == line
 
 
 def test_parse_error_names_byte_offset():
