@@ -74,8 +74,8 @@ import math
 import multiprocessing
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass
-from functools import lru_cache, reduce
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache, reduce
 from itertools import accumulate, islice
 from operator import gt, lt, or_
 from typing import Callable, Iterable, Optional
@@ -160,8 +160,11 @@ class FundamentalClass:
 class OptimalSet:
     """All cover-maximal configurations for one search, orbit-decomposed.
 
-    configurations are the orbit members, sorted; a stored record keeps only
-    the classes, from which decoding rebuilds them (orbits).
+    members are the orbit members as tuples of squares, in no particular
+    order, as the orbit pass built them; they are left out of comparison and
+    repr, since the classes determine them.  configurations wraps them,
+    sorted, on first read; a stored record keeps only the classes, from which
+    decoding rebuilds the members (orbits).
 
     A windowed result (window_used set) is the optimum within the final
     window, not certified as the optimum of B_n: optima that attack each
@@ -172,28 +175,42 @@ class OptimalSet:
 
     params: SearchParams
     max_cover: int
-    configurations: tuple[Configuration, ...]
     classes: tuple[FundamentalClass, ...]
+    members: tuple[tuple[Square, ...], ...] = field(compare=False, repr=False)
     window_used: Optional[int] = None
     window_retries: int = 0
     nodes: int = 0
+
+    @cached_property
+    def configurations(self) -> tuple[Configuration, ...]:
+        """The orbit members, sorted, wrapped as Configurations on first read."""
+        return tuple(map(Configuration, sorted(self.members)))
 
 
 def fundamental_classes(
     configs: Iterable[Configuration], board: BoardSpec
 ) -> tuple[FundamentalClass, ...]:
     """Partition configurations into orbits under the eight board symmetries."""
-    return tuple(orbits(configs, board)[1])
+    return tuple(_orbits(configs, board)[1])
 
 
 def orbits(
     configs: Iterable[Configuration], board: BoardSpec
 ) -> tuple[list[tuple[Square, ...]], list[FundamentalClass]]:
-    """The configurations' orbit members and classes (see _orbit_classes).
+    """The configurations' orbit members, sorted, and classes (see _orbit_classes).
 
     Classes come in the order of each orbit's least given configuration, so
     sorted least representatives, one per orbit, give back their own classes.
     """
+    members, classes = _orbits(configs, board)
+    members.sort()
+    return members, classes
+
+
+def _orbits(
+    configs: Iterable[Configuration], board: BoardSpec
+) -> tuple[list[tuple[Square, ...]], list[FundamentalClass]]:
+    """orbits with the members left in orbit order, for callers that do not sort."""
     pool = set()
     for c in configs:
         if not c.is_feasible(board):
@@ -206,11 +223,11 @@ def orbits(
 def _orbit_classes(
     eng: _Engine, sels: Iterable[Iterable[int]]
 ) -> tuple[list[tuple[Square, ...]], list[FundamentalClass]]:
-    """Every member of the selections' orbits as squares, sorted, and their classes.
+    """Every member of the selections' orbits as sorted squares, and their classes.
 
     Each selection is expanded once through the engine's permutations, unless
-    an earlier orbit already holds it; the classes come in that order, each
-    represented by its orbit's least member.
+    an earlier orbit already holds it; the members and the classes come in
+    that order, each class represented by its orbit's least member.
     """
     order, perms = eng.order, eng.perms
     seen: set[tuple[int, ...]] = set()
@@ -231,7 +248,6 @@ def _orbit_classes(
                 stabilizer_order=8 // len(orbit),
             )
         )
-    members.sort()
     return members, classes
 
 
@@ -535,23 +551,20 @@ def _finish(
 ) -> OptimalSet:
     lines, pos = eng.lines, eng.pos
     members, classes = _orbit_classes(eng, sels)
-    configurations = []
-    for queens in members:
-        config = Configuration(queens)
-        # The engine's lines of these squares are their coverage.line_masks,
-        # so this counts what cover_count would.
-        if reduce(or_, (lines[pos[s]] for s in queens), 0).bit_count() != best:
-            raise InvariantError(
-                f"reported optimum {queens} does not reach cover {best}"
-            )
-        configurations.append(config)
-    if sum(c.orbit_size for c in classes) != len(configurations):
+    if sum(c.orbit_size for c in classes) != len(members):
         raise InvariantError("orbit sizes do not partition the optimal set")
+    for c in classes:
+        queens = c.representative.queens
+        # The eight symmetries map B_n's lines onto lines, so cover is constant
+        # on an orbit: one member per class checks them all.  The engine's
+        # lines are coverage.line_masks, so this counts what cover_count would.
+        if reduce(or_, (lines[pos[s]] for s in queens), 0).bit_count() != best:
+            raise InvariantError(f"reported optimum {queens} does not reach cover {best}")
     return OptimalSet(
         params=params,
         max_cover=best,
-        configurations=tuple(configurations),
         classes=tuple(sorted(classes, key=lambda c: c.representative.queens)),
+        members=tuple(members),
         window_used=window_used,
         window_retries=window_retries,
         nodes=nodes,
@@ -715,7 +728,7 @@ def _scan(
             ScanEntry(
                 n=n,
                 max_cover=result.max_cover,
-                optimal_count=len(result.configurations),
+                optimal_count=sum(c.orbit_size for c in result.classes),
                 # The symmetries map lines to lines, so an orbit's members
                 # attack each other exactly when its representative does.
                 all_nonattacking=all(is_nonattacking(c.representative) for c in result.classes),

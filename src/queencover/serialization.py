@@ -2,7 +2,9 @@
 
 Records are single-line JSON with sorted keys and an explicit schema version.
 A search record stores an optimal set once, as its fundamental classes;
-decoding rebuilds the orbit members from the representatives (search.orbits).
+decoding rebuilds the orbit members from the representatives in one orbit
+pass (search.orbits, unsorted) and hands them to the OptimalSet as tuples of
+squares, wrapped as Configurations only when read.
 Identical inputs must produce bit-identical structured output, so the stable
 record view excludes volatile metadata (wall-clock timing, node counts);
 those are kept only inside cache files.  Cache files are keyed by a
@@ -24,7 +26,7 @@ from typing import Iterable, Optional
 from .coverage import Configuration
 from .errors import DomainError, RecordError, UnsupportedSchemaError
 from .geometry import BoardSpec, Square
-from .search import FundamentalClass, OptimalSet, SearchParams, orbits
+from .search import FundamentalClass, OptimalSet, SearchParams, _orbits
 
 SCHEMA_VERSION = 2
 
@@ -124,8 +126,8 @@ def record_to_optimal_set(record: dict) -> OptimalSet:
     Schema version, field names and types and the window fields against the
     mode are checked; params go through SearchParams' own validation.  The
     classes must equal those rebuilt from their representatives, each params.q
-    queens on B_n, and the configurations are the rebuilt members.  Cover is
-    not checked.
+    queens on B_n, and the members are those of the same orbit pass, left
+    unwrapped until configurations is read.  Cover is not checked.
     """
     if not isinstance(record, dict):
         raise RecordError("record must be an object")
@@ -180,7 +182,7 @@ def record_to_optimal_set(record: dict) -> OptimalSet:
             raise RecordError(f"classes[{i}]: orbit_size x stabilizer_order must be 8")
         classes.append(FundamentalClass(rep, size, stab))
     try:
-        members, rebuilt = orbits((c.representative for c in classes), BoardSpec(n))
+        members, rebuilt = _orbits((c.representative for c in classes), BoardSpec(n))
     except DomainError as e:
         raise RecordError(f"classes: {e}") from e
     if rebuilt != classes:
@@ -188,8 +190,8 @@ def record_to_optimal_set(record: dict) -> OptimalSet:
     return OptimalSet(
         params=params,
         max_cover=record["max_cover"],
-        configurations=tuple(map(Configuration, members)),
         classes=tuple(classes),
+        members=tuple(members),
         window_used=window_used,
         window_retries=counts["window_retries"],
         nodes=counts["nodes"],

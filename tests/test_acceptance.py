@@ -1,12 +1,14 @@
 """Acceptance suite: one test per criterion, each printing a pass/fail line.
 
 Run with `pytest tests/test_acceptance.py -v -s`.  The q=8/9 windowed tier
-takes about half a minute and runs with the rest.
+takes about half a minute and runs with the rest; `-m "not heavy"` skips it.
 """
 
 import random
 import time
 from itertools import combinations
+
+import pytest
 
 from queencover import (
     BoardSpec,
@@ -148,6 +150,7 @@ def test_criterion_3_windowed_tier_standard():
     _report("criterion 3 (windowed tier q=5..7)", started)
 
 
+@pytest.mark.heavy
 def test_criterion_3_windowed_tier_heavy():
     started = time.perf_counter()
     even8 = windowed_optimal(SearchParams(q=8, n=28, mode="windowed", window=11))

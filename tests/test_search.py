@@ -19,6 +19,7 @@ from queencover import (
     BudgetExceededError,
     Configuration,
     DomainError,
+    InvariantError,
     SearchParams,
     all_transforms,
     apply_transform,
@@ -40,8 +41,10 @@ from queencover.search import (
     DEFAULT_BUDGET,
     FundamentalClass,
     _Problem,
+    _finish,
     _loss_scan_parity,
     _loss_tables,
+    _run_problem,
     _stabilizer_skip,
     canonical_pattern_fingerprint,
 )
@@ -381,6 +384,19 @@ def test_full_board_six_queens_on_21x21_beats_the_window():
     board = BoardSpec(21)
     assert all(brute_cover(c, board) == 347 for c in result.configurations)
     assert windowed_optimal(SearchParams(q=6, n=21, mode="windowed")).max_cover == 346
+
+
+def test_finish_refuses_a_cover_its_representatives_miss():
+    # _finish counts the cover of one member per orbit; claiming one square
+    # more than the (5,17) window's optimum must fail that count.
+    params = SearchParams(q=5, n=17, mode="windowed")
+    result = windowed_optimal(params)
+    problem = _Problem(17, 5, BoardSpec(17).box_radius(result.window_used))
+    best, sels, _ = _run_problem(problem, params)
+    extra = (result.nodes, result.window_used, result.window_retries)
+    assert _finish(params, problem.engine, best, sels, *extra) == result
+    with pytest.raises(InvariantError, match="does not reach cover 234"):
+        _finish(params, problem.engine, best + 1, sels, *extra)
 
 
 def test_windowed_grows_a_window_without_nonattacking_subsets():

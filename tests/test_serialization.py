@@ -7,13 +7,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from queencover import (
+    BoardSpec,
     RecordError,
     SearchParams,
     UnsupportedSchemaError,
     exhaustive_optimal,
     is_nonattacking,
+    nonattacking_threshold,
+    run_search,
     windowed_optimal,
 )
+from queencover.search import orbits
 from queencover.serialization import (
     SCHEMA_VERSION,
     ResultCache,
@@ -244,3 +248,27 @@ def test_cache_rejects_mismatched_fingerprint(tmp_path, small_result):
     (tmp_path / other).write_text(json.dumps(record) + "\n")
     with pytest.raises(RecordError, match="fingerprint"):
         cache.get(SearchParams(q=2, n=12))
+
+
+def test_scans_wrap_no_member_cold_or_warm(tmp_path):
+    # A scan counts each optimal set from its orbit sizes, searched or read
+    # back from the cache, so no result wraps its members until they are read.
+    cache = ResultCache(tmp_path)
+    seen = []
+
+    def runner(params):
+        result = cache.get(params)
+        if result is None:
+            result = run_search(params)
+            cache.put(result)
+        seen.append(result)
+        return result
+
+    cold = nonattacking_threshold(2, 4, 10, runner=runner)
+    warm = nonattacking_threshold(2, 4, 10, runner=runner)
+    assert cold == warm and len(seen) == 2 * len(cold.entries)
+    assert all("configurations" not in vars(result) for result in seen)
+    for entry, result in zip(cold.entries + warm.entries, seen):
+        assert entry.optimal_count == len(result.configurations)
+        members, _ = orbits(result.configurations, BoardSpec(entry.n))
+        assert members == sorted(members) == [c.queens for c in result.configurations]
