@@ -191,26 +191,17 @@ def fundamental_classes(
     configs: Iterable[Configuration], board: BoardSpec
 ) -> tuple[FundamentalClass, ...]:
     """Partition configurations into orbits under the eight board symmetries."""
-    return tuple(_orbits(configs, board)[1])
+    return tuple(orbits(configs, board)[1])
 
 
 def orbits(
     configs: Iterable[Configuration], board: BoardSpec
 ) -> tuple[list[tuple[Square, ...]], list[FundamentalClass]]:
-    """The configurations' orbit members, sorted, and classes (see _orbit_classes).
+    """The configurations' orbit members, unsorted, and classes (_orbit_classes).
 
     Classes come in the order of each orbit's least given configuration, so
     sorted least representatives, one per orbit, give back their own classes.
     """
-    members, classes = _orbits(configs, board)
-    members.sort()
-    return members, classes
-
-
-def _orbits(
-    configs: Iterable[Configuration], board: BoardSpec
-) -> tuple[list[tuple[Square, ...]], list[FundamentalClass]]:
-    """orbits with the members left in orbit order, for callers that do not sort."""
     pool = set()
     for c in configs:
         if not c.is_feasible(board):
@@ -728,7 +719,7 @@ def _scan(
             ScanEntry(
                 n=n,
                 max_cover=result.max_cover,
-                optimal_count=sum(c.orbit_size for c in result.classes),
+                optimal_count=len(result.members),
                 # The symmetries map lines to lines, so an orbit's members
                 # attack each other exactly when its representative does.
                 all_nonattacking=all(is_nonattacking(c.representative) for c in result.classes),

@@ -3,8 +3,8 @@
 Records are single-line JSON with sorted keys and an explicit schema version.
 A search record stores an optimal set once, as its fundamental classes;
 decoding rebuilds the orbit members from the representatives in one orbit
-pass (search.orbits, unsorted) and hands them to the OptimalSet as tuples of
-squares, wrapped as Configurations only when read.
+pass (search.orbits) and hands them, in orbit order, to the OptimalSet as
+tuples of squares, wrapped as Configurations only when read.
 Identical inputs must produce bit-identical structured output, so the stable
 record view excludes volatile metadata (wall-clock timing, node counts);
 those are kept only inside cache files.  Cache files are keyed by a
@@ -26,7 +26,7 @@ from typing import Iterable, Optional
 from .coverage import Configuration
 from .errors import DomainError, RecordError, UnsupportedSchemaError
 from .geometry import BoardSpec, Square
-from .search import FundamentalClass, OptimalSet, SearchParams, _orbits
+from .search import FundamentalClass, OptimalSet, SearchParams, orbits
 
 SCHEMA_VERSION = 2
 
@@ -182,7 +182,7 @@ def record_to_optimal_set(record: dict) -> OptimalSet:
             raise RecordError(f"classes[{i}]: orbit_size x stabilizer_order must be 8")
         classes.append(FundamentalClass(rep, size, stab))
     try:
-        members, rebuilt = _orbits((c.representative for c in classes), BoardSpec(n))
+        members, rebuilt = orbits((c.representative for c in classes), BoardSpec(n))
     except DomainError as e:
         raise RecordError(f"classes: {e}") from e
     if rebuilt != classes:
