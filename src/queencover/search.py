@@ -41,12 +41,16 @@ index space, which restores every skipped image, and reported as
 fundamental classes (orbits with a lexicographically least representative);
 the loss route reports canonical patterns, the same for every image.
 
-Every centered box is a prefix of the center-out order, so one per-board
-engine (order, center losses and their prefix sums, the row-major line masks
-of coverage.line_masks, and the symmetry permutations) and one search
-instance over it (_Problem: a box prefix and, for a box, each candidate's
-non-attacking partners free[j]) serve the exhaustive search, the windowed
-search and the loss route.
+A search reads only the squares of its centered box, and every centered box
+is a prefix of the center-out order that the eight symmetries map onto
+itself.  So each search builds the engine of its own box (order, center
+losses and their prefix sums, the row-major line masks of
+coverage.line_masks, and the symmetry permutations), whose tables are the
+whole board's cut at the box: the exhaustive search's box is the whole
+board, the windowed search's is its window and the loss route's is its box
+on the stable board.  One search instance over an engine (_Problem: the
+engine and, for a box, each candidate's non-attacking partners free[j])
+serves all three routes.
 
 The loss route scores non-attacking subsets of a box by internal plus center
 loss and never counts cover.  It runs on the box's stable board
@@ -191,24 +195,29 @@ def fundamental_classes(
     configs: Iterable[Configuration], board: BoardSpec
 ) -> tuple[FundamentalClass, ...]:
     """Partition configurations into orbits under the eight board symmetries."""
-    return tuple(orbits(configs, board)[1])
+    return tuple(orbits(configs, board, None)[1])
 
 
 def orbits(
-    configs: Iterable[Configuration], board: BoardSpec
+    configs: Iterable[Configuration], board: BoardSpec, radius: Optional[int]
 ) -> tuple[list[tuple[Square, ...]], list[FundamentalClass]]:
     """The configurations' orbit members, unsorted, and classes (_orbit_classes).
 
-    Classes come in the order of each orbit's least given configuration, so
-    sorted least representatives, one per orbit, give back their own classes.
+    The orbits are taken on the engine of the centered box of the given
+    radius (the whole board when None), and every configuration must lie in
+    that box.  Classes come in the order of each orbit's least given
+    configuration, so sorted least representatives, one per orbit, give back
+    their own classes.
     """
+    eng = _engine(board.n, radius)
+    pos = eng.pos
     pool = set()
     for c in configs:
-        if not c.is_feasible(board):
-            raise DomainError(f"configuration {c.queens} is not feasible on B_{board.n}")
+        if not all(s in pos for s in c.queens):
+            where = "" if radius is None else f"the centered box of radius {radius} on "
+            raise DomainError(f"configuration {c.queens} is not feasible on {where}B_{board.n}")
         pool.add(c.queens)
-    eng = _engine(board.n)
-    return _orbit_classes(eng, ([eng.pos[s] for s in queens] for queens in sorted(pool)))
+    return _orbit_classes(eng, ([pos[s] for s in queens] for queens in sorted(pool)))
 
 
 def _orbit_classes(
@@ -243,23 +252,33 @@ def _orbit_classes(
 
 
 class _Engine:
-    """Per-board bitboard tables in center-out candidate order.
+    """Bitboard tables of one centered box of B_n in center-out candidate order.
 
-    order[j] is candidate j's square and pos its inverse.  lines[j] is the
-    line union of candidate j on the row-major bitboard (coverage.line_masks),
-    its own bit included: indices are center-out, bits row-major.
-    cl_prefix[j + r] - cl_prefix[j] is the least center loss of r candidates
-    from j on, because the order sorts by center loss.  perms[k][j] is the
-    index of square j's image under the k-th of the TRANSFORM_KINDS; it is
-    the one symmetry table, and in_f[i] marks the canonical squares: no
-    permutation maps square i to an earlier one.
+    The candidates are the squares within Chebyshev distance radius of the
+    center, or the whole board when radius is None.  order[j] is candidate
+    j's square and pos its inverse.  lines[j] is the line union of candidate
+    j on B_n's row-major bitboard (coverage.line_masks), its own bit
+    included: indices are center-out, bits row-major.  cl_prefix[j + r] -
+    cl_prefix[j] is the least center loss of r candidates from j on, because
+    the order sorts by center loss.  perms[k][j] is the index of square j's
+    image under the k-th of the TRANSFORM_KINDS; it is the one symmetry
+    table, and in_f[i] marks the canonical squares: no permutation maps
+    square i to an earlier one.  A box is a prefix of the whole board's
+    center-out order and the symmetries map it onto itself, so every table
+    of a box engine is the whole board's engine cut at the box.
     """
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, radius: Optional[int]):
         board = BoardSpec(n)
         self.board = board
         self.n = n
-        keyed = sorted((center_loss_of_square(s, board), s) for s in board.squares())
+        if radius is None:
+            box = board.squares()
+        else:
+            p = board.parity_offset
+            span = range(max(board.lo, -radius), min(board.hi, radius + p) + 1)
+            box = ((x, y) for y in span for x in span)
+        keyed = sorted((center_loss_of_square(s, board), s) for s in box)
         squares = [s for _, s in keyed]
         self.order = squares
         self.cl = [c for c, _ in keyed]
@@ -283,8 +302,8 @@ class _Engine:
 
 
 @lru_cache(maxsize=32)
-def _engine(n: int) -> _Engine:
-    return _Engine(n)
+def _engine(n: int, radius: Optional[int] = None) -> _Engine:
+    return _Engine(n, radius)
 
 
 def _stabilizer_skip(
@@ -313,28 +332,35 @@ def _stabilizer_skip(
 
 
 class _Problem:
-    """One search instance: the engine's first W candidates of one board.
+    """One search instance: the W candidates of one box engine of B_n.
 
     A radius restricts the search to non-attacking subsets of that centered
-    box; radius None searches the whole board with attacks allowed.  The
-    exhaustive and windowed searches run search_shard on it; the loss route
-    reads its engine, W and free on the box's stable board.
+    box, on the box's engine; radius None searches the whole board with
+    attacks allowed.  The exhaustive and windowed searches run search_shard
+    on it; the loss route reads its engine, W and free on the box's stable
+    board.
     """
 
     def __init__(self, n: int, q: int, radius: Optional[int]):
-        eng = _engine(n)
+        eng = _engine(n, radius)
         self.engine = eng
         self.q = q
-        W = len(eng.order) if radius is None else eng.box_size(radius)
-        self.W = W
+        self.W = W = len(eng.order)
         # free[j]: the candidates that a queen on candidate j does not attack,
-        # those whose row-major bit is off j's lines.
+        # those sharing none of its row, column, diagonal and antidiagonal.
+        # Each set is rebuilt in ascending index order: the search loops test
+        # membership in it at every child, and the sets as the difference
+        # leaves them measured slower in the windowed searches.
         if radius is not None:
-            lo = eng.board.lo
-            bits = [(y - lo) * n + x - lo for x, y in eng.order[:W]]
+            keys = [(x, y, x - y, x + y) for x, y in eng.order]
+            groups: list[dict[int, list[int]]] = [{}, {}, {}, {}]
+            for i, key in enumerate(keys):
+                for group, k in zip(groups, key):
+                    group.setdefault(k, []).append(i)
+            every = frozenset(range(W))
             self.free = [
-                frozenset(i for i, k in enumerate(bits) if not (eng.lines[j] >> k) & 1)
-                for j in range(W)
+                frozenset(sorted(every.difference(*(g[k] for g, k in zip(groups, key)))))
+                for key in keys
             ]
         else:
             self.free = None

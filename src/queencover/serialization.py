@@ -3,7 +3,8 @@
 Records are single-line JSON with sorted keys and an explicit schema version.
 A search record stores an optimal set once, as its fundamental classes;
 decoding rebuilds the orbit members from the representatives in one orbit
-pass (search.orbits) and hands them, in orbit order, to the OptimalSet as
+pass (search.orbits) on the engine the search finished on, the window's box
+for a windowed record, and hands them, in orbit order, to the OptimalSet as
 tuples of squares, wrapped as Configurations only when read.
 Identical inputs must produce bit-identical structured output, so the stable
 record view excludes volatile metadata (wall-clock timing, node counts);
@@ -126,8 +127,9 @@ def record_to_optimal_set(record: dict) -> OptimalSet:
     Schema version, field names and types and the window fields against the
     mode are checked; params go through SearchParams' own validation.  The
     classes must equal those rebuilt from their representatives, each params.q
-    queens on B_n, and the members are those of the same orbit pass, left
-    unwrapped until configurations is read.  Cover is not checked.
+    queens on B_n, within window_used for a windowed record, and the members
+    are those of the same orbit pass, left unwrapped until configurations is
+    read.  Cover is not checked.
     """
     if not isinstance(record, dict):
         raise RecordError("record must be an object")
@@ -181,8 +183,12 @@ def record_to_optimal_set(record: dict) -> OptimalSet:
         if not _is_int(size) or not _is_int(stab) or size * stab != 8:
             raise RecordError(f"classes[{i}]: orbit_size x stabilizer_order must be 8")
         classes.append(FundamentalClass(rep, size, stab))
+    # A windowed record's orbits are rebuilt on its window's box engine, the
+    # one its search finished on, so its representatives must lie in the window.
+    board = BoardSpec(n)
+    radius = None if window_used is None else board.box_radius(window_used)
     try:
-        members, rebuilt = orbits((c.representative for c in classes), BoardSpec(n))
+        members, rebuilt = orbits((c.representative for c in classes), board, radius)
     except DomainError as e:
         raise RecordError(f"classes: {e}") from e
     if rebuilt != classes:

@@ -464,6 +464,24 @@ def test_engine_lines_and_free_are_row_major(n):
         ], radius
 
 
+@pytest.mark.parametrize("n", range(1, 16))
+def test_box_engines_are_the_whole_board_engine_cut_at_the_box(n):
+    # A centered box is a prefix of the center-out order that the eight
+    # symmetries map onto itself, so its engine is the whole board's cut.
+    full = queencover.search._engine(n)
+    p = full.board.parity_offset
+    for radius in range(full.board.box_radius(n) + 1):
+        eng = queencover.search._engine(n, radius)
+        W = full.box_size(radius)
+        assert len(eng.order) == W == (2 * radius + 1 + p) ** 2, radius
+        assert eng.order == full.order[:W]
+        assert eng.cl == full.cl[:W] and eng.cl_prefix == full.cl_prefix[: W + 1]
+        assert eng.lines == full.lines[:W]
+        assert eng.in_f == full.in_f[:W]
+        assert eng.perms == tuple(perm[:W] for perm in full.perms)
+        assert eng.pos == {s: j for j, s in enumerate(eng.order)}
+
+
 def _assert_classes_are_brute_orbits(result):
     board = BoardSpec(result.params.n)
     members = set(_as_set(result.configurations))
@@ -684,9 +702,9 @@ def test_crossing_masks_match_pair_crossings():
     for odd in (True, False):
         for radius in range(6):
             problem, cross = _loss_tables(1, radius, odd)
-            board, order = problem.engine.board, problem.engine.order
-            box = order[: problem.W]
-            assert set(box) == {
+            # The parity's engine holds exactly the box's squares.
+            board, box = problem.engine.board, problem.engine.order
+            assert len(box) == problem.W and set(box) == {
                 s for s in board.squares() if brute_center_distance(board, s) <= radius
             }
             for a, mask in zip(box, cross):

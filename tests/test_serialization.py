@@ -124,6 +124,17 @@ def test_window_fields_must_match_the_mode():
             record_to_optimal_set(record)
 
 
+def test_windowed_representatives_must_lie_in_the_window():
+    # A windowed record's orbits are rebuilt on its window's box, so a
+    # representative on B_5 but outside the 3x3 window is refused.
+    windowed = {"q": 1, "n": 5, "mode": "windowed", "window": 3}
+    corner = [_cls([[-2, -2]], 4)]
+    record_to_optimal_set(_center_record(params=windowed, window_used=3))
+    record_to_optimal_set(_center_record(params=windowed, window_used=5, classes=corner))
+    with pytest.raises(RecordError, match=r"^classes: .*centered box of radius 1 on B_5"):
+        record_to_optimal_set(_center_record(params=windowed, window_used=3, classes=corner))
+
+
 @pytest.mark.parametrize(
     "fields, message",
     [
