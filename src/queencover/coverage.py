@@ -14,13 +14,22 @@ field adds those masks into a bit-sliced binary counter: planes[b] is the
 set of squares whose attacking number has bit b set.  The loss statistics
 are popcounts of the masks (loss.internal_loss) or of the planes
 (AttackField), never a per-square scan.
+
+The kernels share their work on one configuration and one board through a
+slot (evaluation) that holds the most recent (configuration object, board
+side) pair: its line masks, its attack field, the configuration's
+non-attacking flag and, for the loss module, its pair-crossing stability
+flag, each built on first use.  The slot is keyed by object identity and
+replaced on a miss, so an equal but distinct Configuration builds everything
+anew and memory stays at one pair's masks.  Nothing is stored on the
+configuration.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .errors import DomainError
 from .geometry import BoardSpec, Square, board_contains, chebyshev_center_distance, check_int
@@ -76,7 +85,13 @@ class Configuration:
         return max(chebyshev_center_distance(board, s) for s in self.queens)
 
     def translate(self, dx: int, dy: int) -> "Configuration":
-        return Configuration.of((x + dx, y + dy) for x, y in self.queens)
+        check_int(dx, "translation")
+        check_int(dy, "translation")
+        # A translation keeps the queens sorted and distinct, so the moved
+        # tuple needs none of __post_init__'s checks.
+        moved = object.__new__(Configuration)
+        object.__setattr__(moved, "queens", tuple((x + dx, y + dy) for x, y in self.queens))
+        return moved
 
     def bounding_box(self) -> tuple[int, int, int, int]:
         """(min_x, min_y, max_x, max_y); requires a non-empty configuration."""
@@ -100,16 +115,25 @@ def is_nonattacking(config: Configuration) -> bool:
     """True iff no two queens share a column, a row or a diagonal.
 
     The queens are distinct squares, so they attack pairwise iff one of the
-    four line coordinates x, y, x - y, x + y repeats.
+    four line coordinates x, y, x - y, x + y repeats.  When the evaluation
+    slot holds this configuration object, the flag is kept there; any other
+    call computes it and stores nothing.
     """
+    e = _slot
+    held = e is not None and e.config is config
+    if held and e.nonattacking is not None:
+        return e.nonattacking
     qs = config.queens
     q = len(qs)
-    return (
+    flag = (
         len({x for x, _ in qs}) == q
         and len({y for _, y in qs}) == q
         and len({x - y for x, y in qs}) == q
         and len({x + y for x, y in qs}) == q
     )
+    if held:
+        e.nonattacking = flag
+    return flag
 
 
 class AttackField:
@@ -240,11 +264,16 @@ def attack_masks(config: Configuration, board: BoardSpec) -> list[int]:
 
     A queen's mask is her line union (line_masks) with her own bit XORed out
     when she is on the board: she lies on all four of its lines but does not
-    attack it.
+    attack it.  The list is new: the slot's line masks are copied, not changed.
     """
+    return _less_own_squares(config.queens, board, evaluation(config, board).lines())
+
+
+def _less_own_squares(queens: tuple[Square, ...], board: BoardSpec, lines: list[int]) -> list[int]:
+    """A copy of the queens' line masks with each on-board queen's own bit cleared."""
     n, lo = board.n, board.lo
-    masks = line_masks(config.queens, board)
-    for i, (x, y) in enumerate(config.queens):
+    masks = list(lines)
+    for i, (x, y) in enumerate(queens):
         ix, iy = x - lo, y - lo
         if 0 <= ix < n and 0 <= iy < n:
             masks[i] ^= 1 << iy * n + ix
@@ -257,19 +286,68 @@ def attack_field(config: Configuration, board: BoardSpec) -> AttackField:
     Two distinct squares share at most one line, so a square's attacking
     number counts the queens whose attack masks (attack_masks) hold it.  The
     masks are added into a binary counter of bit planes, one XOR/AND ripple
-    per mask.
+    per mask.  The field is built once per slot entry (evaluation).
     """
-    planes: list[int] = []
-    for m in attack_masks(config, board):
-        for b, plane in enumerate(planes):
-            planes[b] = plane ^ m
-            m &= plane
-            if not m:
-                break
-        else:
-            if m:
-                planes.append(m)
-    return AttackField(board, tuple(planes))
+    return evaluation(config, board).field()
+
+
+class Evaluation:
+    """What the kernels build for one configuration on one board, each once.
+
+    lines() (line_masks of the queens) and field() (the attack field) are
+    built on first call.  nonattacking is is_nonattacking's flag and stable
+    the loss module's pair-crossing flag (loss.is_stable_board less
+    feasibility), each None until first computed.
+    """
+
+    __slots__ = ("config", "board", "_lines", "_field", "nonattacking", "stable")
+
+    def __init__(self, config: Configuration, board: BoardSpec):
+        self.config = config
+        self.board = board
+        self._lines: Optional[list[int]] = None
+        self._field: Optional[AttackField] = None
+        self.nonattacking: Optional[bool] = None
+        self.stable: Optional[bool] = None
+
+    def lines(self) -> list[int]:
+        lines = self._lines
+        if lines is None:
+            lines = self._lines = line_masks(self.config.queens, self.board)
+        return lines
+
+    def field(self) -> AttackField:
+        field = self._field
+        if field is None:
+            planes: list[int] = []
+            for m in _less_own_squares(self.config.queens, self.board, self.lines()):
+                for b, plane in enumerate(planes):
+                    planes[b] = plane ^ m
+                    m &= plane
+                    if not m:
+                        break
+                else:
+                    if m:
+                        planes.append(m)
+            field = self._field = AttackField(self.board, tuple(planes))
+        return field
+
+
+_slot: Optional[Evaluation] = None
+
+
+def evaluation(config: Configuration, board: BoardSpec) -> Evaluation:
+    """The shared Evaluation of this configuration object on this board side.
+
+    One slot holds the most recent pair, with a strong reference to its
+    configuration; a call for any other object or side replaces it.  Nothing
+    is keyed by value, so a new, equal Configuration starts from nothing.
+    """
+    global _slot
+    e = _slot
+    if e is None or e.config is not config or e.board.n != board.n:
+        e = _slot = Evaluation(config, board)
+    return e
 
 
 def pair_crossings(a: Square, b: Square) -> list[Square]:
@@ -339,9 +417,15 @@ def line_shifts(n: int) -> LineShifts:
     )
 
 
+def border_ring(n: int) -> int:
+    """The border ring of B_n: its first and last rows and columns."""
+    _, row, col, _, _ = line_shifts(n)
+    return row | row << (n - 1) * n | col | col << (n - 1)
+
+
 def cover_count(config: Configuration, board: BoardSpec) -> int:
     """Number of board squares occupied or attacked at least once."""
     m = 0
-    for line in line_masks(config.queens, board):
+    for line in evaluation(config, board).lines():
         m |= line  # includes the queen's own square when on board
     return m.bit_count()

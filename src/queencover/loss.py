@@ -13,13 +13,29 @@ sum |M_i| - |M_1 | M_2 | ...|, so it needs no attack field.  total_loss also
 reads the overlap concentration, from the popcounts of the attack field's bit
 planes (coverage.AttackField).  Feasibility, center loss and stability are
 one pass each over the queens.
+
+total_loss, predicted_cover and is_stable_board share coverage's evaluation
+slot: for one configuration object on one board the attack field and the
+pair-crossing stability flag are each built once, and predicted_cover reads
+the internal loss from that field.  internal_loss_stable builds its masks
+once, on one board, and outside the slot, so the caller's entry survives.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .coverage import Configuration, attack_field, attack_masks, is_nonattacking
+from .coverage import (
+    Configuration,
+    Evaluation,
+    attack_field,
+    attack_masks,
+    border_ring,
+    evaluation,
+    is_nonattacking,
+    line_masks,
+    line_shifts,
+)
 # Unused here, but perfbench/tracer.py wraps loss.pair_crossings by name.
 from .coverage import pair_crossings  # noqa: F401
 from .errors import DomainError, InvariantError, NotStableError, UnboundedLossError
@@ -84,9 +100,11 @@ def stable_board(config: Configuration, odd: bool) -> BoardSpec:
 def internal_loss_stable(config: Configuration) -> int:
     """Board-size-independent internal loss of a non-attacking configuration.
 
-    Evaluated with the configuration centered on its odd stable_board, then
-    certified by recomputing on the next larger board of the same parity and
-    requiring equality.
+    Evaluated with the configuration centered on its odd stable_board B_n,
+    then certified by recomputing on B_{n + 2} and requiring equality.  Both
+    values come from one set of masks on B_{n + 2}: B_n is its inner part,
+    B_{n + 2} less its border ring, and each queen's attack set on B_n is
+    her set on B_{n + 2} cut to B_n.
     """
     if not is_nonattacking(config):
         raise UnboundedLossError("internal loss grows with n for attacking configurations")
@@ -94,8 +112,20 @@ def internal_loss_stable(config: Configuration) -> int:
         return 0
     centered = _centered(config)
     n = stable_board(centered, odd=True).n
-    value = internal_loss(centered, BoardSpec(n))
-    check = internal_loss(centered, BoardSpec(n + 2))
+    big = n + 2
+    inner = line_shifts(big).full ^ border_ring(big)
+    # No queen attacks another's square, so each line mask is an attack mask
+    # plus at most its queen's own bit, a bit no other mask holds: that adds
+    # the same count to the popcount sum and to the union, and leaves
+    # sum |M_i| - |union M_i| as it is on either board.  The masks are built
+    # here, not in the evaluation slot, so the caller's entry stays there.
+    value = check = union = 0
+    for m in line_masks(centered.queens, BoardSpec(big)):
+        check += m.bit_count()
+        value += (m & inner).bit_count()
+        union |= m
+    value -= (union & inner).bit_count()
+    check -= union.bit_count()
     if value != check:
         raise InvariantError(
             f"internal loss not stable at n={n}: {value} != {check}"
@@ -156,7 +186,15 @@ def is_stable_board(config: Configuration, board: BoardSpec) -> bool:
     dy = |y2 - y1|, span x in [min x - dy, max x + dy] and y in
     [min y - dx, max y + dx], each end reached, so the extents are tested.
     """
-    return config.is_feasible(board) and _crossings_on_board(config, board)
+    return config.is_feasible(board) and _stable(evaluation(config, board))
+
+
+def _stable(e: Evaluation) -> bool:
+    """The slot entry's pair-crossing flag, computed on first use."""
+    flag = e.stable
+    if flag is None:
+        flag = e.stable = _crossings_on_board(e.config, e.board)
+    return flag
 
 
 def _crossings_on_board(config: Configuration, board: BoardSpec) -> bool:
@@ -187,7 +225,8 @@ def total_loss(config: Configuration, board: BoardSpec) -> LossBreakdown:
     if not config.is_feasible(board):
         raise DomainError("total loss requires all queens on board")
     e, o = config.parity_counts
-    field = attack_field(config, board)
+    entry = evaluation(config, board)
+    field = entry.field()
     internal = field.internal_loss()
     central = _center_loss_on_board(config, board)
     return LossBreakdown(
@@ -198,7 +237,7 @@ def total_loss(config: Configuration, board: BoardSpec) -> LossBreakdown:
         overlap_concentration=field.overlap_concentration(),
         even_count=e,
         odd_count=o,
-        stable=_crossings_on_board(config, board),
+        stable=_stable(entry),
     )
 
 
@@ -218,13 +257,14 @@ def predicted_cover(config: Configuration, board: BoardSpec) -> int:
     """Cover via the loss identity (4n - 3) q - loss; exact on stable boards only."""
     if not config.is_feasible(board):
         raise DomainError("total loss requires all queens on board")
-    if not _crossings_on_board(config, board):
+    entry = evaluation(config, board)
+    if not _stable(entry):
         raise NotStableError(
             f"B_{board.n} is too small for the cover identity at radius "
             f"{config.radius(board)}"
         )
     central = _center_loss_on_board(config, board)
-    return (4 * board.n - 3) * config.q - internal_loss(config, board) - central
+    return (4 * board.n - 3) * config.q - entry.field().internal_loss() - central
 
 
 __all__ = [

@@ -388,6 +388,7 @@ class _Problem:
         eng = self.engine
         q, W, S = self.q, self.W, 4 * eng.n - 3
         C, lines = eng.cl_prefix, eng.lines
+        full = _coverage.line_shifts(eng.n).full
         free = self.free
         best = 0
         found: list[tuple[int, ...]] = []
@@ -441,7 +442,7 @@ class _Problem:
             A child j with skip(j) true is neither counted nor entered; only
             the second level passes a skip test (see _stabilizer_skip).
             """
-            nm = ~m
+            nm = full ^ m  # ~m costs twice as much: ANDs with a negative int
             gains = [bc(lines[j] & nm) for j in avail]
             if r == 1:
                 top = max(gains)
@@ -662,10 +663,7 @@ def border_certificate(config: Configuration, board: BoardSpec) -> bool:
     twice = 0
     for plane in field.planes[1:]:
         twice |= plane
-    # The ring is the first and last row and column of the bigger board.
-    _, row, col, _, _ = _coverage.line_shifts(m)
-    ring = row | row << (m - 1) * m | col | col << (m - 1)
-    return not twice & ring
+    return not twice & _coverage.border_ring(m)
 
 
 def canonical_pattern_fingerprint(classes: Iterable[FundamentalClass]) -> str:

@@ -37,6 +37,17 @@ def test_configuration_refuses_non_integer_coordinates(squares):
         Configuration.of(squares)
 
 
+def test_translate_moves_every_queen_and_refuses_non_integer_shifts():
+    moved = KNIGHT.translate(3, -5)
+    assert moved == Configuration.of((x + 3, y - 5) for x, y in KNIGHT)
+    assert moved.queens == tuple(sorted(moved.queens))
+    for shift in (True, 1.0, "1"):
+        with pytest.raises(DomainError):
+            KNIGHT.translate(shift, 0)
+        with pytest.raises(DomainError):
+            KNIGHT.translate(0, shift)
+
+
 def test_configuration_parity_counts():
     assert Configuration.of([(0, 0), (1, 2), (1, 3)]).parity_counts == (2, 1)
     assert Configuration.of([]).parity_counts == (0, 0)

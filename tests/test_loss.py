@@ -1,6 +1,9 @@
 """Loss calculus: internal/center losses, the decomposition and the cover identity."""
 
+import dataclasses
+import gc
 import re
+import weakref
 from itertools import combinations
 
 import pytest
@@ -11,10 +14,12 @@ from queencover import (
     BoardSpec,
     Configuration,
     DomainError,
+    InvariantError,
     NotStableError,
     UnboundedLossError,
     all_transforms,
     apply_transform,
+    attack_field,
     board_contains,
     center_loss,
     center_loss_of_square,
@@ -34,7 +39,8 @@ from queencover import (
     total_loss,
 )
 
-from queencover.coverage import pair_crossings
+import queencover.loss
+from queencover.coverage import attack_masks, pair_crossings
 from queencover.loss import LossBreakdown, stable_board
 
 from conftest import (
@@ -42,6 +48,7 @@ from conftest import (
     brute_attacks,
     brute_center_distance,
     brute_cover,
+    random_config,
     random_nonattacking,
 )
 
@@ -64,6 +71,15 @@ def test_internal_loss_stable_examples():
 def test_internal_loss_stable_rejects_attacking():
     with pytest.raises(UnboundedLossError):
         internal_loss_stable(Configuration.of([(0, 0), (3, 3)]))
+
+
+def test_internal_loss_stable_certification_fires_on_a_short_board(monkeypatch):
+    # A board 4 short of the stable one leaves crossings of this pair off
+    # B_n, so the value on B_n and the check on B_{n + 2} disagree.
+    real = queencover.loss.stable_board
+    monkeypatch.setattr(queencover.loss, "stable_board", lambda config, odd: BoardSpec(real(config, odd).n - 4))
+    with pytest.raises(InvariantError, match=re.escape("internal loss not stable at n=21: 6 != 9")):
+        internal_loss_stable(Configuration.of([(-4, -4), (4, 3)]))
 
 
 def test_internal_loss_stable_translation_and_symmetry_invariant(rng):
@@ -336,3 +352,71 @@ def test_equal_internal_loss_pairs_balance_against_overlap(rng):
             assert gb - ga == eb - ea
             compared += 1
     assert compared > 0
+
+
+def _outcome(kernel, *args):
+    """A kernel's value, or the type and message of what it raised."""
+    try:
+        return kernel(*args)
+    except (DomainError, NotStableError, UnboundedLossError) as e:
+        return type(e).__name__, str(e)
+
+
+KERNELS = {
+    "cover": lambda c, b: _outcome(cover_count, c, b),
+    "histogram": lambda c, b: _outcome(lambda: attack_field(c, b).histogram()),
+    "total": lambda c, b: _outcome(total_loss, c, b),
+    "internal_stable": lambda c, b: _outcome(internal_loss_stable, c),
+    "predicted": lambda c, b: _outcome(predicted_cover, c, b),
+}
+
+
+def _fingerprint(config):
+    return hash(config), repr(config), dataclasses.asdict(config)
+
+
+@pytest.mark.parametrize("n", [1, 2, 9, 14, 31, 40])
+def test_shared_evaluation_is_invisible(n, rng):
+    # The kernels share one configuration object's masks, field and flags;
+    # in any order, and twice over, each returns what it returns alone on a
+    # fresh equal configuration, and the configuration itself looks the same.
+    board = BoardSpec(n)
+    names = list(KERNELS)
+    outcomes = set()
+    for q in range(1, 10):
+        configs = [random_nonattacking(rng, q)]
+        if q <= n * n:
+            configs.append(random_config(rng, board, q))
+        for config in configs:
+            alone = {name: KERNELS[name](Configuration(config.queens), board) for name in names}
+            shared = Configuration(config.queens)
+            before = _fingerprint(shared)
+            for _ in range(2):
+                rng.shuffle(names)
+                for name in names:
+                    assert KERNELS[name](shared, board) == alone[name], (name, config, n)
+                # attack_masks hands out a copy: changing it changes nothing shared.
+                attack_masks(shared, board).clear()
+                assert attack_masks(shared, board) == attack_masks(Configuration(config.queens), board)
+            assert shared == config
+            assert _fingerprint(shared) == before
+            outcomes |= {type(v).__name__ for v in alone.values()}
+    # Off-board, attacking and unstable configurations raise; others return.
+    assert {"int", "LossBreakdown", "tuple"} <= outcomes
+
+
+def test_shared_evaluation_keeps_only_the_last_configuration():
+    board = BoardSpec(15)
+    a = Configuration.of([(-1, 0), (0, 2), (1, -1), (2, 1)])
+    b = Configuration(a.queens)
+    field = attack_field(a, board)
+    assert attack_field(a, board) is field
+    for config in (a, b):
+        for kernel in KERNELS.values():
+            kernel(config, board)
+    # Keyed by identity, not value: the equal b built its own field.
+    assert attack_field(b, board) is not field
+    ref = weakref.ref(a)
+    del a, field
+    gc.collect()
+    assert ref() is None
