@@ -12,11 +12,11 @@ import logging
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .coverage import Configuration, is_nonattacking
 from .errors import DoesNotFitError, DomainError, InvariantError
-from .geometry import BoardSpec, Square
+from .geometry import BoardSpec, Square, check_int
 from .loss import center_loss, internal_loss_stable
 
 log = logging.getLogger(__name__)
@@ -38,7 +38,11 @@ class Pattern:
 
     @classmethod
     def of(cls, squares: Iterable[Square]) -> "Pattern":
-        sq = sorted(set((int(x), int(y)) for x, y in squares))
+        pairs = [(x, y) for x, y in squares]
+        for x, y in pairs:
+            check_int(x, "pattern coordinate")
+            check_int(y, "pattern coordinate")
+        sq = sorted(set(pairs))
         if not sq:
             raise DomainError("pattern must contain at least one queen")
         mx = min(x for x, _ in sq)
@@ -62,27 +66,35 @@ class Pattern:
         return Configuration.of((x + dx, y + dy) for x, y in self.offsets)
 
     def canonical(self) -> "Pattern":
-        """Least equivalent pattern over the eight symmetries; translation-free key.
+        """Least equivalent pattern over the eight symmetries; translation-free key."""
+        return Pattern(canonical_offsets(self.offsets))
 
-        The offsets fill the box [0, w] x [0, h], and each symmetry maps that
-        box onto [0, w] x [0, h] or [0, h] x [0, w], so each image is built
-        already normalized: rot90 sends (x, y) to (h - y, x), mirror-x to
-        (w - x, y), and so on through geometry.TRANSFORM_KINDS, in its order.
-        """
-        offs = self.offsets
-        w = max(x for x, _ in offs)
-        h = max(y for _, y in offs)
-        best = min(
-            list(offs),
-            sorted([(h - y, x) for x, y in offs]),
-            sorted([(w - x, h - y) for x, y in offs]),
-            sorted([(y, w - x) for x, y in offs]),
-            sorted([(w - x, y) for x, y in offs]),
-            sorted([(x, h - y) for x, y in offs]),
-            sorted([(y, x) for x, y in offs]),
-            sorted([(h - y, w - x) for x, y in offs]),
-        )
-        return Pattern(tuple(best))
+
+def canonical_offsets(squares: Sequence[Square]) -> tuple[Square, ...]:
+    """The least normalized image of sorted, distinct squares under the eight symmetries.
+
+    The squares fill the box [x0, x1] x [y0, y1].  Normalized, they fill
+    [0, w] x [0, h] with w = x1 - x0 and h = y1 - y0, and each symmetry maps
+    that box onto [0, w] x [0, h] or [0, h] x [0, w], so each image is built
+    already normalized: rot90 sends (x, y) to (h - y, x), mirror-x to
+    (w - x, y), and so on through geometry.TRANSFORM_KINDS, in its order.
+    The identity keeps the sorted order, so only the other seven images are
+    sorted.  Pattern.canonical is this on its offsets; no Pattern is built.
+    """
+    xs = [x for x, _ in squares]
+    ys = [y for _, y in squares]
+    x0, x1, y0, y1 = min(xs), max(xs), min(ys), max(ys)
+    best = min(
+        [(x - x0, y - y0) for x, y in squares],
+        sorted([(y1 - y, x - x0) for x, y in squares]),
+        sorted([(x1 - x, y1 - y) for x, y in squares]),
+        sorted([(y - y0, x1 - x) for x, y in squares]),
+        sorted([(x1 - x, y - y0) for x, y in squares]),
+        sorted([(x - x0, y1 - y) for x, y in squares]),
+        sorted([(y - y0, x - x0) for x, y in squares]),
+        sorted([(y1 - y, x1 - x) for x, y in squares]),
+    )
+    return tuple(best)
 
 
 def pattern_of(config: Configuration) -> Pattern:

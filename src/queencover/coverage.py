@@ -19,16 +19,16 @@ The kernels share their work on one configuration and one board through a
 slot (evaluation) that holds the most recent (configuration object, board
 side) pair: its line masks, its attack field, the configuration's
 non-attacking flag and, for the loss module, its pair-crossing stability
-flag, each built on first use.  The slot is keyed by object identity and
-replaced on a miss, so an equal but distinct Configuration builds everything
-anew and memory stays at one pair's masks.  Nothing is stored on the
-configuration.
+flag and center loss, each built on first use.  The slot is keyed by object
+identity and replaced on a miss, so an equal but distinct Configuration
+builds everything anew and memory stays at one pair's masks.  Nothing is
+stored on the configuration.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .errors import DomainError
@@ -154,32 +154,38 @@ class AttackField:
     def __init__(self, board: BoardSpec, planes: tuple[int, ...]):
         self.board = board
         self.planes = planes
+        self._freqs: Optional[list[int]] = None
+        self._moment: Optional[tuple[int, int]] = None
 
-    @cached_property
-    def _freqs(self) -> list[int]:
-        """_freqs[a]: the number of squares attacked exactly a times."""
-        # Splitting on the planes from the top one down keeps the masks in
-        # order of value: masks[v] holds the squares whose counter reads v.
-        masks = [line_shifts(self.board.n).full]
-        for plane in reversed(self.planes):
-            split = []
-            for m in masks:
-                high = m & plane
-                split += (m ^ high, high)
-            masks = split
-        freqs = [m.bit_count() for m in masks]
-        while len(freqs) > 1 and not freqs[-1]:
-            freqs.pop()
+    def _frequencies(self) -> list[int]:
+        """freqs[a]: the number of squares attacked exactly a times, built on first call."""
+        freqs = self._freqs
+        if freqs is None:
+            # Splitting on the planes from the top one down keeps the masks in
+            # order of value: masks[v] holds the squares whose counter reads v.
+            masks = [line_shifts(self.board.n).full]
+            for plane in reversed(self.planes):
+                split = []
+                for m in masks:
+                    high = m & plane
+                    split += (m ^ high, high)
+                masks = split
+            freqs = [m.bit_count() for m in masks]
+            while len(freqs) > 1 and not freqs[-1]:
+                freqs.pop()
+            self._freqs = freqs
         return freqs
 
-    @cached_property
     def _first_moment(self) -> tuple[int, int]:
-        """(attacked squares, sum of a(s)) over the board."""
-        attacked = total = 0
-        for b, plane in enumerate(self.planes):
-            attacked |= plane
-            total += plane.bit_count() << b
-        return attacked.bit_count(), total
+        """(attacked squares, sum of a(s)) over the board, built on first call."""
+        moment = self._moment
+        if moment is None:
+            attacked = total = 0
+            for b, plane in enumerate(self.planes):
+                attacked |= plane
+                total += plane.bit_count() << b
+            moment = self._moment = (attacked.bit_count(), total)
+        return moment
 
     def count(self, square: Square) -> int:
         if not board_contains(self.board, square):
@@ -206,19 +212,19 @@ class AttackField:
 
     def histogram(self) -> dict[int, int]:
         """Multiplicity histogram {attacking number: square count}, zeros omitted."""
-        return {a: f for a, f in enumerate(self._freqs) if a > 0 and f > 0}
+        return {a: f for a, f in enumerate(self._frequencies()) if a > 0 and f > 0}
 
     def max_count(self) -> int:
-        return len(self._freqs) - 1
+        return len(self._frequencies()) - 1
 
     def internal_loss(self) -> int:
         """Sum of a(s) - 1 over attacked squares."""
-        attacked, total = self._first_moment
+        attacked, total = self._first_moment()
         return total - attacked
 
     def overlap_concentration(self) -> int:
         """Sum of C(a(s), 2) - (a(s) - 1) over attacked squares."""
-        attacked, total = self._first_moment
+        attacked, total = self._first_moment()
         planes = self.planes
         squares = 0
         for b, plane in enumerate(planes):
@@ -295,12 +301,13 @@ class Evaluation:
     """What the kernels build for one configuration on one board, each once.
 
     lines() (line_masks of the queens) and field() (the attack field) are
-    built on first call.  nonattacking is is_nonattacking's flag and stable
+    built on first call.  nonattacking is is_nonattacking's flag, stable
     the loss module's pair-crossing flag (loss.is_stable_board less
-    feasibility), each None until first computed.
+    feasibility) and central its center loss (loss.center_loss), each None
+    until first computed.
     """
 
-    __slots__ = ("config", "board", "_lines", "_field", "nonattacking", "stable")
+    __slots__ = ("config", "board", "_lines", "_field", "nonattacking", "stable", "central")
 
     def __init__(self, config: Configuration, board: BoardSpec):
         self.config = config
@@ -309,6 +316,7 @@ class Evaluation:
         self._field: Optional[AttackField] = None
         self.nonattacking: Optional[bool] = None
         self.stable: Optional[bool] = None
+        self.central: Optional[int] = None
 
     def lines(self) -> list[int]:
         lines = self._lines

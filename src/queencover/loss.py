@@ -15,10 +15,11 @@ planes (coverage.AttackField).  Feasibility, center loss and stability are
 one pass each over the queens.
 
 total_loss, predicted_cover and is_stable_board share coverage's evaluation
-slot: for one configuration object on one board the attack field and the
-pair-crossing stability flag are each built once, and predicted_cover reads
-the internal loss from that field.  internal_loss_stable builds its masks
-once, on one board, and outside the slot, so the caller's entry survives.
+slot: for one configuration object on one board the attack field, the
+pair-crossing stability flag and the center loss are each built once, and
+predicted_cover reads the internal loss from that field.
+internal_loss_stable builds its masks once, on one board, and outside the
+slot, so the caller's entry survives.
 """
 
 from __future__ import annotations
@@ -148,6 +149,14 @@ def center_loss(config: Configuration, board: BoardSpec) -> int:
     return _center_loss_on_board(config, board)
 
 
+def _central(e: Evaluation) -> int:
+    """The slot entry's center loss, computed on first use; the queens are on the board."""
+    central = e.central
+    if central is None:
+        central = e.central = _center_loss_on_board(e.config, e.board)
+    return central
+
+
 def _center_loss_on_board(config: Configuration, board: BoardSpec) -> int:
     """center_loss for a configuration already known to be on the board."""
     if board.is_odd:
@@ -228,7 +237,7 @@ def total_loss(config: Configuration, board: BoardSpec) -> LossBreakdown:
     entry = evaluation(config, board)
     field = entry.field()
     internal = field.internal_loss()
-    central = _center_loss_on_board(config, board)
+    central = _central(entry)
     return LossBreakdown(
         internal=internal,
         central=central,
@@ -263,8 +272,7 @@ def predicted_cover(config: Configuration, board: BoardSpec) -> int:
             f"B_{board.n} is too small for the cover identity at radius "
             f"{config.radius(board)}"
         )
-    central = _center_loss_on_board(config, board)
-    return (4 * board.n - 3) * config.q - entry.field().internal_loss() - central
+    return (4 * board.n - 3) * config.q - entry.field().internal_loss() - _central(entry)
 
 
 __all__ = [

@@ -36,10 +36,17 @@ searched.  A symmetry fixing j0 maps the box and j0's lines onto
 themselves, so it keeps j0's list exactly when it keeps the candidates
 before j0 that j0 allows: G0 costs a pass over j0's predecessors, and a
 child is tested against it only when the loop reaches that child.
-Finally the search's index selections are expanded to their orbits in
-index space, which restores every skipped image, and reported as
-fundamental classes (orbits with a lexicographically least representative);
-the loss route reports canonical patterns, the same for every image.
+Finally the search's index selections are expanded to their orbits, which
+restores every skipped image, and reported as fundamental classes (orbits
+with a lexicographically least representative).  The orbit pass works on
+each candidate's lexicographic key (lex, the rank of its square in sorted
+order) read through perms, so each image is a sorted tuple of small ints
+that compares as its squares do: a member maps back to squares already
+sorted, and the orbit's least key tuple is its representative.  The loss
+route reports canonical patterns, the same for every image, and the
+threshold scans fingerprint them; both take the canonical offsets
+(constructions.canonical_offsets) straight from squares, and only the loss
+route's final patterns are wrapped as Patterns.
 
 A search reads only the squares of its centered box, and every centered box
 is a prefix of the center-out order that the eight symmetries map onto
@@ -82,11 +89,11 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
 from itertools import accumulate, islice
 from operator import gt, lt, or_
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
-from .constructions import Pattern, pattern_of
-# Unused here, but perfbench/tracer.py wraps these three by name.
-from .constructions import centralize, stairs, stairs_details  # noqa: F401
+from .constructions import Pattern, canonical_offsets
+# Unused here, but perfbench/tracer.py wraps these four by name.
+from .constructions import centralize, pattern_of, stairs, stairs_details  # noqa: F401
 from .coverage import Configuration, is_nonattacking
 # Unused here, but perfbench/tracer.py wraps these two by name.
 from .coverage import cover_count, pair_crossings  # noqa: F401
@@ -164,11 +171,11 @@ class FundamentalClass:
 class OptimalSet:
     """All cover-maximal configurations for one search, orbit-decomposed.
 
-    members are the orbit members as tuples of squares, in no particular
-    order, as the orbit pass built them; they are left out of comparison and
-    repr, since the classes determine them.  configurations wraps them,
-    sorted, on first read; a stored record keeps only the classes, from which
-    decoding rebuilds the members (orbits).
+    members are the orbit members as tuples of squares, each one sorted,
+    the members in no particular order, as the orbit pass built them; they
+    are left out of comparison and repr, since the classes determine them.
+    configurations wraps them, sorted, on first read; a stored record keeps
+    only the classes, from which decoding rebuilds the members (orbits).
 
     A windowed result (window_used set) is the optimum within the final
     window, not certified as the optimum of B_n: optima that attack each
@@ -201,7 +208,7 @@ def fundamental_classes(
 def orbits(
     configs: Iterable[Configuration], board: BoardSpec, radius: Optional[int]
 ) -> tuple[list[tuple[Square, ...]], list[FundamentalClass]]:
-    """The configurations' orbit members, unsorted, and classes (_orbit_classes).
+    """The configurations' orbit members, each sorted, and classes (_orbit_classes).
 
     The orbits are taken on the engine of the centered box of the given
     radius (the whole board when None), and every configuration must lie in
@@ -221,29 +228,32 @@ def orbits(
 
 
 def _orbit_classes(
-    eng: _Engine, sels: Iterable[Iterable[int]]
+    eng: _Engine, sels: Iterable[Sequence[int]]
 ) -> tuple[list[tuple[Square, ...]], list[FundamentalClass]]:
     """Every member of the selections' orbits as sorted squares, and their classes.
 
     Each selection is expanded once through the engine's permutations, unless
     an earlier orbit already holds it; the members and the classes come in
-    that order, each class represented by its orbit's least member.
+    that order, each class represented by its orbit's least member.  Images
+    are sorted tuples of lexicographic keys (eng.lex), which order as the
+    squares do, so each member maps back to squares already sorted and the
+    least key tuple is the least member.
     """
-    order, perms = eng.order, eng.perms
+    lex, by_lex, perms = eng.lex, eng.by_lex, eng.perms
     seen: set[tuple[int, ...]] = set()
     members: list[tuple[Square, ...]] = []
     classes = []
     for sel in sels:
-        key = tuple(sorted(sel))
-        if key in seen:
+        if tuple(sorted([lex[i] for i in sel])) in seen:
             continue
-        orbit = {tuple(sorted(perm[i] for i in key)) for perm in perms}
+        orbit = {tuple(sorted([lex[h[i]] for i in sel])) for h in perms}
+        # Set to set: update() from a list would grow the table twice as large.
         seen |= orbit
-        configs = [tuple(sorted(order[i] for i in m)) for m in orbit]
+        configs = [tuple([by_lex[k] for k in m]) for m in sorted(orbit)]
         members += configs
         classes.append(
             FundamentalClass(
-                representative=Configuration(min(configs)),
+                representative=Configuration(configs[0]),
                 orbit_size=len(orbit),
                 stabilizer_order=8 // len(orbit),
             )
@@ -263,9 +273,12 @@ class _Engine:
     the order sorts by center loss.  perms[k][j] is the index of square j's
     image under the k-th of the TRANSFORM_KINDS; it is the one symmetry
     table, and in_f[i] marks the canonical squares: no permutation maps
-    square i to an earlier one.  A box is a prefix of the whole board's
-    center-out order and the symmetries map it onto itself, so every table
-    of a box engine is the whole board's engine cut at the box.
+    square i to an earlier one.  lex[j] is the rank of candidate j's square
+    in lexicographic order, so keys compare as the squares do, and by_lex
+    maps a key back to its square; an image's keys are lex[perm[j]], read
+    through perms.  A box is a prefix of the whole board's center-out order
+    and the symmetries map it onto itself, so every table of a box engine
+    is the whole board's engine cut at the box.
     """
 
     def __init__(self, n: int, radius: Optional[int]):
@@ -285,6 +298,9 @@ class _Engine:
         self.cl_prefix = list(accumulate(self.cl, initial=0))
         self.lines = _coverage.line_masks(squares, board)
         self.pos = pos = {s: i for i, s in enumerate(squares)}
+        self.by_lex = by_lex = sorted(squares)
+        rank = {s: k for k, s in enumerate(by_lex)}
+        self.lex = [rank[s] for s in squares]
         p = board.parity_offset
         self.perms = tuple(
             tuple(pos[transform_square(kind, p, s)] for s in squares) for kind in TRANSFORM_KINDS
@@ -678,7 +694,7 @@ def canonical_pattern_fingerprint(classes: Iterable[FundamentalClass]) -> str:
     """
     counts: Counter[tuple[Square, ...]] = Counter()
     for c in classes:
-        counts[pattern_of(c.representative).canonical().offsets] += c.orbit_size
+        counts[canonical_offsets(c.representative.queens)] += c.orbit_size
     blob = ", ".join(", ".join([repr(offs)] * k) for offs, k in sorted(counts.items()))
     return hashlib.sha256(f"[{blob}]".encode()).hexdigest()
 
@@ -895,9 +911,7 @@ def _loss_scan_parity(
 
     if not found:
         return None, nodes
-    canon = sorted(
-        {pattern_of(Configuration.of([squares[j] for j in sel])).canonical().offsets for sel in found}
-    )
+    canon = sorted({canonical_offsets(sorted([squares[j] for j in sel])) for sel in found})
     return LossMinimal(
         min_total=best,
         patterns=tuple(Pattern(offs) for offs in canon),

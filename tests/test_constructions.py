@@ -21,7 +21,7 @@ from queencover import (
     stairs,
     stairs_details,
 )
-from queencover.constructions import pattern_center_loss
+from queencover.constructions import canonical_offsets, pattern_center_loss
 
 from conftest import brute_canonical, random_nonattacking
 
@@ -48,6 +48,20 @@ def test_pattern_canonical_is_symmetry_invariant():
 def test_pattern_canonical_is_least_symmetry_image(squares):
     pattern = Pattern.of(squares)
     assert pattern.canonical() == brute_canonical(pattern)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(-20, 20), st.integers(-20, 20)), min_size=1, max_size=10))
+def test_canonical_offsets_is_least_symmetry_image(squares):
+    # Squares anywhere, not normalized: the helper normalizes them itself.
+    squares = sorted(set(squares))
+    assert canonical_offsets(squares) == brute_canonical(Pattern.of(squares)).offsets
+
+
+def test_pattern_of_refuses_non_int_coordinates():
+    for squares in ([(1.7, 0), (0, 0.2)], [(1.0, 0)], [(True, 0)], [(0, "1")]):
+        with pytest.raises(DomainError):
+            Pattern.of(squares)
 
 
 def test_knight_square_structure():

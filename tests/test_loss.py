@@ -420,3 +420,19 @@ def test_shared_evaluation_keeps_only_the_last_configuration():
     del a, field
     gc.collect()
     assert ref() is None
+
+
+def test_center_loss_computed_once_per_slot_entry(monkeypatch):
+    # total_loss and predicted_cover read one center loss from the slot entry.
+    board = BoardSpec(15)
+    config = Configuration.of([(-1, 0), (0, 2), (1, -1), (2, 1)])
+    expected = center_loss(Configuration(config.queens), board)
+    calls = []
+    real = queencover.loss._center_loss_on_board
+    monkeypatch.setattr(
+        queencover.loss, "_center_loss_on_board", lambda c, b: calls.append(c) or real(c, b)
+    )
+    breakdown = total_loss(config, board)
+    assert predicted_cover(config, board) == (4 * board.n - 3) * config.q - breakdown.total
+    assert breakdown.central == expected
+    assert calls == [config]

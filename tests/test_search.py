@@ -3,6 +3,7 @@
 import functools
 import hashlib
 import pickle
+import random
 from itertools import combinations
 from math import comb
 from operator import gt, lt
@@ -47,13 +48,14 @@ from queencover.search import (
     _run_problem,
     _stabilizer_skip,
     canonical_pattern_fingerprint,
+    orbits,
 )
 
 from conftest import (
     brute_attack_number,
     brute_attacks,
-    brute_canonical,
     brute_center_distance,
+    brute_canonical,
     brute_classes,
     brute_cover,
     brute_orbit,
@@ -524,6 +526,39 @@ def test_fundamental_classes_match_brute_orbits(n, data):
         configs, board
     )
     assert all(c.orbit_size * c.stabilizer_order == 8 for c in classes)
+
+
+def test_box_orbits_match_brute_orbits():
+    # Seeded configurations of centered boxes, attacking and not, through the
+    # box engines: every member comes sorted, and each class is its brute
+    # orbit with the least member as representative.
+    rng = random.Random(2508)
+    for n in range(1, 15):
+        board = BoardSpec(n)
+        for radius in range(5):
+            box = [s for s in board.squares() if brute_center_distance(board, s) <= radius]
+            configs = []
+            for _ in range(6):
+                q = rng.randint(1, min(4, len(box)))
+                configs.append(Configuration.of(rng.sample(box, q)))
+                kept = []
+                for s in rng.sample(box, len(box)):
+                    if len(kept) < q and not any(brute_attacks(s, c) for c in kept):
+                        kept.append(s)
+                configs.append(Configuration.of(kept))
+            members, classes = orbits(configs, board, radius)
+            assert [(c.representative.queens, c.orbit_size) for c in classes] == brute_classes(
+                configs, board
+            ), (n, radius)
+            assert all(list(m) == sorted(m) for m in members)
+            assert len(members) == len(set(members)) == sum(c.orbit_size for c in classes)
+            expected = set()
+            for c in classes:
+                orbit = brute_orbit(c.representative.queens, board)
+                assert c.representative.queens == min(orbit)
+                assert c.orbit_size * c.stabilizer_order == 8
+                expected |= orbit
+            assert set(members) == expected
 
 
 def test_border_certificate_examples():

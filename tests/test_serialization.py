@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from queencover import (
+    Pattern,
     RecordError,
     SearchParams,
     UnsupportedSchemaError,
@@ -14,6 +15,7 @@ from queencover import (
     is_nonattacking,
     nonattacking_threshold,
     run_search,
+    stabilizing_threshold,
     windowed_optimal,
 )
 from queencover.serialization import (
@@ -281,3 +283,29 @@ def test_scans_wrap_no_member_cold_or_warm(tmp_path):
         assert entry.optimal_count == len(result.configurations)
         queens = [c.queens for c in result.configurations]
         assert queens == sorted(queens)
+
+
+def test_warm_scans_build_no_pattern(tmp_path, monkeypatch):
+    # A rescan from the cache rebuilds each optimal set and fingerprints its
+    # classes without a single Pattern.
+    cache = ResultCache(tmp_path)
+
+    def runner(params):
+        result = cache.get(params)
+        if result is None:
+            result = run_search(params)
+            cache.put(result)
+        return result
+
+    cold = [nonattacking_threshold(3, 4, 10, runner=runner), stabilizing_threshold(2, 6, 12, runner=runner)]
+    built = []
+    post_init = Pattern.__post_init__
+
+    def counting(self):
+        built.append(self.offsets)
+        post_init(self)
+
+    monkeypatch.setattr(Pattern, "__post_init__", counting)
+    warm = [nonattacking_threshold(3, 4, 10, runner=runner), stabilizing_threshold(2, 6, 12, runner=runner)]
+    assert warm == cold
+    assert built == []
