@@ -305,7 +305,7 @@ def _cmd_render(args) -> int:
 
 def _cmd_verify(args) -> int:
     records = parse_lines(Path(args.input).read_bytes())
-    failures = []
+    mismatches = []
     checked = 0
     for idx, record in enumerate(records):
         result = record_to_optimal_set(record)
@@ -315,16 +315,26 @@ def _cmd_verify(args) -> int:
             actual = cover_count(config, board)
             checked += 1
             if actual != stored:
-                failures.append(
-                    f"record {idx} configuration {jdx}: stored max_cover {stored}, "
-                    f"recomputed {actual}"
+                mismatches.append(
+                    {"record": idx, "configuration": jdx, "stored": stored, "recomputed": actual}
                 )
-    if failures:
-        print("\n".join(failures))
-        print(f"FAIL: {len(failures)} mismatches in {checked} configurations")
-        return 1
-    print(f"OK: {checked} configurations recomputed, no mismatches")
-    return 0
+    record = {
+        "schema_version": SCHEMA_VERSION,
+        "kind": "verify",
+        "checked": checked,
+        "mismatches": mismatches,
+    }
+    lines = [
+        f"record {m['record']} configuration {m['configuration']}: "
+        f"stored max_cover {m['stored']}, recomputed {m['recomputed']}"
+        for m in mismatches
+    ]
+    if mismatches:
+        lines.append(f"FAIL: {len(mismatches)} mismatches in {checked} configurations")
+    else:
+        lines.append(f"OK: {checked} configurations recomputed, no mismatches")
+    _emit(args, record, "\n".join(lines))
+    return 1 if mismatches else 0
 
 
 def _add_global_options(parser: argparse.ArgumentParser, suppress: bool) -> None:
@@ -379,7 +389,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--mode", choices=("exhaustive", "windowed"), default="exhaustive")
-    p.add_argument("--window", type=int, default=None, help="windowed-mode box side (default q+3)")
+    p.add_argument(
+        "--window", type=int, default=None, help="box side (default min(q+3, n); windowed mode only)"
+    )
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("thresholds", parents=[common], help="empirical threshold scans over a range of n")

@@ -55,9 +55,10 @@ losses and their prefix sums, the row-major line masks of
 coverage.line_masks, and the symmetry permutations), whose tables are the
 whole board's cut at the box: the exhaustive search's box is the whole
 board, the windowed search's is its window and the loss route's is its box
-on the stable board.  One search instance over an engine (_Problem: the
-engine and, for a box, each candidate's non-attacking partners free[j])
-serves all three routes.
+on the stable board.  A search instance is that engine plus, for the routes
+that allow no attacks, each candidate's non-attacking partners free[j]
+(_partners): the windowed route builds them for each window it searches and
+the loss route for each parity, and the exhaustive route passes None.
 
 The loss route scores non-attacking subsets of a box by internal plus center
 loss and never counts cover.  It runs on the box's stable board
@@ -134,13 +135,13 @@ class SearchParams:
         if self.q > self.n * self.n:
             raise DomainError(f"cannot place {self.q} queens on B_{self.n}")
         if self.mode == "windowed":
-            window = self.window if self.window is not None else self.q + 3
+            window = self.window if self.window is not None else min(self.q + 3, self.n)
             _check_positive("window", window)
             if window > self.n:
                 raise DomainError(f"window {window} exceeds board side {self.n}")
             object.__setattr__(self, "window", window)
-        else:
-            object.__setattr__(self, "window", None)
+        elif self.window is not None:
+            raise DomainError("window requires mode='windowed'")
 
     def problem_key(self) -> dict:
         """Fields that determine the result (workers and budget do not)."""
@@ -307,19 +308,35 @@ class _Engine:
         )
         self.in_f = [all(perm[i] >= i for perm in self.perms) for i in range(len(squares))]
 
-    def box_size(self, radius: int) -> int:
-        """Squares within Chebyshev distance radius of the center.
-
-        Center loss is the parity base plus twice the distance, so the
-        centered box of any radius is a prefix of the center-out order; this
-        is its length.
-        """
-        return bisect_right(self.cl, self.board.parity_offset + 2 * radius)
-
 
 @lru_cache(maxsize=32)
-def _engine(n: int, radius: Optional[int] = None) -> _Engine:
+def _engine(n: int, radius: Optional[int]) -> _Engine:
+    # No default radius: _engine(n) and _engine(n, None) would be two cache
+    # entries, and a search and the decoding of its record would each build
+    # the whole board's engine.
     return _Engine(n, radius)
+
+
+def _partners(eng: _Engine) -> list[frozenset[int]]:
+    """free[j]: the candidates that a queen on candidate j does not attack.
+
+    Those share none of its row, column, diagonal and antidiagonal.  The
+    sets are built per call, not cached on the engine: a large box's sets
+    take tens of megabytes.
+    """
+    keys = [(x, y, x - y, x + y) for x, y in eng.order]
+    groups: list[dict[int, list[int]]] = [{}, {}, {}, {}]
+    for i, key in enumerate(keys):
+        for group, k in zip(groups, key):
+            group.setdefault(k, []).append(i)
+    every = frozenset(range(len(keys)))
+    # Each set is rebuilt in ascending index order: the search loops test
+    # membership in it at every child, and the sets as the difference
+    # leaves them measured slower in the windowed searches.
+    return [
+        frozenset(sorted(every.difference(*(g[k] for g, k in zip(groups, key)))))
+        for key in keys
+    ]
 
 
 def _stabilizer_skip(
@@ -347,189 +364,151 @@ def _stabilizer_skip(
     return lambda j: any(ahead(h[j], j) for h in group)
 
 
-class _Problem:
-    """One search instance: the W candidates of one box engine of B_n.
+def _search_shard(
+    eng: _Engine,
+    free: Optional[list[frozenset[int]]],
+    q: int,
+    level0: list[int],
+    node_budget: int,
+    spent: int = 0,
+    shared=None,
+    tally=None,
+) -> tuple[int, list[tuple[int, ...]], int]:
+    """Best cover, argmax selections and node count of q queens over one shard.
 
-    A radius restricts the search to non-attacking subsets of that centered
-    box, on the box's engine; radius None searches the whole board with
-    attacks allowed.  The exhaustive and windowed searches run search_shard
-    on it; the loss route reads its engine, W and free on the box's stable
-    board.
+    The candidates are the engine's W squares.  free is _partners(eng) for
+    a search of non-attacking subsets, which the windowed route builds, or
+    None when attacks are allowed, as in the exhaustive route.  The shared
+    value, when present, is a monotone cross-shard incumbent hint; stale
+    reads only weaken pruning, never correctness.  Counting starts at
+    spent, the nodes of the call's earlier windows, and the budget is
+    checked against the total at every node.  The tally, when present, is
+    the node total of all pool shards: each shard adds its nodes to it
+    every _TALLY_BATCH nodes and checks the budget against the tally it
+    last saw plus its own unadded nodes, so the shards spend one budget,
+    overshooting it by less than a batch per other running shard.
     """
+    W, S = len(eng.order), 4 * eng.n - 3
+    C, lines = eng.cl_prefix, eng.lines
+    full = _coverage.line_shifts(eng.n).full
+    best = 0
+    found: list[tuple[int, ...]] = []
+    nodes = spent
+    seen = tally.value if tally is not None else 0  # the tally when last read
+    unadded = 0  # nodes counted here, not yet added to the tally
+    bc = int.bit_count
 
-    def __init__(self, n: int, q: int, radius: Optional[int]):
-        eng = _engine(n, radius)
-        self.engine = eng
-        self.q = q
-        self.W = W = len(eng.order)
-        # free[j]: the candidates that a queen on candidate j does not attack,
-        # those sharing none of its row, column, diagonal and antidiagonal.
-        # Each set is rebuilt in ascending index order: the search loops test
-        # membership in it at every child, and the sets as the difference
-        # leaves them measured slower in the windowed searches.
-        if radius is not None:
-            keys = [(x, y, x - y, x + y) for x, y in eng.order]
-            groups: list[dict[int, list[int]]] = [{}, {}, {}, {}]
-            for i, key in enumerate(keys):
-                for group, k in zip(groups, key):
-                    group.setdefault(k, []).append(i)
-            every = frozenset(range(W))
-            self.free = [
-                frozenset(sorted(every.difference(*(g[k] for g, k in zip(groups, key)))))
-                for key in keys
-            ]
-        else:
-            self.free = None
+    def note(cov: int, sel: tuple[int, ...]):
+        nonlocal best
+        if cov > best:
+            best = cov
+            found.clear()
+            found.append(sel)
+            if shared is not None and cov > shared.value:
+                with shared.get_lock():
+                    if cov > shared.value:
+                        shared.value = cov
+        elif cov == best:
+            found.append(sel)
 
-    def search_shard(
-        self,
-        level0: list[int],
-        node_budget: int,
-        spent: int = 0,
-        shared=None,
-        tally=None,
-    ) -> tuple[int, list[tuple[int, ...]], int]:
-        """Best cover, argmax selections and node count over one shard.
+    def hint() -> int:
+        if shared is not None:
+            v = shared.value
+            if v > best:
+                return v
+        return best
 
-        The shared value, when present, is a monotone cross-shard incumbent
-        hint; stale reads only weaken pruning, never correctness.  Counting
-        starts at spent, the nodes of the call's earlier windows, and the
-        budget is checked against the total at every node.  The tally, when
-        present, is the node total of all pool shards: each shard adds its
-        nodes to it every _TALLY_BATCH nodes and checks the budget against
-        the tally it last saw plus its own unadded nodes, so the shards spend
-        one budget, overshooting it by less than a batch per other running
-        shard.
+    def spend(count: int):
+        nonlocal nodes, seen, unadded
+        nodes += count
+        total = nodes
+        if tally is not None:
+            unadded += count
+            if unadded >= _TALLY_BATCH:
+                with tally.get_lock():
+                    tally.value += unadded
+                    seen = tally.value
+                unadded = 0
+            total = seen + unadded
+        if total > node_budget:
+            raise BudgetExceededError(f"search aborted after {total} nodes", total, node_budget)
+
+    def rec(avail: list[int], r: int, m: int, cov: int, sel: tuple[int, ...], skip=None):
+        """Add r more queens from avail to the selection sel covering m.
+
+        A child j with skip(j) true is neither counted nor entered; only
+        the second level passes a skip test (see _stabilizer_skip).
         """
-        eng = self.engine
-        q, W, S = self.q, self.W, 4 * eng.n - 3
-        C, lines = eng.cl_prefix, eng.lines
-        full = _coverage.line_shifts(eng.n).full
-        free = self.free
-        best = 0
-        found: list[tuple[int, ...]] = []
-        nodes = spent
-        seen = tally.value if tally is not None else 0  # the tally when last read
-        unadded = 0  # nodes counted here, not yet added to the tally
-        bc = int.bit_count
-
-        def note(cov: int, sel: tuple[int, ...]):
-            nonlocal best
-            if cov > best:
-                best = cov
-                found.clear()
-                found.append(sel)
-                if shared is not None and cov > shared.value:
-                    with shared.get_lock():
-                        if cov > shared.value:
-                            shared.value = cov
-            elif cov == best:
-                found.append(sel)
-
-        def hint() -> int:
-            if shared is not None:
-                v = shared.value
-                if v > best:
-                    return v
-            return best
-
-        def spend(count: int):
-            nonlocal nodes, seen, unadded
-            nodes += count
-            total = nodes
-            if tally is not None:
-                unadded += count
-                if unadded >= _TALLY_BATCH:
-                    with tally.get_lock():
-                        tally.value += unadded
-                        seen = tally.value
-                    unadded = 0
-                total = seen + unadded
-            if total > node_budget:
-                raise BudgetExceededError(
-                    f"search aborted after {total} nodes", total, node_budget
-                )
-
-        def rec(
-            avail: list[int], r: int, m: int, cov: int, sel: tuple[int, ...], skip=None
-        ):
-            """Add r more queens from avail to the selection sel covering m.
-
-            A child j with skip(j) true is neither counted nor entered; only
-            the second level passes a skip test (see _stabilizer_skip).
-            """
-            nm = full ^ m  # ~m costs twice as much: ANDs with a negative int
-            gains = [bc(lines[j] & nm) for j in avail]
-            if r == 1:
-                top = max(gains)
-                if cov + top < hint():
+        nm = full ^ m  # ~m costs twice as much: ANDs with a negative int
+        gains = [bc(lines[j] & nm) for j in avail]
+        if r == 1:
+            top = max(gains)
+            if cov + top < hint():
+                return
+            ties = [j for g, j in zip(gains, avail) if g == top and (skip is None or not skip(j))]
+            spend(len(ties))
+            for j in ties:
+                note(cov + top, sel + (j,))
+            return
+        # The entry cut, on the unranked gains: most nodes end here, so
+        # only a node that can enter its first child ranks its candidates.
+        window = sum(sorted(gains, reverse=True)[:r])
+        cut = hint()
+        if cov + window < cut:
+            return
+        # Children in descending marginal gain; each excludes its earlier
+        # siblings, so a child's subtree draws only from the candidates
+        # after it, whose r - 1 largest gains bound its completion.
+        ranked = sorted(zip(gains, avail), reverse=True)
+        if free is None:
+            # Ascending, so the kids that can reach the cut are a slice.
+            neg = [-gi for gi, _ in ranked]
+            idx = [i for _, i in ranked]
+        last = len(ranked) - r
+        for p in range(last + 1):
+            g, j = ranked[p]
+            if skip is None or not skip(j):
+                spend(1)
+                # Gains here bound the child's (they only shrink), so keep
+                # only those that can reach the cut with the r - 2 best others.
+                floor = cut - cov - g
+                if free is None:
+                    if r > 2:
+                        floor += sum(neg[p + 1 : p + r - 1])
+                    kids = idx[p + 1 : bisect_right(neg, -floor, p + 1)]
+                else:
+                    rest = ranked[p + 1 :]
+                    fj = free[j]
+                    if r > 2:
+                        floor -= sum(islice((gi for gi, i in rest if i in fj), r - 2))
+                    kids = [i for gi, i in rest if gi >= floor and i in fj]
+                if len(kids) >= r - 1:
+                    rec(kids, r - 1, m | lines[j], cov + g, sel + (j,))
+                    cut = hint()
+            if p < last:
+                window += ranked[p + r][0] - g
+                if cov + window < cut:
                     return
-                ties = [
-                    j for g, j in zip(gains, avail) if g == top and (skip is None or not skip(j))
-                ]
-                spend(len(ties))
-                for j in ties:
-                    note(cov + top, sel + (j,))
-                return
-            # The entry cut, on the unranked gains: most nodes end here, so
-            # only a node that can enter its first child ranks its candidates.
-            window = sum(sorted(gains, reverse=True)[:r])
-            cut = hint()
-            if cov + window < cut:
-                return
-            # Children in descending marginal gain; each excludes its earlier
-            # siblings, so a child's subtree draws only from the candidates
-            # after it, whose r - 1 largest gains bound its completion.
-            ranked = sorted(zip(gains, avail), reverse=True)
-            if free is None:
-                # Ascending, so the kids that can reach the cut are a slice.
-                neg = [-gi for gi, _ in ranked]
-                idx = [i for _, i in ranked]
-            last = len(ranked) - r
-            for p in range(last + 1):
-                g, j = ranked[p]
-                if skip is None or not skip(j):
-                    spend(1)
-                    # Gains here bound the child's (they only shrink), so keep
-                    # only those that can reach the cut with the r - 2 best others.
-                    floor = cut - cov - g
-                    if free is None:
-                        if r > 2:
-                            floor += sum(neg[p + 1 : p + r - 1])
-                        kids = idx[p + 1 : bisect_right(neg, -floor, p + 1)]
-                    else:
-                        rest = ranked[p + 1 :]
-                        fj = free[j]
-                        if r > 2:
-                            floor -= sum(islice((gi for gi, i in rest if i in fj), r - 2))
-                        kids = [i for gi, i in rest if gi >= floor and i in fj]
-                    if len(kids) >= r - 1:
-                        rec(kids, r - 1, m | lines[j], cov + g, sel + (j,))
-                        cut = hint()
-                if p < last:
-                    window += ranked[p + r][0] - g
-                    if cov + window < cut:
-                        return
 
-        for j0 in level0:
-            if j0 > W - q:
-                break
-            if q * S - (C[j0 + q] - C[j0]) < hint():
-                break
-            spend(1)
-            m0 = lines[j0]
-            if q == 1:
-                note(bc(m0), (j0,))
-                continue
-            avail = [i for i in range(j0 + 1, W) if free is None or i in free[j0]]
-            if len(avail) >= q - 1:
-                skip = _stabilizer_skip(eng.perms, j0, None if free is None else free[j0], gt)
-                rec(avail, q - 1, m0, bc(m0), (j0,), skip)
+    for j0 in level0:
+        if j0 > W - q:
+            break
+        if q * S - (C[j0 + q] - C[j0]) < hint():
+            break
+        spend(1)
+        m0 = lines[j0]
+        if q == 1:
+            note(bc(m0), (j0,))
+            continue
+        avail = [i for i in range(j0 + 1, W) if free is None or i in free[j0]]
+        if len(avail) >= q - 1:
+            skip = _stabilizer_skip(eng.perms, j0, None if free is None else free[j0], gt)
+            rec(avail, q - 1, m0, bc(m0), (j0,), skip)
 
-        if tally is not None and unadded:
-            with tally.get_lock():
-                tally.value += unadded
-        return best, found, nodes
+    if tally is not None and unadded:
+        with tally.get_lock():
+            tally.value += unadded
+    return best, found, nodes
 
 
 _POOL_STATE: dict = {}
@@ -539,26 +518,26 @@ _TALLY_BATCH = 256
 
 
 def _pool_run(level0_chunk: list[int]):
-    return _POOL_STATE["problem"].search_shard(level0_chunk, *_POOL_STATE["shard_args"])
+    eng, free, q, *budget_args = _POOL_STATE["shard_args"]
+    return _search_shard(eng, free, q, level0_chunk, *budget_args)
 
 
 def _run_problem(
-    problem: _Problem, params: SearchParams, spent: int = 0
+    eng: _Engine, free: Optional[list[frozenset[int]]], params: SearchParams, spent: int = 0
 ) -> tuple[int, list[tuple[int, ...]], int]:
     """Best cover, argmax index selections and nodes, counting on from spent.
 
-    Pool shards count their nodes against one shared tally (see search_shard).
+    Pool shards count their nodes against one shared tally (see _search_shard).
     """
-    eng = problem.engine
-    level0 = [j for j in range(problem.W) if eng.in_f[j]]
+    level0 = [j for j in range(len(eng.order)) if eng.in_f[j]]
     node_budget = params.budget
     if params.workers > 1 and len(level0) > 1:
         chunks = [level0[i :: params.workers * 4] for i in range(params.workers * 4)]
         chunks = [c for c in chunks if c]
         shared = multiprocessing.Value("q", 0)
         tally = multiprocessing.Value("q", spent)
-        # Forked workers inherit the problem and search_shard's arguments.
-        _POOL_STATE.update(problem=problem, shard_args=(node_budget, spent, shared, tally))
+        # Forked workers inherit _search_shard's arguments: nothing is pickled.
+        _POOL_STATE["shard_args"] = (eng, free, params.q, node_budget, spent, shared, tally)
         try:
             with multiprocessing.get_context("fork").Pool(processes=params.workers) as pool:
                 results = pool.map(_pool_run, chunks)
@@ -571,7 +550,7 @@ def _run_problem(
                 sels.extend(found)
         nodes = spent + sum(nd - spent for _, _, nd in results)
         return best, sels, nodes
-    return problem.search_shard(level0, node_budget, spent)
+    return _search_shard(eng, free, params.q, level0, node_budget, spent)
 
 
 def _finish(
@@ -609,9 +588,9 @@ def exhaustive_optimal(params: SearchParams) -> OptimalSet:
     """Exact maximum cover over all q-subsets of the board (attacks allowed)."""
     if params.mode != "exhaustive":
         raise DomainError("exhaustive_optimal requires mode='exhaustive'")
-    problem = _Problem(params.n, params.q, None)
-    best, sels, nodes = _run_problem(problem, params)
-    return _finish(params, problem.engine, best, sels, nodes, None, 0)
+    eng = _engine(params.n, None)
+    best, sels, nodes = _run_problem(eng, None, params)
+    return _finish(params, eng, best, sels, nodes, None, 0)
 
 
 def windowed_optimal(params: SearchParams) -> OptimalSet:
@@ -635,23 +614,21 @@ def windowed_optimal(params: SearchParams) -> OptimalSet:
     nodes = 0
     while True:
         radius = min(radius, max_radius)
-        problem = _Problem(params.n, params.q, radius)
-        if problem.W < params.q:
+        eng = _engine(params.n, radius)
+        if len(eng.order) < params.q:
             radius += 1
             continue
-        best, sels, nodes = _run_problem(problem, params, nodes)
+        best, sels, nodes = _run_problem(eng, _partners(eng), params, nodes)
         # A window holding no non-attacking q-subset grows like a touched one.
         # The squares off the boundary are the box of radius - 1, a prefix.
-        inner = problem.engine.box_size(radius - 1)
+        inner = max(0, board.box_side(radius - 1)) ** 2
         touched = not sels or any(j >= inner for sel in sels for j in sel)
         if not touched or radius >= max_radius:
             if not sels:
                 raise DomainError(
                     f"B_{params.n} holds no non-attacking configuration of {params.q} queens"
                 )
-            return _finish(
-                params, problem.engine, best, sels, nodes, board.box_side(radius), retries
-            )
+            return _finish(params, eng, best, sels, nodes, board.box_side(radius), retries)
         radius += 1
         retries += 1
 
@@ -820,25 +797,26 @@ class LossScan:
     even: Optional[LossMinimal]
 
 
-def _loss_tables(q: int, radius: int, odd: bool) -> tuple[_Problem, list[int]]:
-    """The loss route's problem on its box's stable board, and its crossing table.
+def _loss_tables(radius: int, odd: bool) -> tuple[_Engine, list[frozenset[int]], list[int]]:
+    """The loss route's box engine on its stable board, partner sets and crossings.
 
     cross[j] is the union of the pair crossings of box square j with the box
     squares it does not attack.
     """
     board = stable_board(Configuration.of([(-radius, -radius)]), odd)
-    problem = _Problem(board.n, q, radius)
-    L = problem.engine.lines
-    cross = [L[j] & reduce(or_, (L[k] for k in fj), 0) for j, fj in enumerate(problem.free)]
-    return problem, cross
+    eng = _engine(board.n, radius)
+    free = _partners(eng)
+    L = eng.lines
+    cross = [L[j] & reduce(or_, (L[k] for k in fj), 0) for j, fj in enumerate(free)]
+    return eng, free, cross
 
 
 def _loss_scan_parity(
     q: int, radius: int, odd: bool, budget: int, spent: int
 ) -> tuple[Optional[LossMinimal], int]:
     """One parity's loss-minimal patterns and nodes, counting on from spent."""
-    problem, cross = _loss_tables(q, radius, odd)
-    eng, W, free = problem.engine, problem.W, problem.free
+    eng, free, cross = _loss_tables(radius, odd)
+    W = len(eng.order)
     squares, cl, C, in_f = eng.order, eng.cl, eng.cl_prefix, eng.in_f
 
     best = math.inf

@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s`.  The q=8/9 windowed tier
 takes about half a minute and runs with the rest; `-m "not heavy"` skips it.
 """
 
+import functools
 import random
 import time
 from itertools import combinations
@@ -38,6 +39,7 @@ from queencover import (
 
 from conftest import brute_attacks, random_nonattacking
 from expected_sets import Q2_EVEN, Q2_ODD, Q3_EVEN, Q3_ODD, Q4_EVEN, Q4_ODD, Q6_ODD_REPRESENTATIVE
+from expected_sets import Q9_N28_WITNESS
 
 TABLE1 = {
     2: (10, 4, 14, 4, 14),
@@ -58,6 +60,10 @@ TABLE1 = {
 }
 
 KNIGHT = Configuration.of([(-1, 0), (0, 2), (1, -1), (2, 1)])
+
+
+# Two heavy tests read windowed (9,28); the cache runs that search once.
+_windowed = functools.lru_cache(maxsize=None)(windowed_optimal)
 
 
 def _report(name: str, started: float):
@@ -161,12 +167,21 @@ def test_criterion_3_windowed_tier_heavy():
     odd9 = windowed_optimal(SearchParams(q=9, n=31, mode="windowed"))
     assert len(odd9.configurations) == 64
     assert _sizes(odd9) == [8] * 7 + [4, 4]
-    even9 = windowed_optimal(SearchParams(q=9, n=28, mode="windowed"))
+    even9 = _windowed(SearchParams(q=9, n=28, mode="windowed"))
     assert len(even9.configurations) == 256
 
     _assert_loss_duality(8, 5, odd8, even8)
     _assert_loss_duality(9, 5, odd9, even9)
     _report("criterion 3 heavy (windowed tier q=8..9)", started)
+
+
+@pytest.mark.heavy
+def test_windowed_q9_n28_misses_a_full_board_witness():
+    # The witness covers the window's maximum from outside it, so the
+    # windowed (9,28) set is not the full board's (see test_search).
+    even9 = _windowed(SearchParams(q=9, n=28, mode="windowed"))
+    assert even9.max_cover == 660 and even9.window_used == 12
+    assert Configuration.of(Q9_N28_WITNESS) not in even9.configurations
 
 
 def test_criterion_4_threshold_scans():

@@ -226,6 +226,28 @@ def test_verify_accepts_cached_result_and_rejects_tampering(tmp_path):
     assert "FAIL" in bad.stdout
 
 
+def test_verify_structured_reports_each_mismatch(tmp_path):
+    run_cli("--cache-dir", str(tmp_path), "search", "--q", "2", "--n", "6", check=True)
+    path = next(tmp_path.iterdir())
+    args = ("--format", "structured", "verify", "--input", str(path))
+    ok = run_cli(*args)
+    assert ok.returncode == 0
+    assert json.loads(ok.stdout) == {
+        "schema_version": SCHEMA_VERSION, "kind": "verify", "checked": 12, "mismatches": []
+    }
+    record = json.loads(path.read_text())
+    record["max_cover"] += 1
+    path.write_text(json.dumps(record) + "\n")
+    bad = run_cli(*args)
+    assert bad.returncode == 1
+    payload = json.loads(bad.stdout)
+    assert payload["checked"] == 12 and len(payload["mismatches"]) == 12
+    stored = record["max_cover"]
+    assert payload["mismatches"][3] == {
+        "record": 0, "configuration": 3, "stored": stored, "recomputed": stored - 1
+    }
+
+
 def test_fundamentals_prints_class_table(tmp_path):
     # Both formats restate the stored searches: the text class lines equal
     # those of `search`, the structured fields equal the stored record's.
@@ -260,6 +282,7 @@ def test_exit_codes():
     assert run_cli("search", "--q", "6", "--n", "21", "--budget", "1000").returncode == 3
     assert run_cli("cover", "--config", "(0,0)", "--n", "0").returncode == 2
     assert run_cli("verify", "--input", "/nonexistent/file").returncode == 2
+    assert run_cli("search", "--q", "2", "--n", "9", "--window", "5").returncode == 2
     result = run_cli(
         "thresholds", "--q", "2", "--kind", "nonattacking", "--n-lo", "0", "--n-hi", "3"
     )
@@ -325,10 +348,12 @@ def _assert_input_error(tmp_path, record: dict, field: str) -> None:
         (("window_used",), 4, "window_used: "),
         (("window_retries",), "x", "window_retries: "),
         (("nodes",), -1, "nodes: "),
+        (("params", "window"), 3, "params: window requires mode='windowed'"),
     ],
     ids=[
         "q-string", "n-string", "params-number", "class-number", "max-cover-bool",
         "window-list", "window-above-n", "retries-string", "nodes-negative",
+        "exhaustive-params-window",
     ],
 )
 def test_malformed_record_is_an_input_error(tmp_path, path, value, field):

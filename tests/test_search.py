@@ -26,6 +26,7 @@ from queencover import (
     apply_transform,
     border_certificate,
     border_squares,
+    cover_count,
     exhaustive_optimal,
     fundamental_classes,
     run_search,
@@ -41,10 +42,11 @@ from queencover.geometry import TRANSFORM_KINDS, transform_square
 from queencover.search import (
     DEFAULT_BUDGET,
     FundamentalClass,
-    _Problem,
+    _engine,
     _finish,
     _loss_scan_parity,
     _loss_tables,
+    _partners,
     _run_problem,
     _stabilizer_skip,
     canonical_pattern_fingerprint,
@@ -60,7 +62,7 @@ from conftest import (
     brute_cover,
     brute_orbit,
 )
-from expected_sets import Q2_EVEN, Q2_ODD, Q3_EVEN, Q3_ODD
+from expected_sets import Q2_EVEN, Q2_ODD, Q3_EVEN, Q3_ODD, Q9_N28_WITNESS
 
 
 def _as_set(configs):
@@ -91,6 +93,15 @@ def test_params_validation():
     p = SearchParams(q=2, n=12, mode="windowed")
     assert p.window == 5
     assert SearchParams(q=2, n=12).window is None
+    # A window belongs to windowed mode only; exhaustive searches the board.
+    with pytest.raises(DomainError, match="window requires mode='windowed'"):
+        SearchParams(q=2, n=9, window=5)
+
+
+def test_default_window_fits_the_board():
+    # min(q + 3, n): a board narrower than q + 3 is searched whole.
+    result = windowed_optimal(SearchParams(q=5, n=7, mode="windowed"))
+    assert result.params.window == 7 and result.window_used == 7
 
 
 def test_exhaustive_single_queen_center():
@@ -288,13 +299,12 @@ def test_cover_route_node_counts_are_pinned(mode, q, n, unskipped_nodes, monkeyp
 def test_stabilizer_skips_keep_the_best_ranked_member_of_each_orbit(n, square, radius, kinds):
     # kinds is the group G0 of the first queen `square`: the symmetries that
     # fix it and map its second-level list onto itself.
-    problem = _Problem(n, 4, radius)
-    eng = problem.engine
+    eng = _engine(n, radius)
     pos = {s: i for i, s in enumerate(eng.order)}
     j0 = pos[square]
     assert eng.in_f[j0]
-    allowed = None if radius is None else problem.free[j0]
-    avail = [i for i in range(j0 + 1, problem.W) if allowed is None or i in allowed]
+    allowed = None if radius is None else _partners(eng)[j0]
+    avail = [i for i in range(j0 + 1, len(eng.order)) if allowed is None or i in allowed]
     p = eng.board.parity_offset
     orbits = {frozenset(pos[transform_square(k, p, eng.order[j])] for k in kinds) for j in avail}
     assert set().union(*orbits) == set(avail)
@@ -388,17 +398,33 @@ def test_full_board_six_queens_on_21x21_beats_the_window():
     assert windowed_optimal(SearchParams(q=6, n=21, mode="windowed")).max_cover == 346
 
 
+def test_nine_queen_witness_on_28x28_lies_outside_the_window():
+    # It reaches the windowed (9,28) maximum, 660, from outside the side-12
+    # window (radius 5), and the windowed maximum of B_29, 697; the heavy
+    # acceptance tier checks that the windowed members miss it.
+    witness = Configuration.of(Q9_N28_WITNESS)
+    assert is_nonattacking(witness)
+    assert not any(brute_attacks(a, b) for a, b in combinations(witness.queens, 2))
+    for n, cover in ((28, 660), (29, 697)):
+        board = BoardSpec(n)
+        assert cover_count(witness, board) == cover
+        assert brute_cover(witness, board) == cover
+    board = BoardSpec(28)
+    assert max(brute_center_distance(board, s) for s in witness.queens) == 12
+    assert board.box_radius(12) == 5
+
+
 def test_finish_refuses_a_cover_its_representatives_miss():
     # _finish counts the cover of one member per orbit; claiming one square
     # more than the (5,17) window's optimum must fail that count.
     params = SearchParams(q=5, n=17, mode="windowed")
     result = windowed_optimal(params)
-    problem = _Problem(17, 5, BoardSpec(17).box_radius(result.window_used))
-    best, sels, _ = _run_problem(problem, params)
+    eng = _engine(17, BoardSpec(17).box_radius(result.window_used))
+    best, sels, _ = _run_problem(eng, _partners(eng), params)
     extra = (result.nodes, result.window_used, result.window_retries)
-    assert _finish(params, problem.engine, best, sels, *extra) == result
+    assert _finish(params, eng, best, sels, *extra) == result
     with pytest.raises(InvariantError, match="does not reach cover 234"):
-        _finish(params, problem.engine, best + 1, sels, *extra)
+        _finish(params, eng, best + 1, sels, *extra)
 
 
 def test_windowed_grows_a_window_without_nonattacking_subsets():
@@ -432,7 +458,7 @@ def test_fundamental_classes_partition_and_validate():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 10, 13])
 def test_engine_perms_agree_with_transform_square(n):
-    eng = queencover.search._engine(n)
+    eng = _engine(n, None)
     p = eng.board.parity_offset
     assert len(eng.perms) == len(TRANSFORM_KINDS)
     for kind, perm in zip(TRANSFORM_KINDS, eng.perms):
@@ -451,16 +477,16 @@ def test_engine_lines_and_free_are_row_major(n):
     # Candidate indices are center-out, mask bits row-major: lines[j] is the
     # line union of order[j], own bit included, and free[j], read from those
     # bits, is the box candidates that order[j] does not attack.
-    eng = queencover.search._engine(n)
+    eng = _engine(n, None)
     board = eng.board
     squares = list(board.squares())
     for j, a in enumerate(eng.order):
         expected = sum(1 << k for k, s in enumerate(squares) if s == a or brute_attacks(a, s))
         assert eng.lines[j] == expected, a
     for radius in range(board.box_radius(n) + 1):
-        problem = _Problem(n, 2, radius)
-        box = eng.order[: problem.W]
-        assert problem.free == [
+        sub = _engine(n, radius)
+        box = sub.order
+        assert _partners(sub) == [
             frozenset(i for i, b in enumerate(box) if b != a and not brute_attacks(a, b))
             for a in box
         ], radius
@@ -470,12 +496,12 @@ def test_engine_lines_and_free_are_row_major(n):
 def test_box_engines_are_the_whole_board_engine_cut_at_the_box(n):
     # A centered box is a prefix of the center-out order that the eight
     # symmetries map onto itself, so its engine is the whole board's cut.
-    full = queencover.search._engine(n)
+    full = _engine(n, None)
     p = full.board.parity_offset
     for radius in range(full.board.box_radius(n) + 1):
-        eng = queencover.search._engine(n, radius)
-        W = full.box_size(radius)
-        assert len(eng.order) == W == (2 * radius + 1 + p) ** 2, radius
+        eng = _engine(n, radius)
+        W = len(eng.order)
+        assert W == (2 * radius + 1 + p) ** 2, radius
         assert eng.order == full.order[:W]
         assert eng.cl == full.cl[:W] and eng.cl_prefix == full.cl_prefix[: W + 1]
         assert eng.lines == full.lines[:W]
@@ -736,10 +762,10 @@ def test_crossing_masks_match_pair_crossings():
     # leave a board of side 4r + 10, so a too-small board would drop some.
     for odd in (True, False):
         for radius in range(6):
-            problem, cross = _loss_tables(1, radius, odd)
+            eng, _, cross = _loss_tables(radius, odd)
             # The parity's engine holds exactly the box's squares.
-            board, box = problem.engine.board, problem.engine.order
-            assert len(box) == problem.W and set(box) == {
+            board, box = eng.board, eng.order
+            assert len(box) == len(cross) and set(box) == {
                 s for s in board.squares() if brute_center_distance(board, s) <= radius
             }
             for a, mask in zip(box, cross):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import queencover.search
 from queencover import (
     Pattern,
     RecordError,
@@ -197,6 +198,22 @@ def test_round_trip_rebuilds_the_orbit_members(params):
     assert rebuilt.classes == result.classes
     assert (rebuilt.window_used, rebuilt.window_retries) == (result.window_used, result.window_retries)
     assert to_json_line(optimal_set_record(rebuilt)) == line
+
+
+@pytest.mark.parametrize(
+    "params",
+    [SearchParams(q=2, n=9), SearchParams(q=2, n=9, mode="windowed")],
+    ids=["exhaustive", "windowed"],
+)
+def test_decoding_reuses_the_engine_its_search_built(params):
+    # A record decodes on the engine its search finished on, so a warm
+    # rescan through the result cache builds no engine of its own.
+    engines = queencover.search._engine
+    engines.cache_clear()
+    record = optimal_set_record(run_search(params))
+    built = engines.cache_info().misses
+    record_to_optimal_set(record)
+    assert engines.cache_info().misses == built
 
 
 def test_parse_error_names_byte_offset():
