@@ -26,16 +26,17 @@ Symmetry is used three times, from one table: the engine holds the eight
 board symmetries as permutations of its candidate indices (perms).  The
 first queen of an enumeration is restricted to canonical squares (no
 symmetry maps them to an earlier index) without losing any orbit of optimal
-configurations.  Below a first queen j0, both routes skip a second-level
+configurations.  Below a first queen j0, every route skips a second-level
 child j when a symmetry that fixes j0 and maps j0's candidate list onto
 itself (the group G0) sends j to a candidate ranked ahead of it.  G0 fixes
 the placed lines, so second-level gains and loss scores are G0-invariant:
 of the G0-images of a configuration holding j0, the one whose best-ranked
 member after j0 ranks earliest keeps that member unskipped and is still
-searched.  A symmetry fixing j0 maps the box and j0's lines onto
-themselves, so it keeps j0's list exactly when it keeps the candidates
-before j0 that j0 allows: G0 costs a pass over j0's predecessors, and a
-child is tested against it only when the loop reaches that child.
+searched.  The order keeps each orbit of squares contiguous (_Engine), so
+the candidates before a canonical j0 are whole orbits; a symmetry fixing j0
+maps them, the box and j0's lines onto themselves, so it keeps j0's list:
+G0 is j0's full stabilizer, read off perms, and a child is tested against
+it only when the loop reaches that child.
 Finally the search's index selections are expanded to their orbits, which
 restores every skipped image, and reported as fundamental classes (orbits
 with a lexicographically least representative).  The orbit pass works on
@@ -83,7 +84,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import multiprocessing
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
@@ -271,38 +271,46 @@ class _Engine:
     j on B_n's row-major bitboard (coverage.line_masks), its own bit
     included: indices are center-out, bits row-major.  cl_prefix[j + r] -
     cl_prefix[j] is the least center loss of r candidates from j on, because
-    the order sorts by center loss.  perms[k][j] is the index of square j's
-    image under the k-th of the TRANSFORM_KINDS; it is the one symmetry
-    table, and in_f[i] marks the canonical squares: no permutation maps
-    square i to an earlier one.  lex[j] is the rank of candidate j's square
-    in lexicographic order, so keys compare as the squares do, and by_lex
-    maps a key back to its square; an image's keys are lex[perm[j]], read
-    through perms.  A box is a prefix of the whole board's center-out order
-    and the symmetries map it onto itself, so every table of a box engine
-    is the whole board's engine cut at the box.
+    the order sorts by center loss.  Within one center loss, a ring, it
+    sorts by descending least centered magnitude min(|2x - p|, |2y - p|),
+    with p the board's parity_offset, then by square: the squares of a ring
+    with one least magnitude are one orbit, the images of (u, v) under sign
+    changes and the swap in centered coordinates, so each orbit is a
+    contiguous run led by its least square.  perms[k][j] is the index of
+    square j's image under the k-th of the TRANSFORM_KINDS; it is the one
+    symmetry table, and in_f[i] marks the canonical squares, the leaders of
+    the runs: no permutation maps square i to an earlier one, and the
+    candidates before it are whole orbits.  lex[j] is the rank of candidate
+    j's square in lexicographic order, so keys compare as the squares do,
+    and by_lex maps a key back to its square; an image's keys are
+    lex[perm[j]], read through perms.  A box is a prefix of the whole
+    board's center-out order and the symmetries map it onto itself, so
+    every table of a box engine is the whole board's engine cut at the box.
     """
 
     def __init__(self, n: int, radius: Optional[int]):
         board = BoardSpec(n)
         self.board = board
         self.n = n
+        p = board.parity_offset
         if radius is None:
             box = board.squares()
         else:
-            p = board.parity_offset
             span = range(max(board.lo, -radius), min(board.hi, radius + p) + 1)
             box = ((x, y) for y in span for x in span)
-        keyed = sorted((center_loss_of_square(s, board), s) for s in box)
-        squares = [s for _, s in keyed]
+        keyed = sorted(
+            (center_loss_of_square(s, board), -min(abs(2 * s[0] - p), abs(2 * s[1] - p)), s)
+            for s in box
+        )
+        squares = [s for _, _, s in keyed]
         self.order = squares
-        self.cl = [c for c, _ in keyed]
+        self.cl = [c for c, _, _ in keyed]
         self.cl_prefix = list(accumulate(self.cl, initial=0))
         self.lines = _coverage.line_masks(squares, board)
         self.pos = pos = {s: i for i, s in enumerate(squares)}
         self.by_lex = by_lex = sorted(squares)
         rank = {s: k for k, s in enumerate(by_lex)}
         self.lex = [rank[s] for s in squares]
-        p = board.parity_offset
         self.perms = tuple(
             tuple(pos[transform_square(kind, p, s)] for s in squares) for kind in TRANSFORM_KINDS
         )
@@ -340,25 +348,17 @@ def _partners(eng: _Engine) -> list[frozenset[int]]:
 
 
 def _stabilizer_skip(
-    perms: tuple[tuple[int, ...], ...],
-    j0: int,
-    allowed: Optional[frozenset[int]],
-    ahead: Callable[[int, int], bool],
+    perms: tuple[tuple[int, ...], ...], j0: int, ahead: Callable[[int, int], bool]
 ) -> Optional[Callable[[int], bool]]:
-    """The test whether a symmetry fixing j0 and its list maps a child ahead of itself.
+    """The test whether a symmetry fixing the first queen j0 maps a child ahead of itself.
 
-    j0's second-level list is the candidates after j0 that j0 allows (all of
-    them when allowed is None).  A symmetry fixing j0 maps the box and j0's
-    lines onto themselves, so it maps that list onto itself exactly when it
-    maps the candidates before j0 that j0 allows onto themselves, a pass
-    over at most j0 candidates instead of over the list.  Returns None when
-    only the identity passes, so that no child is skipped.
+    j0 is canonical, so the candidates before it are whole orbits (see
+    _Engine) and every symmetry fixing j0 maps the candidates after it, and
+    the ones among them that j0 allows, onto themselves: the group is j0's
+    full stabilizer.  Returns None when only the identity fixes j0, so that
+    no child is skipped.
     """
-    group = [
-        h
-        for h in perms[1:]  # perms[0] is the identity
-        if h[j0] == j0 and all(h[i] < j0 for i in range(j0) if allowed is None or i in allowed)
-    ]
+    group = [h for h in perms[1:] if h[j0] == j0]  # perms[0] is the identity
     if not group:
         return None
     return lambda j: any(ahead(h[j], j) for h in group)
@@ -502,7 +502,7 @@ def _search_shard(
             continue
         avail = [i for i in range(j0 + 1, W) if free is None or i in free[j0]]
         if len(avail) >= q - 1:
-            skip = _stabilizer_skip(eng.perms, j0, None if free is None else free[j0], gt)
+            skip = _stabilizer_skip(eng.perms, j0, gt)
             rec(avail, q - 1, m0, bc(m0), (j0,), skip)
 
     if tally is not None and unadded:
@@ -532,6 +532,9 @@ def _run_problem(
     level0 = [j for j in range(len(eng.order)) if eng.in_f[j]]
     node_budget = params.budget
     if params.workers > 1 and len(level0) > 1:
+        # Imported here: the import costs about 10 ms, and only a pool needs it.
+        import multiprocessing
+
         chunks = [level0[i :: params.workers * 4] for i in range(params.workers * 4)]
         chunks = [c for c in chunks if c]
         shared = multiprocessing.Value("q", 0)
@@ -884,7 +887,7 @@ def _loss_scan_parity(
         else:
             fj = free[j0]
             avail = [i for i in range(j0 + 1, W) if i in fj]
-            skip = _stabilizer_skip(eng.perms, j0, fj, lt)
+            skip = _stabilizer_skip(eng.perms, j0, lt)
             rec(avail, q - 1, cross[j0], 0, cl[j0], (j0,), skip)
 
     if not found:

@@ -235,20 +235,23 @@ def test_windowed_matches_plain_enumeration(qnw):
 
 
 # Node counts at workers=1, with the second-level stabilizer skips and with
-# them turned off (the ids carry the latter).  A change to the branch-and-bound
-# that claims to keep its search order and bound must keep these counts
-# exactly; the unskipped counts also show that the skips change nothing else
-# in the walk.
+# them turned off.  A change to the branch-and-bound that claims to keep its
+# search order and bound must keep these counts exactly; the unskipped counts
+# also show that the skips change nothing else in the walk.  The counts follow
+# the candidate order (_Engine) too, so a change that reorders the candidates
+# on purpose re-pins both.  The test ids are fixed names: the number in each
+# is the case's unskipped count under the earlier (center loss, square)
+# order, kept so that a re-pin does not rename the tests.
 _COVER_NODES = {
-    ("windowed", 5, 17): 254,
-    ("windowed", 5, 18): 423,
-    ("windowed", 6, 21): 14_829,
-    ("windowed", 6, 22): 8_977,
-    ("windowed", 7, 24): 20_025,
-    ("windowed", 7, 25): 10_847,
+    ("windowed", 5, 17): 194,
+    ("windowed", 5, 18): 338,
+    ("windowed", 6, 21): 12_166,
+    ("windowed", 6, 22): 7_282,
+    ("windowed", 7, 24): 16_007,
+    ("windowed", 7, 25): 8_549,
     ("exhaustive", 2, 10): 12,
-    ("exhaustive", 3, 9): 188,
-    ("exhaustive", 4, 30): 242,
+    ("exhaustive", 3, 9): 128,
+    ("exhaustive", 4, 30): 213,
 }
 
 
@@ -259,15 +262,15 @@ def _no_stabilizer_skips(monkeypatch):
 @pytest.mark.parametrize(
     "mode, q, n, unskipped_nodes",
     [
-        ("windowed", 5, 17, 500),
-        ("windowed", 5, 18, 552),
-        ("windowed", 6, 21, 25_614),
-        ("windowed", 6, 22, 11_549),
-        ("windowed", 7, 24, 26_160),
-        ("windowed", 7, 25, 20_059),
-        ("exhaustive", 2, 10, 14),
-        ("exhaustive", 3, 9, 285),
-        ("exhaustive", 4, 30, 311),
+        pytest.param("windowed", 5, 17, 408, id="windowed-5-17-500"),
+        pytest.param("windowed", 5, 18, 488, id="windowed-5-18-552"),
+        pytest.param("windowed", 6, 21, 22_057, id="windowed-6-21-25614"),
+        pytest.param("windowed", 6, 22, 10_152, id="windowed-6-22-11549"),
+        pytest.param("windowed", 7, 24, 22_877, id="windowed-7-24-26160"),
+        pytest.param("windowed", 7, 25, 16_736, id="windowed-7-25-20059"),
+        pytest.param("exhaustive", 2, 10, 14, id="exhaustive-2-10-14"),
+        pytest.param("exhaustive", 3, 9, 249, id="exhaustive-3-9-285"),
+        pytest.param("exhaustive", 4, 30, 285, id="exhaustive-4-30-311"),
     ],
 )
 def test_cover_route_node_counts_are_pinned(mode, q, n, unskipped_nodes, monkeypatch):
@@ -286,14 +289,15 @@ def test_cover_route_node_counts_are_pinned(mode, q, n, unskipped_nodes, monkeyp
         # The odd board's center: all eight symmetries fix it and its list.
         (17, (0, 0), 3, TRANSFORM_KINDS),
         (17, (0, 0), None, TRANSFORM_KINDS),
-        # A canonical axis square: its mirror keeps the non-attacking list,
-        # but not the exhaustive one, which holds (-1, 1) and not its image
-        # (-1, -1), an earlier index; there G0 is the identity alone.
+        # A canonical axis square: its ring's corners come before it, so its
+        # mirror keeps the exhaustive list as well as the non-attacking one.
         (17, (-1, 0), 3, ("identity", "mirror-y")),
-        (17, (-1, 0), None, ("identity",)),
+        (17, (-1, 0), None, ("identity", "mirror-y")),
         # An even board's ring corner, on its diagonal.
         (18, (-1, -1), 3, ("identity", "mirror-diag")),
         (18, (-1, -1), None, ("identity", "mirror-diag")),
+        # The axis square of the next ring, after all of that ring's other orbits.
+        (17, (-2, 0), None, ("identity", "mirror-y")),
     ],
 )
 def test_stabilizer_skips_keep_the_best_ranked_member_of_each_orbit(n, square, radius, kinds):
@@ -311,9 +315,47 @@ def test_stabilizer_skips_keep_the_best_ranked_member_of_each_orbit(n, square, r
     # Among equal gains cover children rank by descending index, and among
     # equal scores loss children by ascending index.
     for ahead, first in ((gt, max), (lt, min)):
-        skip = _stabilizer_skip(eng.perms, j0, allowed, ahead)
+        skip = _stabilizer_skip(eng.perms, j0, ahead)
         kept = {j for j in avail if skip is None or not skip(j)}
         assert kept == {first(orbit) for orbit in orbits}
+
+
+def test_candidate_order_keeps_orbits_contiguous():
+    # The candidates before every canonical square are whole orbits, so each
+    # first queen's skip group is its full stabilizer, on every box.
+    for n in range(1, 16):
+        board = BoardSpec(n)
+        for radius in [*range(board.box_radius(n) + 1), None]:
+            eng = _engine(n, radius)
+            W = len(eng.order)
+            for j0 in (j for j in range(W) if eng.in_f[j]):
+                assert all(h[i] < j0 for h in eng.perms for i in range(j0))
+                stabilizer = [h for h in eng.perms[1:] if h[j0] == j0]
+                # A test that records what it is asked and never answers
+                # yes shows which images skip(j) compares with j.
+                asked = []
+                skip = _stabilizer_skip(eng.perms, j0, lambda a, b: asked.append((a, b)))
+                if skip is None:
+                    assert not stabilizer
+                    continue
+                for j in range(W):
+                    skip(j)
+                assert asked == [(h[j], j) for j in range(W) for h in stabilizer]
+
+
+def test_stabilizer_skips_leave_every_result_unchanged(monkeypatch):
+    cases = [("exhaustive", q, n) for q in (2, 3, 4) for n in range(4, 12)]
+    cases += [("windowed", q, n) for q in (4, 5) for n in range(9, 15)]
+
+    def results():
+        cover = [run_search(SearchParams(q=q, n=n, mode=mode)) for mode, q, n in cases]
+        loss = [loss_minimal_patterns(q, radius) for q in (3, 4, 5) for radius in (2, 3)]
+        fields = [(r.max_cover, r.configurations, r.window_used, r.window_retries) for r in cover]
+        return fields, loss
+
+    skipped = results()
+    _no_stabilizer_skips(monkeypatch)
+    assert results() == skipped
 
 
 def test_node_budget_holds_inside_the_recursion():
@@ -338,9 +380,9 @@ def test_window_retries_share_one_node_budget():
 
 def test_pool_shards_share_one_node_budget():
     # The shards of a workers=2 run spend the one budget between them; each
-    # alone stays under it (together they visit about 14,800 nodes; the
-    # largest shard of the final window takes about 5,200 on top of the
-    # first window's 4,300).
+    # alone stays under it (together they visit about 12,200 nodes; the
+    # largest shard of the final window takes about 5,700 on top of the
+    # first window's 3,400).
     for workers in (1, 2):
         with pytest.raises(BudgetExceededError) as err:
             windowed_optimal(
@@ -701,7 +743,7 @@ def test_loss_route_budget_holds_inside_the_recursion():
 
 def test_loss_route_parities_share_one_node_budget():
     # Each parity's scan alone fits the budget (on (5,4) the odd one takes
-    # 491 nodes and the even one 738), but the call must count both.
+    # 396 nodes and the even one 606), but the call must count both.
     _, odd = _loss_scan_parity(5, 4, True, DEFAULT_BUDGET, 0)
     _, both = _loss_scan_parity(5, 4, False, DEFAULT_BUDGET, odd)
     budget = max(odd, both - odd)
@@ -735,16 +777,20 @@ def test_loss_route_refuses_a_non_integer_radius(radius):
         loss_minimal_patterns(2, radius)
 
 
-_LOSS_NODES = {(5, 4): (491, 738), (6, 3): (881, 2_199), (6, 5): (6_821, 7_230)}
+_LOSS_NODES = {(5, 4): (396, 606), (6, 3): (649, 1_695), (6, 5): (5_730, 6_015)}
 
 
 @pytest.mark.parametrize(
     "q, radius, odd_nodes, even_nodes",
-    [(5, 4, 849, 926), (6, 3, 1_684, 2_847), (6, 5, 12_599, 9_421)],
+    [
+        pytest.param(5, 4, 714, 817, id="5-4-849-926"),
+        pytest.param(6, 3, 1_317, 2_458, id="6-3-1684-2847"),
+        pytest.param(6, 5, 11_031, 8_377, id="6-5-12599-9421"),
+    ],
 )
 def test_loss_route_node_counts_are_pinned(q, radius, odd_nodes, even_nodes, monkeypatch):
-    # Per parity, each scan counting from zero, with the skips and (the ids'
-    # counts) without them; see the cover route's pins.
+    # Per parity, each scan counting from zero, with the skips and without
+    # them; see the cover route's pins, ids included.
     def nodes():
         _, odd = _loss_scan_parity(q, radius, True, DEFAULT_BUDGET, 0)
         _, even = _loss_scan_parity(q, radius, False, DEFAULT_BUDGET, 0)
