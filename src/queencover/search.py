@@ -1,26 +1,32 @@
 """Optimal-configuration search, symmetry reduction and threshold scans.
 
-Both search modes share one branch-and-bound over center-out ordered
-candidate squares.  Cover is a coverage function, hence submodular: the
-marginal gain of a candidate j, the number of squares it covers that the
-placed queens m do not (popcount(L(j) & ~m)), can only shrink as queens
-are added.  A node with r queens still to place is therefore bounded by its
-cover plus the r largest exact marginals of its open candidates.  A node
-decides this entry cut on its unranked list of gains; only a node that
-passes ranks its candidates.  Children are tried in descending marginal
-gain, each excluding its earlier siblings, so child p is cut once cover +
-the gains at ranks p .. p + r - 1 fall below the incumbent; candidates whose
-gain cannot reach it are dropped from the child's list.  The cut is strict,
-so ties survive: the bound is exact, never heuristic, and all argmax
-configurations are returned.  The first queen is the least-indexed one and
-uses the same bound with the unobstructed gains (4n - 3) - center_loss(s).
-Windowed mode restricts the candidates to a centered box while counting
-cover on the full board and considers only non-attacking placements, so its
-optimum is relative to the window.  The node budget, checked at every node,
-is the only thing that stops a search; a call's successive windows, or the
-loss route's two parities, share it.  The incumbent starts empty; the first
-descent, taking the largest gain at every depth, is already a greedy walk
-from the most central square.
+All three exact routes (exhaustive, windowed and loss) share one
+branch-and-bound over center-out ordered candidate squares that minimizes
+the paper's loss.  Candidate j, placed on queens whose masks OR to m,
+scores cl(j) + popcount(M(j) & m): its center loss plus the squares its mask
+shares with theirs.  A selection's loss sums its queens' scores in placement
+order, and a score only grows as queens are added, so a node with r queens
+still to place is bounded by its loss plus the r least scores of its open
+candidates.  A node decides this entry cut on its unranked scores; only a
+node that passes ranks its candidates.  Children are tried in ascending
+score, ties in ascending index, each excluding its earlier siblings, so
+child p is cut once the node's loss plus the scores at ranks p .. p + r - 1
+exceed the incumbent; with attacks allowed, candidates whose score cannot
+reach it are dropped from the child's list.  The cut is strict, so ties
+survive: the bound is exact, never heuristic, and every least-loss selection
+is returned.  The first queen is the least-indexed one, bounded by the q
+least center losses from it on plus a floor on each later queen's overlap
+with it (0 in the cover routes; see the loss route below).  The cover routes
+take the line masks, M(j) = L(j), whose 4n - 3 - cl(j) squares include j's
+own, so j's score is 4n - 3 minus its marginal gain (the squares it covers
+that the placed queens do not) and a q-subset of least loss l has the
+greatest cover, q(4n - 3) - l.  Windowed mode restricts the candidates to a
+centered box while counting cover on the full board and considers only
+non-attacking placements, so its optimum is relative to the window.  The
+node budget, checked at every node, is the only thing that stops a search;
+a call's successive windows, or the loss route's two parities, share it.
+The incumbent starts at q(4n - 3), cover 0, and the first descent is a
+greedy walk from the most central square.
 
 Symmetry is used three times, from one table: the engine holds the eight
 board symmetries as permutations of its candidate indices (perms).  The
@@ -28,8 +34,8 @@ first queen of an enumeration is restricted to canonical squares (no
 symmetry maps them to an earlier index) without losing any orbit of optimal
 configurations.  Below a first queen j0, every route skips a second-level
 child j when a symmetry that fixes j0 and maps j0's candidate list onto
-itself (the group G0) sends j to a candidate ranked ahead of it.  G0 fixes
-the placed lines, so second-level gains and loss scores are G0-invariant:
+itself (the group G0) sends j to a lower index, which ranks ahead of it.
+G0 fixes the placed masks, so second-level scores are G0-invariant:
 of the G0-images of a configuration holding j0, the one whose best-ranked
 member after j0 ranks earliest keeps that member unskipped and is still
 searched.  The order keeps each orbit of squares contiguous (_Engine), so
@@ -69,27 +75,23 @@ neither queen's square lies on the other's lines, so there cross[j] = L(j) &
 OR of L(k) over k in free[j], with L the engine's line masks, is the union
 of j's pair crossings, and cross[i] & cross[j] is exactly the crossings of i
 and j.  A square's internal loss is the number of queens attacking it beyond
-the first, so placing j on queens whose masks OR to `lines` raises the
-internal loss by exactly popcount(lines & cross[j]): every square counted is
-attacked by a placed queen already, and j adds one attacker to it.  That
-delta only grows as queens are added, the loss-side twin of the shrinking
-marginal gain.  A node decides its entry cut, the r least scores of delta +
-center loss against the incumbent, on the unranked scores; only a node that
-passes ranks them.  Children are tried in ascending score, each excluding
-its earlier siblings, and child p is cut once the scores at ranks
-p .. p + r - 1 exceed the incumbent, strictly, so ties survive.
+the first, so placing j on queens whose crossing masks OR to m raises the
+internal loss by exactly popcount(m & cross[j]): every square counted is
+attacked by a placed queen already, and j adds one attacker to it.  With
+cross as the kernel's masks, a selection's loss is its total loss, and
+every later queen crosses the first on at least 10 distinct squares: that
+is the route's first-queen floor.
 """
 
 from __future__ import annotations
 
 import hashlib
-import math
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
-from itertools import accumulate, islice
-from operator import gt, lt, or_
+from itertools import accumulate
+from operator import or_
 from typing import Callable, Iterable, Optional, Sequence
 
 from .constructions import Pattern, canonical_offsets
@@ -348,73 +350,79 @@ def _partners(eng: _Engine) -> list[frozenset[int]]:
 
 
 def _stabilizer_skip(
-    perms: tuple[tuple[int, ...], ...], j0: int, ahead: Callable[[int, int], bool]
+    perms: tuple[tuple[int, ...], ...], j0: int
 ) -> Optional[Callable[[int], bool]]:
-    """The test whether a symmetry fixing the first queen j0 maps a child ahead of itself.
+    """The test whether a symmetry fixing the first queen j0 maps a child to a lower index.
 
     j0 is canonical, so the candidates before it are whole orbits (see
     _Engine) and every symmetry fixing j0 maps the candidates after it, and
     the ones among them that j0 allows, onto themselves: the group is j0's
-    full stabilizer.  Returns None when only the identity fixes j0, so that
-    no child is skipped.
+    full stabilizer.  Children of equal score are tried in ascending index,
+    so the image kept is the one of least index.  Returns None when only the
+    identity fixes j0, so that no child is skipped.
     """
     group = [h for h in perms[1:] if h[j0] == j0]  # perms[0] is the identity
     if not group:
         return None
-    return lambda j: any(ahead(h[j], j) for h in group)
+    return lambda j: any(h[j] < j for h in group)
 
 
 def _search_shard(
+    level0: list[int],
     eng: _Engine,
+    masks: list[int],
+    pair: int,
     free: Optional[list[frozenset[int]]],
     q: int,
-    level0: list[int],
     node_budget: int,
     spent: int = 0,
     shared=None,
     tally=None,
 ) -> tuple[int, list[tuple[int, ...]], int]:
-    """Best cover, argmax selections and node count of q queens over one shard.
+    """Least loss, argmin selections and node count of q queens over one shard.
 
-    The candidates are the engine's W squares.  free is _partners(eng) for
-    a search of non-attacking subsets, which the windowed route builds, or
-    None when attacks are allowed, as in the exhaustive route.  The shared
-    value, when present, is a monotone cross-shard incumbent hint; stale
-    reads only weaken pruning, never correctness.  Counting starts at
-    spent, the nodes of the call's earlier windows, and the budget is
-    checked against the total at every node.  The tally, when present, is
-    the node total of all pool shards: each shard adds its nodes to it
-    every _TALLY_BATCH nodes and checks the budget against the tally it
-    last saw plus its own unadded nodes, so the shards spend one budget,
-    overshooting it by less than a batch per other running shard.
+    The shard is the first queens level0, ascending.  Candidate j scores
+    cl[j] + popcount(masks[j] & m) (module docstring): the cover routes pass
+    eng.lines, the loss route its crossing masks, and every later queen's
+    mask shares at least pair squares with the first queen's.  free is
+    _partners(eng) for a search of non-attacking subsets, or None when
+    attacks are allowed, as in the exhaustive route.  The shared value, when
+    present, is a monotone cross-shard incumbent hint; stale reads only
+    weaken pruning, never correctness.  Counting starts at spent, the nodes
+    of the call's earlier windows or parity, and the budget is checked
+    against the total at every node.  The tally, when present, is the node
+    total of all pool shards: each shard adds its nodes to it every
+    _TALLY_BATCH nodes and checks the budget against the tally it last saw
+    plus its own unadded nodes, so the shards spend one budget, overshooting
+    it by less than a batch per other running shard.
     """
-    W, S = len(eng.order), 4 * eng.n - 3
-    C, lines = eng.cl_prefix, eng.lines
-    full = _coverage.line_shifts(eng.n).full
-    best = 0
+    W = len(eng.order)
+    cl, C = eng.cl, eng.cl_prefix
+    # Every score is at most 4n - 3, so no selection exceeds this start.
+    best = q * (4 * eng.n - 3)
     found: list[tuple[int, ...]] = []
     nodes = spent
     seen = tally.value if tally is not None else 0  # the tally when last read
     unadded = 0  # nodes counted here, not yet added to the tally
     bc = int.bit_count
 
-    def note(cov: int, sel: tuple[int, ...]):
+    def note(loss: int, sel: tuple[int, ...]):
         nonlocal best
-        if cov > best:
-            best = cov
+        if loss < best:
+            best = loss
             found.clear()
             found.append(sel)
-            if shared is not None and cov > shared.value:
+            if shared is not None and loss < shared.value:
                 with shared.get_lock():
-                    if cov > shared.value:
-                        shared.value = cov
-        elif cov == best:
+                    if loss < shared.value:
+                        shared.value = loss
+        elif loss == best:
             found.append(sel)
 
     def hint() -> int:
         if shared is not None:
             v = shared.value
-            if v > best:
+            if v < best:
                 return v
         return best
 
@@ -433,77 +441,69 @@ def _search_shard(
         if total > node_budget:
             raise BudgetExceededError(f"search aborted after {total} nodes", total, node_budget)
 
-    def rec(avail: list[int], r: int, m: int, cov: int, sel: tuple[int, ...], skip=None):
-        """Add r more queens from avail to the selection sel covering m.
+    def rec(avail: list[int], r: int, m: int, loss: int, sel: tuple[int, ...], skip=None):
+        """Add r more queens from avail to the selection sel, of the given loss.
 
         A child j with skip(j) true is neither counted nor entered; only
         the second level passes a skip test (see _stabilizer_skip).
         """
-        nm = full ^ m  # ~m costs twice as much: ANDs with a negative int
-        gains = [bc(lines[j] & nm) for j in avail]
+        scores = [cl[j] + bc(masks[j] & m) for j in avail]
         if r == 1:
-            top = max(gains)
-            if cov + top < hint():
+            low = min(scores)
+            if loss + low > hint():
                 return
-            ties = [j for g, j in zip(gains, avail) if g == top and (skip is None or not skip(j))]
+            ties = [j for s, j in zip(scores, avail) if s == low and (skip is None or not skip(j))]
             spend(len(ties))
             for j in ties:
-                note(cov + top, sel + (j,))
+                note(loss + low, sel + (j,))
             return
-        # The entry cut, on the unranked gains: most nodes end here, so
+        # The entry cut, on the unranked scores: most nodes end here, so
         # only a node that can enter its first child ranks its candidates.
-        window = sum(sorted(gains, reverse=True)[:r])
+        window = sum(sorted(scores)[:r])
         cut = hint()
-        if cov + window < cut:
+        if loss + window > cut:
             return
-        # Children in descending marginal gain; each excludes its earlier
-        # siblings, so a child's subtree draws only from the candidates
-        # after it, whose r - 1 largest gains bound its completion.
-        ranked = sorted(zip(gains, avail), reverse=True)
+        # Children in ascending score; each excludes its earlier siblings,
+        # so a child's subtree draws only from the candidates after it,
+        # whose r - 1 least scores bound its completion.
+        ranked = sorted(zip(scores, avail))
         if free is None:
             # Ascending, so the kids that can reach the cut are a slice.
-            neg = [-gi for gi, _ in ranked]
+            asc = [s for s, _ in ranked]
             idx = [i for _, i in ranked]
         last = len(ranked) - r
         for p in range(last + 1):
-            g, j = ranked[p]
+            v, j = ranked[p]
             if skip is None or not skip(j):
                 spend(1)
-                # Gains here bound the child's (they only shrink), so keep
-                # only those that can reach the cut with the r - 2 best others.
-                floor = cut - cov - g
                 if free is None:
-                    if r > 2:
-                        floor += sum(neg[p + 1 : p + r - 1])
-                    kids = idx[p + 1 : bisect_right(neg, -floor, p + 1)]
+                    # Scores here bound the child's (they only grow), so keep
+                    # only those that can reach the cut with the r - 2 least others.
+                    ceiling = cut - loss - v - sum(asc[p + 1 : p + r - 1])
+                    kids = idx[p + 1 : bisect_right(asc, ceiling, p + 1)]
                 else:
-                    rest = ranked[p + 1 :]
                     fj = free[j]
-                    if r > 2:
-                        floor -= sum(islice((gi for gi, i in rest if i in fj), r - 2))
-                    kids = [i for gi, i in rest if gi >= floor and i in fj]
+                    kids = [i for _, i in ranked[p + 1 :] if i in fj]
                 if len(kids) >= r - 1:
-                    rec(kids, r - 1, m | lines[j], cov + g, sel + (j,))
+                    rec(kids, r - 1, m | masks[j], loss + v, sel + (j,))
                     cut = hint()
             if p < last:
-                window += ranked[p + r][0] - g
-                if cov + window < cut:
+                window += ranked[p + r][0] - v
+                if loss + window > cut:
                     return
 
     for j0 in level0:
         if j0 > W - q:
             break
-        if q * S - (C[j0 + q] - C[j0]) < hint():
+        if pair * (q - 1) + C[j0 + q] - C[j0] > hint():
             break
         spend(1)
-        m0 = lines[j0]
         if q == 1:
-            note(bc(m0), (j0,))
+            note(cl[j0], (j0,))
             continue
         avail = [i for i in range(j0 + 1, W) if free is None or i in free[j0]]
         if len(avail) >= q - 1:
-            skip = _stabilizer_skip(eng.perms, j0, gt)
-            rec(avail, q - 1, m0, bc(m0), (j0,), skip)
+            rec(avail, q - 1, masks[j0], cl[j0], (j0,), _stabilizer_skip(eng.perms, j0))
 
     if tally is not None and unadded:
         with tally.get_lock():
@@ -518,8 +518,7 @@ _TALLY_BATCH = 256
 
 
 def _pool_run(level0_chunk: list[int]):
-    eng, free, q, *budget_args = _POOL_STATE["shard_args"]
-    return _search_shard(eng, free, q, level0_chunk, *budget_args)
+    return _search_shard(level0_chunk, *_POOL_STATE["shard_args"])
 
 
 def _run_problem(
@@ -527,33 +526,34 @@ def _run_problem(
 ) -> tuple[int, list[tuple[int, ...]], int]:
     """Best cover, argmax index selections and nodes, counting on from spent.
 
-    Pool shards count their nodes against one shared tally (see _search_shard).
+    The search minimizes the loss of the engine's line masks, and a q-subset
+    of loss l covers q(4n - 3) - l.  Pool shards count their nodes against
+    one shared tally (see _search_shard).
     """
     level0 = [j for j in range(len(eng.order)) if eng.in_f[j]]
-    node_budget = params.budget
+    args = (eng, eng.lines, 0, free, params.q, params.budget, spent)
+    most = params.q * (4 * eng.n - 3)
     if params.workers > 1 and len(level0) > 1:
         # Imported here: the import costs about 10 ms, and only a pool needs it.
         import multiprocessing
 
         chunks = [level0[i :: params.workers * 4] for i in range(params.workers * 4)]
         chunks = [c for c in chunks if c]
-        shared = multiprocessing.Value("q", 0)
+        shared = multiprocessing.Value("q", most)
         tally = multiprocessing.Value("q", spent)
         # Forked workers inherit _search_shard's arguments: nothing is pickled.
-        _POOL_STATE["shard_args"] = (eng, free, params.q, node_budget, spent, shared, tally)
+        _POOL_STATE["shard_args"] = (*args, shared, tally)
         try:
             with multiprocessing.get_context("fork").Pool(processes=params.workers) as pool:
                 results = pool.map(_pool_run, chunks)
         finally:
             _POOL_STATE.clear()
-        best = max(b for b, _, _ in results)
-        sels = []
-        for b, found, _ in results:
-            if b == best:
-                sels.extend(found)
+        best = min(b for b, _, _ in results)
+        sels = [sel for b, found, _ in results if b == best for sel in found]
         nodes = spent + sum(nd - spent for _, _, nd in results)
-        return best, sels, nodes
-    return _search_shard(eng, free, params.q, level0, node_budget, spent)
+    else:
+        best, sels, nodes = _search_shard(level0, *args)
+    return most - best, sels, nodes
 
 
 def _finish(
@@ -819,80 +819,12 @@ def _loss_scan_parity(
 ) -> tuple[Optional[LossMinimal], int]:
     """One parity's loss-minimal patterns and nodes, counting on from spent."""
     eng, free, cross = _loss_tables(radius, odd)
-    W = len(eng.order)
-    squares, cl, C, in_f = eng.order, eng.cl, eng.cl_prefix, eng.in_f
-
-    best = math.inf
-    found: list[tuple[int, ...]] = []
-    nodes = spent
-
-    def spend():
-        nonlocal nodes
-        nodes += 1
-        if nodes > budget:
-            raise BudgetExceededError(f"loss scan aborted after {nodes} nodes", nodes, budget)
-
-    def rec(
-        avail: list[int],
-        r: int,
-        lines: int,
-        inloss: int,
-        cen: int,
-        sel: tuple[int, ...],
-        skip=None,
-    ):
-        # r >= 1 queens still to place from avail on top of sel, whose crossing
-        # masks OR to lines and whose internal and center losses are inloss
-        # and cen.  A child j with skip(j) true is neither counted nor
-        # entered; only the second level passes a skip test (see
-        # _stabilizer_skip).
-        nonlocal best
-        scores = [(lines & cross[j]).bit_count() + cl[j] for j in avail]
-        window = inloss + cen + sum(sorted(scores)[:r])
-        if window > best:
-            return
-        ranked = sorted(zip(scores, avail))
-        last = len(ranked) - r
-        for p in range(last + 1):
-            v, j = ranked[p]
-            if skip is None or not skip(j):
-                spend()
-                if r == 1:
-                    if window < best:
-                        best = window
-                        found[:] = [sel + (j,)]
-                    else:
-                        found.append(sel + (j,))
-                else:
-                    fj = free[j]
-                    rest = [i for _, i in ranked[p + 1 :] if i in fj]
-                    if len(rest) >= r - 1:
-                        c = cl[j]
-                        rec(rest, r - 1, lines | cross[j], inloss + v - c, cen + c, sel + (j,))
-            if p < last:
-                window += ranked[p + r][0] - v
-                if window > best:
-                    return
-
-    for j0 in range(W - q + 1):
-        if not in_f[j0]:
-            continue
-        # Every later queen crosses j0 on at least 10 distinct squares.
-        if 10 * (q - 1) + C[j0 + q] - C[j0] > best:
-            break
-        spend()
-        if q == 1:
-            best = cl[j0]
-            found.append((j0,))
-        else:
-            fj = free[j0]
-            avail = [i for i in range(j0 + 1, W) if i in fj]
-            skip = _stabilizer_skip(eng.perms, j0, lt)
-            rec(avail, q - 1, cross[j0], 0, cl[j0], (j0,), skip)
-
+    level0 = [j for j in range(len(eng.order)) if eng.in_f[j]]
+    # Every later queen crosses the first on at least 10 distinct squares.
+    best, found, nodes = _search_shard(level0, eng, cross, 10, free, q, budget, spent)
     if not found:
         return None, nodes
-    canon = sorted({canonical_offsets(sorted([squares[j] for j in sel])) for sel in found})
+    canon = sorted({canonical_offsets(sorted([eng.order[j] for j in sel])) for sel in found})
     return LossMinimal(
         min_total=best,
         patterns=tuple(Pattern(offs) for offs in canon),

@@ -6,7 +6,6 @@ import pickle
 import random
 from itertools import combinations
 from math import comb
-from operator import gt, lt
 
 import pytest
 from hypothesis import given, settings
@@ -42,6 +41,7 @@ from queencover.geometry import TRANSFORM_KINDS, transform_square
 from queencover.search import (
     DEFAULT_BUDGET,
     FundamentalClass,
+    _Engine,
     _engine,
     _finish,
     _loss_scan_parity,
@@ -238,17 +238,17 @@ def test_windowed_matches_plain_enumeration(qnw):
 # them turned off.  A change to the branch-and-bound that claims to keep its
 # search order and bound must keep these counts exactly; the unskipped counts
 # also show that the skips change nothing else in the walk.  The counts follow
-# the candidate order (_Engine) too, so a change that reorders the candidates
-# on purpose re-pins both.  The test ids are fixed names: the number in each
-# is the case's unskipped count under the earlier (center loss, square)
-# order, kept so that a re-pin does not rename the tests.
+# the candidate order (_Engine) and the children's tie order too, so a change
+# that reorders either on purpose re-pins both.  The test ids name each case
+# by mode, q and n (by q and radius for the loss route), never by a count,
+# so a re-pin renames no test.
 _COVER_NODES = {
-    ("windowed", 5, 17): 194,
-    ("windowed", 5, 18): 338,
-    ("windowed", 6, 21): 12_166,
-    ("windowed", 6, 22): 7_282,
-    ("windowed", 7, 24): 16_007,
-    ("windowed", 7, 25): 8_549,
+    ("windowed", 5, 17): 205,
+    ("windowed", 5, 18): 344,
+    ("windowed", 6, 21): 12_179,
+    ("windowed", 6, 22): 7_281,
+    ("windowed", 7, 24): 16_115,
+    ("windowed", 7, 25): 8_546,
     ("exhaustive", 2, 10): 12,
     ("exhaustive", 3, 9): 128,
     ("exhaustive", 4, 30): 213,
@@ -262,15 +262,15 @@ def _no_stabilizer_skips(monkeypatch):
 @pytest.mark.parametrize(
     "mode, q, n, unskipped_nodes",
     [
-        pytest.param("windowed", 5, 17, 408, id="windowed-5-17-500"),
-        pytest.param("windowed", 5, 18, 488, id="windowed-5-18-552"),
-        pytest.param("windowed", 6, 21, 22_057, id="windowed-6-21-25614"),
-        pytest.param("windowed", 6, 22, 10_152, id="windowed-6-22-11549"),
-        pytest.param("windowed", 7, 24, 22_877, id="windowed-7-24-26160"),
-        pytest.param("windowed", 7, 25, 16_736, id="windowed-7-25-20059"),
-        pytest.param("exhaustive", 2, 10, 14, id="exhaustive-2-10-14"),
-        pytest.param("exhaustive", 3, 9, 249, id="exhaustive-3-9-285"),
-        pytest.param("exhaustive", 4, 30, 285, id="exhaustive-4-30-311"),
+        pytest.param("windowed", 5, 17, 423, id="windowed-5-17"),
+        pytest.param("windowed", 5, 18, 498, id="windowed-5-18"),
+        pytest.param("windowed", 6, 21, 22_086, id="windowed-6-21"),
+        pytest.param("windowed", 6, 22, 10_154, id="windowed-6-22"),
+        pytest.param("windowed", 7, 24, 23_048, id="windowed-7-24"),
+        pytest.param("windowed", 7, 25, 16_677, id="windowed-7-25"),
+        pytest.param("exhaustive", 2, 10, 14, id="exhaustive-2-10"),
+        pytest.param("exhaustive", 3, 9, 249, id="exhaustive-3-9"),
+        pytest.param("exhaustive", 4, 30, 284, id="exhaustive-4-30"),
     ],
 )
 def test_cover_route_node_counts_are_pinned(mode, q, n, unskipped_nodes, monkeypatch):
@@ -312,12 +312,10 @@ def test_stabilizer_skips_keep_the_best_ranked_member_of_each_orbit(n, square, r
     p = eng.board.parity_offset
     orbits = {frozenset(pos[transform_square(k, p, eng.order[j])] for k in kinds) for j in avail}
     assert set().union(*orbits) == set(avail)
-    # Among equal gains cover children rank by descending index, and among
-    # equal scores loss children by ascending index.
-    for ahead, first in ((gt, max), (lt, min)):
-        skip = _stabilizer_skip(eng.perms, j0, ahead)
-        kept = {j for j in avail if skip is None or not skip(j)}
-        assert kept == {first(orbit) for orbit in orbits}
+    # Children of equal score rank by ascending index.
+    skip = _stabilizer_skip(eng.perms, j0)
+    kept = {j for j in avail if skip is None or not skip(j)}
+    assert kept == {min(orbit) for orbit in orbits}
 
 
 def test_candidate_order_keeps_orbits_contiguous():
@@ -331,16 +329,13 @@ def test_candidate_order_keeps_orbits_contiguous():
             for j0 in (j for j in range(W) if eng.in_f[j]):
                 assert all(h[i] < j0 for h in eng.perms for i in range(j0))
                 stabilizer = [h for h in eng.perms[1:] if h[j0] == j0]
-                # A test that records what it is asked and never answers
-                # yes shows which images skip(j) compares with j.
-                asked = []
-                skip = _stabilizer_skip(eng.perms, j0, lambda a, b: asked.append((a, b)))
-                if skip is None:
-                    assert not stabilizer
-                    continue
-                for j in range(W):
-                    skip(j)
-                assert asked == [(h[j], j) for j in range(W) for h in stabilizer]
+                # skip(j) asks exactly whether an image of j under j0's
+                # stabilizer has a lower index.
+                skip = _stabilizer_skip(eng.perms, j0)
+                assert (skip is None) == (not stabilizer)
+                if skip is not None:
+                    for j in range(W):
+                        assert skip(j) == any(h[j] < j for h in stabilizer)
 
 
 def test_stabilizer_skips_leave_every_result_unchanged(monkeypatch):
@@ -532,6 +527,17 @@ def test_engine_lines_and_free_are_row_major(n):
             frozenset(i for i, b in enumerate(box) if b != a and not brute_attacks(a, b))
             for a in box
         ], radius
+
+
+def test_line_masks_hold_all_but_the_center_loss():
+    # The cover routes minimize cl[j] + popcount(lines[j] & m) and read cover
+    # as q(4n - 3) minus that loss, which needs |L(j)| = 4n - 3 - cl(j) for
+    # every candidate of every engine: the box engines and the whole board.
+    for n in range(1, 31):
+        for radius in [*range(BoardSpec(n).box_radius(n) + 1), None]:
+            eng = _Engine(n, radius)
+            for j, mask in enumerate(eng.lines):
+                assert mask.bit_count() == 4 * n - 3 - eng.cl[j], (n, radius, eng.order[j])
 
 
 @pytest.mark.parametrize("n", range(1, 16))
@@ -783,14 +789,14 @@ _LOSS_NODES = {(5, 4): (396, 606), (6, 3): (649, 1_695), (6, 5): (5_730, 6_015)}
 @pytest.mark.parametrize(
     "q, radius, odd_nodes, even_nodes",
     [
-        pytest.param(5, 4, 714, 817, id="5-4-849-926"),
-        pytest.param(6, 3, 1_317, 2_458, id="6-3-1684-2847"),
-        pytest.param(6, 5, 11_031, 8_377, id="6-5-12599-9421"),
+        pytest.param(5, 4, 714, 817, id="5-4"),
+        pytest.param(6, 3, 1_317, 2_458, id="6-3"),
+        pytest.param(6, 5, 11_031, 8_377, id="6-5"),
     ],
 )
 def test_loss_route_node_counts_are_pinned(q, radius, odd_nodes, even_nodes, monkeypatch):
     # Per parity, each scan counting from zero, with the skips and without
-    # them; see the cover route's pins, ids included.
+    # them; see the cover route's pins.
     def nodes():
         _, odd = _loss_scan_parity(q, radius, True, DEFAULT_BUDGET, 0)
         _, even = _loss_scan_parity(q, radius, False, DEFAULT_BUDGET, 0)
@@ -824,8 +830,9 @@ def test_crossing_masks_match_pair_crossings():
 
 
 def test_loss_route_never_counts_cover(monkeypatch):
-    # The loss route is an independent oracle: it must reach its answer
-    # without the cover kernel, the attack-field kernel or a stairs build.
+    # The loss route shares its branch-and-bound with the cover routes but
+    # is still an independent oracle: it must reach its answer without the
+    # cover kernels (cover_count, attack_field) or a stairs build.
     expected = loss_minimal_patterns(4, 3)
 
     def refuse(*args, **kwargs):
@@ -898,18 +905,21 @@ def _plain_loss_minimum(q, radius, odd):
     return top, sorted({p for t, p in scored if t == top})
 
 
-@settings(max_examples=12, deadline=None)
-@given(st.integers(1, 4), st.integers(0, 2))
-def test_loss_route_matches_plain_enumeration(q, radius):
-    plain = {odd: _plain_loss_minimum(q, radius, odd) for odd in (True, False)}
-    if plain[True] is None and plain[False] is None:
-        with pytest.raises(DomainError):
-            loss_minimal_patterns(q, radius)
-        return
-    scan = loss_minimal_patterns(q, radius)
-    for odd, side in ((True, scan.odd), (False, scan.even)):
-        got = None if side is None else (side.min_total, [p.offsets for p in side.patterns])
-        assert got == plain[odd]
+def test_loss_route_matches_plain_enumeration():
+    # The loss route shares its branch-and-bound with the cover routes, so
+    # this enumeration is its independent check: every q = 1..5 at every
+    # radius 0..2.  (5, 2) is the first case with two patterns per parity.
+    for q in range(1, 6):
+        for radius in range(3):
+            plain = {odd: _plain_loss_minimum(q, radius, odd) for odd in (True, False)}
+            if plain[True] is None and plain[False] is None:
+                with pytest.raises(DomainError):
+                    loss_minimal_patterns(q, radius)
+                continue
+            scan = loss_minimal_patterns(q, radius)
+            for odd, side in ((True, scan.odd), (False, scan.even)):
+                got = None if side is None else (side.min_total, [p.offsets for p in side.patterns])
+                assert got == plain[odd], (q, radius, odd)
 
 
 def test_loss_minimal_knight_square_is_optimal_for_four_queens():
