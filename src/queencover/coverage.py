@@ -9,11 +9,10 @@ Every mask is a row-major bitboard over B_n, bit k = (y - lo) * n +
 (x - lo), and every line mask comes from line_masks, the one copy of the
 line-shift arithmetic.  The cover count ORs the queens' line masks; the
 search engine (search._Engine) keeps one per candidate square.  A queen's
-attack mask (attack_masks) is her line mask less her own square; the attack
-field adds those masks into a bit-sliced binary counter: planes[b] is the
-set of squares whose attacking number has bit b set.  The loss statistics
-are popcounts of the masks (loss.internal_loss) or of the planes
-(AttackField), never a per-square scan.
+attack mask is her line mask less her own square; the attack field adds
+those masks into a bit-sliced binary counter: planes[b] is the set of
+squares whose attacking number has bit b set.  The loss statistics are
+popcounts of the planes (AttackField), never a per-square scan.
 
 The kernels share their work on one configuration and one board through a
 slot (evaluation) that holds the most recent (configuration object, board
@@ -265,34 +264,15 @@ def line_masks(squares: Iterable[Square], board: BoardSpec) -> list[int]:
     return masks
 
 
-def attack_masks(config: Configuration, board: BoardSpec) -> list[int]:
-    """Each queen's attack mask on the board; queens may sit off board.
-
-    A queen's mask is her line union (line_masks) with her own bit XORed out
-    when she is on the board: she lies on all four of its lines but does not
-    attack it.  The list is new: the slot's line masks are copied, not changed.
-    """
-    return _less_own_squares(config.queens, board, evaluation(config, board).lines())
-
-
-def _less_own_squares(queens: tuple[Square, ...], board: BoardSpec, lines: list[int]) -> list[int]:
-    """A copy of the queens' line masks with each on-board queen's own bit cleared."""
-    n, lo = board.n, board.lo
-    masks = list(lines)
-    for i, (x, y) in enumerate(queens):
-        ix, iy = x - lo, y - lo
-        if 0 <= ix < n and 0 <= iy < n:
-            masks[i] ^= 1 << iy * n + ix
-    return masks
-
-
 def attack_field(config: Configuration, board: BoardSpec) -> AttackField:
     """Attacking numbers of every board square; queens may sit off board.
 
     Two distinct squares share at most one line, so a square's attacking
-    number counts the queens whose attack masks (attack_masks) hold it.  The
-    masks are added into a binary counter of bit planes, one XOR/AND ripple
-    per mask.  The field is built once per slot entry (evaluation).
+    number counts the queens whose attack masks hold it: a queen's line
+    union (line_masks) less her own bit when she is on the board, since she
+    lies on all four of its lines but does not attack it.  The masks are
+    added into a binary counter of bit planes, one XOR/AND ripple per mask.
+    The field is built once per slot entry (evaluation).
     """
     return evaluation(config, board).field()
 
@@ -327,8 +307,12 @@ class Evaluation:
     def field(self) -> AttackField:
         field = self._field
         if field is None:
+            n, lo = self.board.n, self.board.lo
             planes: list[int] = []
-            for m in _less_own_squares(self.config.queens, self.board, self.lines()):
+            for (x, y), m in zip(self.config.queens, self.lines()):
+                ix, iy = x - lo, y - lo
+                if 0 <= ix < n and 0 <= iy < n:
+                    m ^= 1 << iy * n + ix  # the attack mask: her own bit out
                 for b, plane in enumerate(planes):
                     planes[b] = plane ^ m
                     m &= plane

@@ -8,16 +8,14 @@ non-attacking configuration further decomposes as ``crossing_budget - overlap
 concentration``, where the crossing budget depends only on the queens' parity
 counts.
 
-The internal loss is a popcount sum over the queens' attack masks M_i,
-sum |M_i| - |M_1 | M_2 | ...|, so it needs no attack field.  total_loss also
-reads the overlap concentration, from the popcounts of the attack field's bit
-planes (coverage.AttackField).  Feasibility, center loss and stability are
-one pass each over the queens.
+The internal loss and the overlap concentration are popcounts of the attack
+field's bit planes (coverage.AttackField): one kernel for both.  Feasibility,
+center loss and stability are one pass each over the queens.
 
-total_loss, predicted_cover and is_stable_board share coverage's evaluation
-slot: for one configuration object on one board the attack field, the
-pair-crossing stability flag and the center loss are each built once, and
-predicted_cover reads the internal loss from that field.
+internal_loss, total_loss, predicted_cover and is_stable_board share
+coverage's evaluation slot: for one configuration object on one board the
+attack field, the pair-crossing stability flag and the center loss are each
+built once.
 internal_loss_stable builds its masks once, on one board, and outside the
 slot, so the caller's entry survives.
 """
@@ -30,7 +28,6 @@ from .coverage import (
     Configuration,
     Evaluation,
     attack_field,
-    attack_masks,
     border_ring,
     evaluation,
     is_nonattacking,
@@ -62,16 +59,8 @@ class LossBreakdown:
 
 
 def internal_loss(config: Configuration, board: BoardSpec) -> int:
-    """Sum of (a(s) - 1) over board squares attacked at least once.
-
-    a(s) counts the attack masks holding s, so the sum of a(s) is the sum of
-    the masks' popcounts and the attacked squares are their union.
-    """
-    total = union = 0
-    for m in attack_masks(config, board):
-        total += m.bit_count()
-        union |= m
-    return total - union.bit_count()
+    """Sum of (a(s) - 1) over board squares attacked at least once (AttackField)."""
+    return attack_field(config, board).internal_loss()
 
 
 def _centered(config: Configuration) -> Configuration:

@@ -57,15 +57,20 @@ route's final patterns are wrapped as Patterns.
 
 A search reads only the squares of its centered box, and every centered box
 is a prefix of the center-out order that the eight symmetries map onto
-itself.  So each search builds the engine of its own box (order, center
-losses and their prefix sums, the row-major line masks of
-coverage.line_masks, and the symmetry permutations), whose tables are the
-whole board's cut at the box: the exhaustive search's box is the whole
-board, the windowed search's is its window and the loss route's is its box
-on the stable board.  A search instance is that engine plus, for the routes
-that allow no attacks, each candidate's non-attacking partners free[j]
-(_partners): the windowed route builds them for each window it searches and
-the loss route for each parity, and the exhaustive route passes None.
+itself; the whole board is the outermost box, of radius box_radius(n).  So
+each search builds the engine of its own box (order, center losses and
+their prefix sums, the row-major line masks of coverage.line_masks, and the
+symmetry permutations), whose tables are the whole board's cut at the box:
+the exhaustive search's box is the whole board, the windowed search's is
+its window and the loss route's is its box on the stable board.  One cached
+engine thus serves an exhaustive search, a windowed search whose window
+grew to the board and the decoding of either's record.  A search instance
+is that engine plus, for the routes that allow no attacks, each candidate's
+non-attacking partners free[j] (_partners): the windowed route builds them
+for each window it searches and the loss route for each parity, and the
+exhaustive route passes None.  Every route enters the kernel through
+_run_problem, which returns the least loss; the cover routes call it
+through _max_cover, which passes the line masks and reads the cover.
 
 The loss route scores non-attacking subsets of a box by internal plus center
 loss and never counts cover.  It runs on the box's stable board
@@ -205,26 +210,26 @@ def fundamental_classes(
     configs: Iterable[Configuration], board: BoardSpec
 ) -> tuple[FundamentalClass, ...]:
     """Partition configurations into orbits under the eight board symmetries."""
-    return tuple(orbits(configs, board, None)[1])
+    return tuple(orbits(configs, board, board.box_radius(board.n))[1])
 
 
 def orbits(
-    configs: Iterable[Configuration], board: BoardSpec, radius: Optional[int]
+    configs: Iterable[Configuration], board: BoardSpec, radius: int
 ) -> tuple[list[tuple[Square, ...]], list[FundamentalClass]]:
     """The configurations' orbit members, each sorted, and classes (_orbit_classes).
 
     The orbits are taken on the engine of the centered box of the given
-    radius (the whole board when None), and every configuration must lie in
-    that box.  Classes come in the order of each orbit's least given
-    configuration, so sorted least representatives, one per orbit, give back
-    their own classes.
+    radius (the whole board at board.box_radius(board.n)), and every
+    configuration must lie in that box.  Classes come in the order of each
+    orbit's least given configuration, so sorted least representatives, one
+    per orbit, give back their own classes.
     """
     eng = _engine(board.n, radius)
     pos = eng.pos
     pool = set()
     for c in configs:
         if not all(s in pos for s in c.queens):
-            where = "" if radius is None else f"the centered box of radius {radius} on "
+            where = "" if len(pos) == board.n**2 else f"the centered box of radius {radius} on "
             raise DomainError(f"configuration {c.queens} is not feasible on {where}B_{board.n}")
         pool.add(c.queens)
     return _orbit_classes(eng, ([pos[s] for s in queens] for queens in sorted(pool)))
@@ -268,41 +273,38 @@ class _Engine:
     """Bitboard tables of one centered box of B_n in center-out candidate order.
 
     The candidates are the squares within Chebyshev distance radius of the
-    center, or the whole board when radius is None.  order[j] is candidate
-    j's square and pos its inverse.  lines[j] is the line union of candidate
-    j on B_n's row-major bitboard (coverage.line_masks), its own bit
-    included: indices are center-out, bits row-major.  cl_prefix[j + r] -
-    cl_prefix[j] is the least center loss of r candidates from j on, because
-    the order sorts by center loss.  Within one center loss, a ring, it
-    sorts by descending least centered magnitude min(|2x - p|, |2y - p|),
-    with p the board's parity_offset, then by square: the squares of a ring
-    with one least magnitude are one orbit, the images of (u, v) under sign
-    changes and the swap in centered coordinates, so each orbit is a
-    contiguous run led by its least square.  perms[k][j] is the index of
-    square j's image under the k-th of the TRANSFORM_KINDS; it is the one
-    symmetry table, and in_f[i] marks the canonical squares, the leaders of
-    the runs: no permutation maps square i to an earlier one, and the
-    candidates before it are whole orbits.  lex[j] is the rank of candidate
-    j's square in lexicographic order, so keys compare as the squares do,
-    and by_lex maps a key back to its square; an image's keys are
-    lex[perm[j]], read through perms.  A box is a prefix of the whole
-    board's center-out order and the symmetries map it onto itself, so
-    every table of a box engine is the whole board's engine cut at the box.
+    center; the box of radius board.box_radius(n) is the whole board.
+    order[j] is candidate j's square and pos its inverse.  lines[j] is the
+    line union of candidate j on B_n's row-major bitboard
+    (coverage.line_masks), its own bit included: indices are center-out,
+    bits row-major.  cl_prefix[j + r] - cl_prefix[j] is the least center
+    loss of r candidates from j on, because the order sorts by center loss.
+    Within one center loss, a ring, it sorts by descending least centered
+    magnitude min(|2x - p|, |2y - p|), with p the board's parity_offset,
+    then by square: the squares of a ring with one least magnitude are one
+    orbit, the images of (u, v) under sign changes and the swap in centered
+    coordinates, so each orbit is a contiguous run led by its least square.
+    perms[k][j] is the index of square j's image under the k-th of the
+    TRANSFORM_KINDS; it is the one symmetry table, and in_f[i] marks the
+    canonical squares, the leaders of the runs: no permutation maps square i
+    to an earlier one, and the candidates before it are whole orbits.
+    lex[j] is the rank of candidate j's square in lexicographic order, so
+    keys compare as the squares do, and by_lex maps a key back to its
+    square; an image's keys are lex[perm[j]], read through perms.  A box is
+    a prefix of the whole board's center-out order and the symmetries map it
+    onto itself, so every table of a box engine is the whole board's engine
+    cut at the box.
     """
 
-    def __init__(self, n: int, radius: Optional[int]):
+    def __init__(self, n: int, radius: int):
         board = BoardSpec(n)
         self.board = board
         self.n = n
         p = board.parity_offset
-        if radius is None:
-            box = board.squares()
-        else:
-            span = range(max(board.lo, -radius), min(board.hi, radius + p) + 1)
-            box = ((x, y) for y in span for x in span)
+        span = range(max(board.lo, -radius), min(board.hi, radius + p) + 1)
         keyed = sorted(
             (center_loss_of_square(s, board), -min(abs(2 * s[0] - p), abs(2 * s[1] - p)), s)
-            for s in box
+            for s in ((x, y) for y in span for x in span)
         )
         squares = [s for _, _, s in keyed]
         self.order = squares
@@ -319,12 +321,7 @@ class _Engine:
         self.in_f = [all(perm[i] >= i for perm in self.perms) for i in range(len(squares))]
 
 
-@lru_cache(maxsize=32)
-def _engine(n: int, radius: Optional[int]) -> _Engine:
-    # No default radius: _engine(n) and _engine(n, None) would be two cache
-    # entries, and a search and the decoding of its record would each build
-    # the whole board's engine.
-    return _Engine(n, radius)
+_engine = lru_cache(maxsize=32)(_Engine)
 
 
 def _partners(eng: _Engine) -> list[frozenset[int]]:
@@ -522,38 +519,57 @@ def _pool_run(level0_chunk: list[int]):
 
 
 def _run_problem(
-    eng: _Engine, free: Optional[list[frozenset[int]]], params: SearchParams, spent: int = 0
+    eng: _Engine,
+    masks: list[int],
+    pair: int,
+    free: Optional[list[frozenset[int]]],
+    q: int,
+    budget: int,
+    workers: int,
+    spent: int,
 ) -> tuple[int, list[tuple[int, ...]], int]:
-    """Best cover, argmax index selections and nodes, counting on from spent.
+    """Least loss, argmin index selections and nodes, counting on from spent.
 
-    The search minimizes the loss of the engine's line masks, and a q-subset
-    of loss l covers q(4n - 3) - l.  Pool shards count their nodes against
-    one shared tally (see _search_shard).
+    The first queens are the engine's canonical squares (see _search_shard
+    for the other arguments).  With workers > 1 they are dealt to a fork
+    pool, whose shards count their nodes against one shared tally.
     """
     level0 = [j for j in range(len(eng.order)) if eng.in_f[j]]
-    args = (eng, eng.lines, 0, free, params.q, params.budget, spent)
-    most = params.q * (4 * eng.n - 3)
-    if params.workers > 1 and len(level0) > 1:
+    args = (eng, masks, pair, free, q, budget, spent)
+    if workers > 1 and len(level0) > 1:
         # Imported here: the import costs about 10 ms, and only a pool needs it.
         import multiprocessing
 
-        chunks = [level0[i :: params.workers * 4] for i in range(params.workers * 4)]
+        chunks = [level0[i :: workers * 4] for i in range(workers * 4)]
         chunks = [c for c in chunks if c]
-        shared = multiprocessing.Value("q", most)
+        shared = multiprocessing.Value("q", q * (4 * eng.n - 3))
         tally = multiprocessing.Value("q", spent)
         # Forked workers inherit _search_shard's arguments: nothing is pickled.
         _POOL_STATE["shard_args"] = (*args, shared, tally)
         try:
-            with multiprocessing.get_context("fork").Pool(processes=params.workers) as pool:
+            with multiprocessing.get_context("fork").Pool(processes=workers) as pool:
                 results = pool.map(_pool_run, chunks)
         finally:
             _POOL_STATE.clear()
         best = min(b for b, _, _ in results)
         sels = [sel for b, found, _ in results if b == best for sel in found]
-        nodes = spent + sum(nd - spent for _, _, nd in results)
-    else:
-        best, sels, nodes = _search_shard(level0, *args)
-    return most - best, sels, nodes
+        return best, sels, spent + sum(nd - spent for _, _, nd in results)
+    return _search_shard(level0, *args)
+
+
+def _max_cover(
+    eng: _Engine, free: Optional[list[frozenset[int]]], params: SearchParams, spent: int = 0
+) -> tuple[int, list[tuple[int, ...]], int]:
+    """Best cover, argmax index selections and nodes, counting on from spent.
+
+    The search minimizes the loss of the engine's line masks, and a q-subset
+    of loss l covers q(4n - 3) - l.
+    """
+    q = params.q
+    loss, sels, nodes = _run_problem(
+        eng, eng.lines, 0, free, q, params.budget, params.workers, spent
+    )
+    return q * (4 * eng.n - 3) - loss, sels, nodes
 
 
 def _finish(
@@ -591,8 +607,8 @@ def exhaustive_optimal(params: SearchParams) -> OptimalSet:
     """Exact maximum cover over all q-subsets of the board (attacks allowed)."""
     if params.mode != "exhaustive":
         raise DomainError("exhaustive_optimal requires mode='exhaustive'")
-    eng = _engine(params.n, None)
-    best, sels, nodes = _run_problem(eng, None, params)
+    eng = _engine(params.n, BoardSpec(params.n).box_radius(params.n))
+    best, sels, nodes = _max_cover(eng, None, params)
     return _finish(params, eng, best, sels, nodes, None, 0)
 
 
@@ -604,36 +620,32 @@ def windowed_optimal(params: SearchParams) -> OptimalSet:
     or one reaching beyond the window may cover more.  If any optimum touches
     the window boundary, or the window holds no non-attacking q-subset, the
     search re-runs with a larger window (recorded in window_retries) until
-    optima clear the boundary or the window covers the board.  All windows
-    draw from one node budget, and nodes counts them all.  A board with no
-    non-attacking q-subset at all raises DomainError.
+    optima clear the boundary or the window covers the board.  A window with
+    fewer than q squares is grown without a search and without a retry.  All
+    windows draw from one node budget, and nodes counts them all.  A board
+    with no non-attacking q-subset at all raises DomainError.
     """
     if params.mode != "windowed":
         raise DomainError("windowed_optimal requires mode='windowed'")
     board = BoardSpec(params.n)
-    radius = board.box_radius(params.window)
     max_radius = board.box_radius(board.n)
     retries = 0
     nodes = 0
-    while True:
-        radius = min(radius, max_radius)
+    # SearchParams holds q <= n * n, so the whole board, the last box, is searched.
+    for radius in range(board.box_radius(params.window), max_radius + 1):
         eng = _engine(params.n, radius)
         if len(eng.order) < params.q:
-            radius += 1
             continue
-        best, sels, nodes = _run_problem(eng, _partners(eng), params, nodes)
+        best, sels, nodes = _max_cover(eng, _partners(eng), params, nodes)
         # A window holding no non-attacking q-subset grows like a touched one.
         # The squares off the boundary are the box of radius - 1, a prefix.
         inner = max(0, board.box_side(radius - 1)) ** 2
-        touched = not sels or any(j >= inner for sel in sels for j in sel)
-        if not touched or radius >= max_radius:
-            if not sels:
-                raise DomainError(
-                    f"B_{params.n} holds no non-attacking configuration of {params.q} queens"
-                )
-            return _finish(params, eng, best, sels, nodes, board.box_side(radius), retries)
-        radius += 1
+        if radius == max_radius or sels and all(j < inner for sel in sels for j in sel):
+            break
         retries += 1
+    if not sels:
+        raise DomainError(f"B_{params.n} holds no non-attacking configuration of {params.q} queens")
+    return _finish(params, eng, best, sels, nodes, board.box_side(radius), retries)
 
 
 def run_search(params: SearchParams) -> OptimalSet:
@@ -819,9 +831,8 @@ def _loss_scan_parity(
 ) -> tuple[Optional[LossMinimal], int]:
     """One parity's loss-minimal patterns and nodes, counting on from spent."""
     eng, free, cross = _loss_tables(radius, odd)
-    level0 = [j for j in range(len(eng.order)) if eng.in_f[j]]
     # Every later queen crosses the first on at least 10 distinct squares.
-    best, found, nodes = _search_shard(level0, eng, cross, 10, free, q, budget, spent)
+    best, found, nodes = _run_problem(eng, cross, 10, free, q, budget, 1, spent)
     if not found:
         return None, nodes
     canon = sorted({canonical_offsets(sorted([eng.order[j] for j in sel])) for sel in found})

@@ -125,11 +125,11 @@ def record_to_optimal_set(record: dict) -> OptimalSet:
     """Rebuild an OptimalSet from a record; a malformed record raises RecordError.
 
     Schema version, field names and types and the window fields against the
-    mode are checked; params go through SearchParams' own validation.  The
-    classes must equal those rebuilt from their representatives, each params.q
-    queens on B_n, within window_used for a windowed record, and the members
-    are those of the same orbit pass, left unwrapped until configurations is
-    read.  Cover is not checked.
+    mode and the window are checked; params go through SearchParams' own
+    validation.  The classes must equal those rebuilt from their
+    representatives, each params.q queens on B_n, within window_used for a
+    windowed record, and the members are those of the same orbit pass, left
+    unwrapped until configurations is read.  Cover is not checked.
     """
     if not isinstance(record, dict):
         raise RecordError("record must be an object")
@@ -162,13 +162,21 @@ def record_to_optimal_set(record: dict) -> OptimalSet:
         if not (_is_int(value) and value >= 0):
             raise RecordError(f"{key}: must be an integer >= 0")
     window_used, n = record.get("window_used"), params.n
+    board = BoardSpec(n)
     if params.mode == "exhaustive":
         if window_used is not None:
             raise RecordError("window_used: must be null in exhaustive mode")
         if counts["window_retries"]:
             raise RecordError("window_retries: must be 0 in exhaustive mode")
-    elif not (_is_int(window_used) and 1 <= window_used <= n and (n - window_used) % 2 == 0):
-        raise RecordError(f"window_used: must be a side from 1 to {n} of the parity of n")
+    else:
+        # The search starts on its window's box and grows it a ring per retry.
+        start = board.box_radius(params.window)
+        side = board.box_side(start)
+        if not (_is_int(window_used) and side <= window_used <= n and (n - window_used) % 2 == 0):
+            raise RecordError(f"window_used: must be a side from {side} to {n} of the parity of n")
+        grown = board.box_radius(window_used) - start
+        if counts["window_retries"] > grown:
+            raise RecordError(f"window_retries: must be at most {grown}, the rings grown")
     if not isinstance(record["classes"], list) or not record["classes"]:
         raise RecordError("classes: must be a non-empty list")
     classes = []
@@ -183,10 +191,9 @@ def record_to_optimal_set(record: dict) -> OptimalSet:
         if not _is_int(size) or not _is_int(stab) or size * stab != 8:
             raise RecordError(f"classes[{i}]: orbit_size x stabilizer_order must be 8")
         classes.append(FundamentalClass(rep, size, stab))
-    # A windowed record's orbits are rebuilt on its window's box engine, the
-    # one its search finished on, so its representatives must lie in the window.
-    board = BoardSpec(n)
-    radius = None if window_used is None else board.box_radius(window_used)
+    # The orbits are rebuilt on the box engine the search finished on: the
+    # window's, so a windowed record's representatives must lie in the window.
+    radius = board.box_radius(window_used or n)
     try:
         members, rebuilt = orbits((c.representative for c in classes), board, radius)
     except DomainError as e:

@@ -196,7 +196,7 @@ def test_attack_field_matches_brute_attack_numbers(data):
 
 
 @pytest.mark.parametrize("n", range(1, 21))
-def test_attack_masks_are_line_unions_less_the_queen(n):
+def test_one_queen_field_is_her_line_union_less_her_square(n):
     # A one-queen field has one plane, her attack mask: the row-major bits of
     # the squares she attacks, brute-tested square by square.  Squares within
     # 3 of B_n cover every kind of off-board line, and n = 1 the degenerate

@@ -46,8 +46,8 @@ from queencover.search import (
     _finish,
     _loss_scan_parity,
     _loss_tables,
+    _max_cover,
     _partners,
-    _run_problem,
     _stabilizer_skip,
     canonical_pattern_fingerprint,
     orbits,
@@ -302,8 +302,9 @@ def test_cover_route_node_counts_are_pinned(mode, q, n, unskipped_nodes, monkeyp
 )
 def test_stabilizer_skips_keep_the_best_ranked_member_of_each_orbit(n, square, radius, kinds):
     # kinds is the group G0 of the first queen `square`: the symmetries that
-    # fix it and map its second-level list onto itself.
-    eng = _engine(n, radius)
+    # fix it and map its second-level list onto itself.  A radius of None is
+    # the exhaustive search: the whole board, the outermost box, attacks allowed.
+    eng = _engine(n, BoardSpec(n).box_radius(n) if radius is None else radius)
     pos = {s: i for i, s in enumerate(eng.order)}
     j0 = pos[square]
     assert eng.in_f[j0]
@@ -323,7 +324,7 @@ def test_candidate_order_keeps_orbits_contiguous():
     # first queen's skip group is its full stabilizer, on every box.
     for n in range(1, 16):
         board = BoardSpec(n)
-        for radius in [*range(board.box_radius(n) + 1), None]:
+        for radius in range(board.box_radius(n) + 1):
             eng = _engine(n, radius)
             W = len(eng.order)
             for j0 in (j for j in range(W) if eng.in_f[j]):
@@ -457,7 +458,7 @@ def test_finish_refuses_a_cover_its_representatives_miss():
     params = SearchParams(q=5, n=17, mode="windowed")
     result = windowed_optimal(params)
     eng = _engine(17, BoardSpec(17).box_radius(result.window_used))
-    best, sels, _ = _run_problem(eng, _partners(eng), params)
+    best, sels, _ = _max_cover(eng, _partners(eng), params)
     extra = (result.nodes, result.window_used, result.window_retries)
     assert _finish(params, eng, best, sels, *extra) == result
     with pytest.raises(InvariantError, match="does not reach cover 234"):
@@ -495,7 +496,7 @@ def test_fundamental_classes_partition_and_validate():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 10, 13])
 def test_engine_perms_agree_with_transform_square(n):
-    eng = _engine(n, None)
+    eng = _engine(n, BoardSpec(n).box_radius(n))
     p = eng.board.parity_offset
     assert len(eng.perms) == len(TRANSFORM_KINDS)
     for kind, perm in zip(TRANSFORM_KINDS, eng.perms):
@@ -514,7 +515,7 @@ def test_engine_lines_and_free_are_row_major(n):
     # Candidate indices are center-out, mask bits row-major: lines[j] is the
     # line union of order[j], own bit included, and free[j], read from those
     # bits, is the box candidates that order[j] does not attack.
-    eng = _engine(n, None)
+    eng = _engine(n, BoardSpec(n).box_radius(n))
     board = eng.board
     squares = list(board.squares())
     for j, a in enumerate(eng.order):
@@ -532,9 +533,9 @@ def test_engine_lines_and_free_are_row_major(n):
 def test_line_masks_hold_all_but_the_center_loss():
     # The cover routes minimize cl[j] + popcount(lines[j] & m) and read cover
     # as q(4n - 3) minus that loss, which needs |L(j)| = 4n - 3 - cl(j) for
-    # every candidate of every engine: the box engines and the whole board.
+    # every candidate of every engine: the box engines, the whole board last.
     for n in range(1, 31):
-        for radius in [*range(BoardSpec(n).box_radius(n) + 1), None]:
+        for radius in range(BoardSpec(n).box_radius(n) + 1):
             eng = _Engine(n, radius)
             for j, mask in enumerate(eng.lines):
                 assert mask.bit_count() == 4 * n - 3 - eng.cl[j], (n, radius, eng.order[j])
@@ -544,9 +545,12 @@ def test_line_masks_hold_all_but_the_center_loss():
 def test_box_engines_are_the_whole_board_engine_cut_at_the_box(n):
     # A centered box is a prefix of the center-out order that the eight
     # symmetries map onto itself, so its engine is the whole board's cut.
-    full = _engine(n, None)
-    p = full.board.parity_offset
-    for radius in range(full.board.box_radius(n) + 1):
+    # The whole board is the outermost box: its order holds every square once.
+    board = BoardSpec(n)
+    full = _engine(n, board.box_radius(n))
+    assert sorted(full.order) == sorted(board.squares())
+    p = board.parity_offset
+    for radius in range(board.box_radius(n) + 1):
         eng = _engine(n, radius)
         W = len(eng.order)
         assert W == (2 * radius + 1 + p) ** 2, radius

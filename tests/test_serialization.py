@@ -98,6 +98,16 @@ def _cls(rep, orbit_size):
     return {"representative": rep, "orbit_size": orbit_size, "stabilizer_order": 8 // orbit_size}
 
 
+# The windowed (2,17) result with window 9: found in its first window, so
+# window_used 9 after no retry, with both representatives within radius 2.
+_Q2_N17 = {
+    "params": {"q": 2, "n": 17, "mode": "windowed", "window": 9},
+    "max_cover": 116,
+    "classes": [_cls([[-2, -1], [0, 0]], 8), _cls([[-1, -1], [0, 1]], 8)],
+    "window_used": 9,
+}
+
+
 @pytest.mark.parametrize("value", [False, True])
 @pytest.mark.parametrize("edit", ["representative", "orbit_size", "stabilizer_order"])
 def test_record_rejects_booleans_as_integers(edit, value):
@@ -112,7 +122,9 @@ def test_record_rejects_booleans_as_integers(edit, value):
 
 
 def test_window_fields_must_match_the_mode():
-    windowed = {"q": 1, "n": 3, "mode": "windowed", "window": 3}
+    # Window 1 on B_3 starts on the center square, touches its boundary and
+    # grows once, to the board: window_used 3 after one retry.
+    windowed = {"q": 1, "n": 3, "mode": "windowed", "window": 1}
     record_to_optimal_set(_center_record(params=windowed, window_used=3, window_retries=1))
     record_to_optimal_set(_center_record(window_used=None, window_retries=0))
     for record, field in [
@@ -150,17 +162,22 @@ def test_windowed_representatives_must_lie_in_the_window():
         ({"classes": [_cls([[0, 0]], 1), _cls([[-1, -1]], 4)]}, "classes: not the sorted orbits"),
         ({"classes": [_cls([[0, 0]], 1), _cls([[0, 0]], 1)]}, "classes: not the sorted orbits"),
         ({"classes": []}, "classes: must be a non-empty list"),
+        ({**_Q2_N17, "window_used": 5}, "window_used: must be a side from 9 to 17"),
+        ({**_Q2_N17, "window_retries": 7}, "window_retries: must be at most 0"),
     ],
     ids=[
         "configuration-outside-the-classes", "two-queens-for-q-1", "queen-off-the-board",
         "corner-with-orbit-1", "non-least-representative", "two-representatives-of-one-orbit",
         "classes-out-of-order", "repeated-class", "no-classes",
+        "window-below-the-first-window", "more-retries-than-rings-grown",
     ],
 )
 def test_record_classes_must_be_their_own_orbits(fields, message):
     # The classes are refused unless they equal the classes rebuilt from
-    # their representatives; sorted and least, they decode.
+    # their representatives; sorted and least, they decode.  Window fields
+    # that no search produces are refused too.
     record_to_optimal_set(_center_record(classes=[_cls([[-1, -1]], 4), _cls([[0, 0]], 1)]))
+    record_to_optimal_set(_center_record(**_Q2_N17))
     with pytest.raises(RecordError, match=message):
         record_to_optimal_set(_center_record(**fields))
 
@@ -214,6 +231,19 @@ def test_decoding_reuses_the_engine_its_search_built(params):
     built = engines.cache_info().misses
     record_to_optimal_set(record)
     assert engines.cache_info().misses == built
+
+
+def test_whole_board_searches_and_decoding_share_one_engine():
+    # The whole board is the outermost box, so an exhaustive search, a
+    # windowed search whose window is the board and the decoding of the
+    # exhaustive record all run on one engine, built once.
+    engines = queencover.search._engine
+    engines.cache_clear()
+    record = optimal_set_record(exhaustive_optimal(SearchParams(q=3, n=9)))
+    windowed_optimal(SearchParams(q=3, n=9, mode="windowed", window=9))
+    record_to_optimal_set(record)
+    info = engines.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
 
 
 def test_parse_error_names_byte_offset():
