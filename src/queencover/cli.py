@@ -441,7 +441,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (InvariantError, AssertionError) as e:
         print(f"internal invariant breach: {e}", file=sys.stderr)
         return 4
-    except (QueenCoverError, FileNotFoundError) as e:
+    except (QueenCoverError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

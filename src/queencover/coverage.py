@@ -16,12 +16,12 @@ popcounts of the planes (AttackField), never a per-square scan.
 
 The kernels share their work on one configuration and one board through a
 slot (evaluation) that holds the most recent (configuration object, board
-side) pair: its line masks, its attack field, the configuration's
-non-attacking flag and, for the loss module, its pair-crossing stability
-flag and center loss, each built on first use.  The slot is keyed by object
-identity and replaced on a miss, so an equal but distinct Configuration
-builds everything anew and memory stays at one pair's masks.  Nothing is
-stored on the configuration.
+side) pair: its line masks, its attack field and the configuration's
+non-attacking flag, each built on first use.  Only this module reads the
+slot; the loss module reaches the field through attack_field.  The slot is
+keyed by object identity and replaced on a miss, so an equal but distinct
+Configuration builds everything anew and memory stays at one pair's masks.
+Nothing is stored on the configuration.
 """
 
 from __future__ import annotations
@@ -115,8 +115,10 @@ def is_nonattacking(config: Configuration) -> bool:
 
     The queens are distinct squares, so they attack pairwise iff one of the
     four line coordinates x, y, x - y, x + y repeats.  When the evaluation
-    slot holds this configuration object, the flag is kept there; any other
-    call computes it and stores nothing.
+    slot holds this configuration object, the flag is kept there, so the
+    loss module's stability checks on a configuration whose field it has
+    read (total_loss, then predicted_cover) compute it once; any other call
+    computes it and stores nothing.
     """
     e = _slot
     held = e is not None and e.config is config
@@ -146,33 +148,30 @@ class AttackField:
         sum of a(s)      = sum_b 2**b |P_b|
         sum of a(s)**2   = sum_b 4**b |P_b| + sum_{b<c} 2**(b+c+1) |P_b & P_c|
 
-    and the attacked squares are P_0 | P_1 | ....  Only histogram() and
-    max_count() split the board into one mask per counter value.
+    and the attacked squares are P_0 | P_1 | ....  histogram() and
+    max_count() split the board into one mask per counter value on every
+    call; no caller asks one field twice.
     """
 
     def __init__(self, board: BoardSpec, planes: tuple[int, ...]):
         self.board = board
         self.planes = planes
-        self._freqs: Optional[list[int]] = None
         self._moment: Optional[tuple[int, int]] = None
 
     def _frequencies(self) -> list[int]:
-        """freqs[a]: the number of squares attacked exactly a times, built on first call."""
-        freqs = self._freqs
-        if freqs is None:
-            # Splitting on the planes from the top one down keeps the masks in
-            # order of value: masks[v] holds the squares whose counter reads v.
-            masks = [line_shifts(self.board.n).full]
-            for plane in reversed(self.planes):
-                split = []
-                for m in masks:
-                    high = m & plane
-                    split += (m ^ high, high)
-                masks = split
-            freqs = [m.bit_count() for m in masks]
-            while len(freqs) > 1 and not freqs[-1]:
-                freqs.pop()
-            self._freqs = freqs
+        """freqs[a]: the number of squares attacked exactly a times."""
+        # Splitting on the planes from the top one down keeps the masks in
+        # order of value: masks[v] holds the squares whose counter reads v.
+        masks = [line_shifts(self.board.n).full]
+        for plane in reversed(self.planes):
+            split = []
+            for m in masks:
+                high = m & plane
+                split += (m ^ high, high)
+            masks = split
+        freqs = [m.bit_count() for m in masks]
+        while len(freqs) > 1 and not freqs[-1]:
+            freqs.pop()
         return freqs
 
     def _first_moment(self) -> tuple[int, int]:
@@ -278,16 +277,14 @@ def attack_field(config: Configuration, board: BoardSpec) -> AttackField:
 
 
 class Evaluation:
-    """What the kernels build for one configuration on one board, each once.
+    """What this module's kernels build for one configuration on one board, each once.
 
     lines() (line_masks of the queens) and field() (the attack field) are
-    built on first call.  nonattacking is is_nonattacking's flag, stable
-    the loss module's pair-crossing flag (loss.is_stable_board less
-    feasibility) and central its center loss (loss.center_loss), each None
-    until first computed.
+    built on first call.  nonattacking is is_nonattacking's flag, None until
+    first computed.
     """
 
-    __slots__ = ("config", "board", "_lines", "_field", "nonattacking", "stable", "central")
+    __slots__ = ("config", "board", "_lines", "_field", "nonattacking")
 
     def __init__(self, config: Configuration, board: BoardSpec):
         self.config = config
@@ -295,8 +292,6 @@ class Evaluation:
         self._lines: Optional[list[int]] = None
         self._field: Optional[AttackField] = None
         self.nonattacking: Optional[bool] = None
-        self.stable: Optional[bool] = None
-        self.central: Optional[int] = None
 
     def lines(self) -> list[int]:
         lines = self._lines

@@ -12,10 +12,11 @@ The internal loss and the overlap concentration are popcounts of the attack
 field's bit planes (coverage.AttackField): one kernel for both.  Feasibility,
 center loss and stability are one pass each over the queens.
 
-internal_loss, total_loss, predicted_cover and is_stable_board share
-coverage's evaluation slot: for one configuration object on one board the
-attack field, the pair-crossing stability flag and the center loss are each
-built once.
+internal_loss, total_loss and predicted_cover read the attack field
+through coverage.attack_field, so for one configuration object on one board
+it is built once, in coverage's evaluation slot.  The center loss and the
+pair-crossing stability flag are one cheap pass each and are recomputed on
+every call; is_stable_board builds no field and leaves the slot as it is.
 internal_loss_stable builds its masks once, on one board, and outside the
 slot, so the caller's entry survives.
 """
@@ -26,10 +27,8 @@ from dataclasses import dataclass
 
 from .coverage import (
     Configuration,
-    Evaluation,
     attack_field,
     border_ring,
-    evaluation,
     is_nonattacking,
     line_masks,
     line_shifts,
@@ -138,14 +137,6 @@ def center_loss(config: Configuration, board: BoardSpec) -> int:
     return _center_loss_on_board(config, board)
 
 
-def _central(e: Evaluation) -> int:
-    """The slot entry's center loss, computed on first use; the queens are on the board."""
-    central = e.central
-    if central is None:
-        central = e.central = _center_loss_on_board(e.config, e.board)
-    return central
-
-
 def _center_loss_on_board(config: Configuration, board: BoardSpec) -> int:
     """center_loss for a configuration already known to be on the board."""
     if board.is_odd:
@@ -184,15 +175,7 @@ def is_stable_board(config: Configuration, board: BoardSpec) -> bool:
     dy = |y2 - y1|, span x in [min x - dy, max x + dy] and y in
     [min y - dx, max y + dx], each end reached, so the extents are tested.
     """
-    return config.is_feasible(board) and _stable(evaluation(config, board))
-
-
-def _stable(e: Evaluation) -> bool:
-    """The slot entry's pair-crossing flag, computed on first use."""
-    flag = e.stable
-    if flag is None:
-        flag = e.stable = _crossings_on_board(e.config, e.board)
-    return flag
+    return config.is_feasible(board) and _crossings_on_board(config, board)
 
 
 def _crossings_on_board(config: Configuration, board: BoardSpec) -> bool:
@@ -223,10 +206,9 @@ def total_loss(config: Configuration, board: BoardSpec) -> LossBreakdown:
     if not config.is_feasible(board):
         raise DomainError("total loss requires all queens on board")
     e, o = config.parity_counts
-    entry = evaluation(config, board)
-    field = entry.field()
+    field = attack_field(config, board)
     internal = field.internal_loss()
-    central = _central(entry)
+    central = _center_loss_on_board(config, board)
     return LossBreakdown(
         internal=internal,
         central=central,
@@ -235,7 +217,7 @@ def total_loss(config: Configuration, board: BoardSpec) -> LossBreakdown:
         overlap_concentration=field.overlap_concentration(),
         even_count=e,
         odd_count=o,
-        stable=_stable(entry),
+        stable=_crossings_on_board(config, board),
     )
 
 
@@ -255,13 +237,13 @@ def predicted_cover(config: Configuration, board: BoardSpec) -> int:
     """Cover via the loss identity (4n - 3) q - loss; exact on stable boards only."""
     if not config.is_feasible(board):
         raise DomainError("total loss requires all queens on board")
-    entry = evaluation(config, board)
-    if not _stable(entry):
+    if not _crossings_on_board(config, board):
         raise NotStableError(
             f"B_{board.n} is too small for the cover identity at radius "
             f"{config.radius(board)}"
         )
-    return (4 * board.n - 3) * config.q - entry.field().internal_loss() - _central(entry)
+    loss = internal_loss(config, board) + _center_loss_on_board(config, board)
+    return (4 * board.n - 3) * config.q - loss
 
 
 __all__ = [

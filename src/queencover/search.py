@@ -532,7 +532,8 @@ def _run_problem(
 
     The first queens are the engine's canonical squares (see _search_shard
     for the other arguments).  With workers > 1 they are dealt to a fork
-    pool, whose shards count their nodes against one shared tally.
+    pool of at most one process per chunk, whose shards count their nodes
+    against one shared tally.
     """
     level0 = [j for j in range(len(eng.order)) if eng.in_f[j]]
     args = (eng, masks, pair, free, q, budget, spent)
@@ -547,7 +548,7 @@ def _run_problem(
         # Forked workers inherit _search_shard's arguments: nothing is pickled.
         _POOL_STATE["shard_args"] = (*args, shared, tally)
         try:
-            with multiprocessing.get_context("fork").Pool(processes=workers) as pool:
+            with multiprocessing.get_context("fork").Pool(min(workers, len(chunks))) as pool:
                 results = pool.map(_pool_run, chunks)
         finally:
             _POOL_STATE.clear()

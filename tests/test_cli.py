@@ -289,6 +289,18 @@ def test_exit_codes():
     assert result.returncode == 2 and result.stderr.startswith("error: n_lo must be >= 1")
 
 
+def test_unreadable_paths_are_input_errors(tmp_path):
+    # A directory as --input, and an existing file as --cache-dir.
+    for args in (
+        ("verify", "--input", str(tmp_path)),
+        ("fundamentals", "--input", str(tmp_path)),
+        ("search", "--q", "2", "--n", "5", "--cache-dir", __file__),
+    ):
+        result = run_cli(*args)
+        assert result.returncode == 2, result.stderr
+        assert result.stderr.startswith("error: ") and "Traceback" not in result.stderr
+
+
 def test_corrupt_result_file_parse_error(tmp_path):
     path = tmp_path / "broken"
     path.write_bytes(b'{"schema_version":1,"kind":"search_result"\n')
@@ -427,3 +439,19 @@ def test_tracer_bindings_name_existing_attributes():
     for modname, cls_name, meth, _ in tracer.METHODS:
         cls = getattr(importlib.import_module(f"queencover.{modname}"), cls_name)
         assert meth in vars(cls), f"queencover.{modname}.{cls_name}.{meth}"
+
+
+def test_benchmark_checker_selftest_passes():
+    # The benchmark's checkers run on this checkout's src; a program change
+    # that breaks them fails here first.
+    root = Path(__file__).resolve().parents[1]
+    result = subprocess.run(
+        [sys.executable, "perfbench/selftest.py"],
+        cwd=root,
+        capture_output=True,
+        text=True,
+        timeout=300,
+        env=ENV,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert "all checker self-tests passed" in result.stdout.splitlines()

@@ -2,6 +2,7 @@
 
 import functools
 import hashlib
+import multiprocessing
 import pickle
 import random
 from itertools import combinations
@@ -404,6 +405,23 @@ def test_worker_count_does_not_change_results():
         assert base.classes == multi.classes
         assert base.window_used == multi.window_used
         assert base.window_retries == multi.window_retries
+
+
+def test_pool_starts_no_more_processes_than_chunks(monkeypatch):
+    # Exhaustive (2,4) has 3 canonical first queens, so 3 chunks at workers=4.
+    ctx = multiprocessing.get_context("fork")
+    real = ctx.Pool
+    started = []
+
+    def pool(processes=None, *args, **kwargs):
+        started.append(processes)
+        return real(processes, *args, **kwargs)
+
+    monkeypatch.setattr(ctx, "Pool", pool)
+    base = exhaustive_optimal(SearchParams(q=2, n=4, workers=1))
+    multi = exhaustive_optimal(SearchParams(q=2, n=4, workers=4))
+    assert started == [3]
+    assert multi.max_cover == base.max_cover and multi.classes == base.classes
 
 
 def test_windowed_five_queens_matches_known_classes():
