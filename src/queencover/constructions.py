@@ -124,18 +124,20 @@ def _abs_sum_min(values: list[int], parity: int) -> tuple[int, list[int]]:
 def _center_loss_minima(pattern: Pattern, odd_board: bool) -> tuple[int, list[tuple[int, int]]]:
     """Exact minimal center loss over all translations, with every argmin shift.
 
-    Chebyshev distance splits over rotated coordinates s = x + y, d = x - y:
-    max(|u|, |v|) = (|u + v| + |u - v|) / 2, which makes the distance sum
-    separable into two one-dimensional absolute-sum problems coupled only by
-    the parity constraint s-shift == d-shift (mod 2).
+    A queen's center loss is max(|u|, |v|) in the centered coordinates
+    (u, v) = (2x - p, 2y - p) of geometry, p the board's parity_offset, and
+    max(|u|, |v|) = (|u + v| + |u - v|) / 2 = |s - p| + |d| over the rotated
+    coordinates s = x + y, d = x - y.  That makes the loss sum separable into
+    two one-dimensional absolute-sum problems, s shifted by -p, coupled only
+    by the parity constraint s-shift == d-shift (mod 2).
     """
     ss = [x + y for x, y in pattern.offsets]
     ds = [x - y for x, y in pattern.offsets]
-    shift = 0 if odd_board else -1  # even boards center on (0.5, 0.5)
+    p = int(not odd_board)
     best_total = None
     best_shifts: list[tuple[int, int]] = []
     for par in (0, 1):
-        g, g_args = _abs_sum_min([s + shift for s in ss], par)
+        g, g_args = _abs_sum_min([s - p for s in ss], par)
         h, h_args = _abs_sum_min(ds, par)
         if best_total is None or g + h < best_total:
             best_total = g + h

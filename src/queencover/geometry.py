@@ -7,6 +7,13 @@ symmetries act about the geometric center (0.5, 0.5).  Squares are plain
 ``(x, y)`` integer tuples everywhere; board membership is a predicate, not a
 type constraint, because attack lines extend off-board and must be
 representable.
+
+One identity covers both parities.  With p = parity_offset, the centered
+coordinates of (x, y) are (u, v) = (2x - p, 2y - p), twice the offset from
+the symmetry center (p/2, p/2).  A square's center loss is max(|u|, |v|) =
+2 max(x, p - x, y, p - y) - p, its Chebyshev center distance is
+max(x, p - x, y, p - y) - p, and the eight symmetries are the signed
+permutations of (u, v) (SYMMETRIES).
 """
 
 from __future__ import annotations
@@ -27,6 +34,18 @@ TRANSFORM_KINDS = (
     "mirror-y",
     "mirror-diag",
     "mirror-antidiag",
+)
+
+# The map (u, v) -> (au + bv, cu + dv) of each kind, in TRANSFORM_KINDS order.
+SYMMETRIES = (
+    (1, 0, 0, 1),
+    (0, -1, 1, 0),
+    (-1, 0, 0, -1),
+    (0, 1, -1, 0),
+    (-1, 0, 0, 1),
+    (1, 0, 0, -1),
+    (0, 1, 1, 0),
+    (0, -1, -1, 0),
 )
 
 
@@ -105,13 +124,12 @@ def border_squares(board: BoardSpec) -> set[Square]:
 
 
 def chebyshev_center_distance(board: BoardSpec, square: Square) -> int:
-    """Chebyshev distance to the board center (nearest central square for even n)."""
+    """Chebyshev distance to the nearest central square: max(x, p - x, y, p - y) - p."""
     if not board_contains(board, square):
         raise DomainError(f"square {square} is not on B_{board.n}")
     x, y = square
-    if board.is_odd:
-        return max(abs(x), abs(y))
-    return max(max(0, -x, x - 1), max(0, -y, y - 1))
+    p = board.parity_offset
+    return max(x, p - x, y, p - y) - p
 
 
 def parity_of(square: Square) -> Literal["even", "odd"]:
@@ -138,29 +156,17 @@ def all_transforms() -> tuple[Transform, ...]:
 def transform_square(kind: str, parity_offset: int, square: Square) -> Square:
     """Apply a named transform about the center implied by parity_offset.
 
-    With p = parity_offset the symmetry center is (p/2, p/2), so e.g. rot90 is
-    (x, y) -> (p - y, x); this is the unique action under which all eight
-    transforms permute the board.
+    With p = parity_offset the symmetry center is (p/2, p/2): the kind's
+    SYMMETRIES entry acts on the centered coordinates (2x - p, 2y - p), so
+    e.g. rot90 is (u, v) -> (-v, u), that is (x, y) -> (p - y, x); this is
+    the unique action under which all eight transforms permute the board.
     """
-    x, y = square
+    if kind not in TRANSFORM_KINDS:
+        raise DomainError(f"unknown transform kind {kind!r}")
+    a, b, c, d = SYMMETRIES[TRANSFORM_KINDS.index(kind)]
     p = parity_offset
-    if kind == "identity":
-        return (x, y)
-    if kind == "rot90":
-        return (p - y, x)
-    if kind == "rot180":
-        return (p - x, p - y)
-    if kind == "rot270":
-        return (y, p - x)
-    if kind == "mirror-x":
-        return (p - x, y)
-    if kind == "mirror-y":
-        return (x, p - y)
-    if kind == "mirror-diag":
-        return (y, x)
-    if kind == "mirror-antidiag":
-        return (p - y, p - x)
-    raise DomainError(f"unknown transform kind {kind!r}")
+    u, v = 2 * square[0] - p, 2 * square[1] - p
+    return ((a * u + b * v + p) // 2, (c * u + d * v + p) // 2)
 
 
 def apply_transform(transform: Transform, board: BoardSpec, square: Square) -> Square:

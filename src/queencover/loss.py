@@ -70,20 +70,19 @@ def _centered(config: Configuration) -> Configuration:
 def stable_board(config: Configuration, odd: bool) -> BoardSpec:
     """Board of the given parity holding every pair crossing of the queens as placed.
 
-    With every queen within Chebyshev distance rho of the center, each
-    crossing coordinate lies in [-3 rho, 3 rho] on an odd board, so side
-    6 rho + 1 suffices, and in [-3 rho - 1, 3 rho + 2] on an even board,
-    whose center sits between 0 and 1, so side 6 rho + 4 suffices.  Sides
-    below 9 (odd) and 10 (even) are raised to them.  A non-attacking
-    configuration is therefore stable on the returned board.  The loss route
-    (search.loss_minimal_patterns) runs on the stable board of its box's
-    corner square, which holds every crossing of the box's squares.
+    With p the parity_offset of the board (0 odd, 1 even) and every queen
+    within Chebyshev distance rho = max(x, p - x, y, p - y) - p of the
+    center (geometry), each crossing coordinate lies in
+    [-3 rho - p, 3 rho + 2p], so side 6 rho + 1 + 3p suffices: 6 rho + 1 on
+    an odd board and 6 rho + 4 on an even one.  Sides below 9 + p are raised
+    to it.  A non-attacking configuration is therefore stable on the
+    returned board.  The loss route (search.loss_minimal_patterns) runs on
+    the stable board of its box's corner square, which holds every crossing
+    of the box's squares.
     """
-    if odd:
-        rho = max((max(abs(x), abs(y)) for x, y in config.queens), default=0)
-        return BoardSpec(max(6 * rho + 1, 9))
-    rho = max((max(0, -x, x - 1, -y, y - 1) for x, y in config.queens), default=0)
-    return BoardSpec(max(6 * rho + 4, 10))
+    p = int(not odd)
+    rho = max((max(x, p - x, y, p - y) for x, y in config.queens), default=p) - p
+    return BoardSpec(max(6 * rho + 1 + 3 * p, 9 + p))
 
 
 def internal_loss_stable(config: Configuration) -> int:
@@ -123,9 +122,8 @@ def internal_loss_stable(config: Configuration) -> int:
 
 
 def center_loss_of_square(square: Square, board: BoardSpec) -> int:
-    """Per-queen penalty: board-parity base plus 2 per Chebyshev unit off center."""
-    base = 0 if board.is_odd else 1
-    return base + 2 * chebyshev_center_distance(board, square)
+    """Per-queen penalty max(|2x - p|, |2y - p|): 2 per Chebyshev unit off center, plus p."""
+    return 2 * chebyshev_center_distance(board, square) + board.parity_offset
 
 
 def center_loss(config: Configuration, board: BoardSpec) -> int:
@@ -139,9 +137,8 @@ def center_loss(config: Configuration, board: BoardSpec) -> int:
 
 def _center_loss_on_board(config: Configuration, board: BoardSpec) -> int:
     """center_loss for a configuration already known to be on the board."""
-    if board.is_odd:
-        return 2 * sum(max(abs(x), abs(y)) for x, y in config.queens)
-    return sum(1 + 2 * max(0, -x, x - 1, -y, y - 1) for x, y in config.queens)
+    p = board.parity_offset
+    return 2 * sum(max(x, p - x, y, p - y) for x, y in config.queens) - p * config.q
 
 
 def crossing_budget(even_count: int, odd_count: int) -> int:

@@ -38,11 +38,12 @@ itself (the group G0) sends j to a lower index, which ranks ahead of it.
 G0 fixes the placed masks, so second-level scores are G0-invariant:
 of the G0-images of a configuration holding j0, the one whose best-ranked
 member after j0 ranks earliest keeps that member unskipped and is still
-searched.  The order keeps each orbit of squares contiguous (_Engine), so
-the candidates before a canonical j0 are whole orbits; a symmetry fixing j0
-maps them, the box and j0's lines onto themselves, so it keeps j0's list:
-G0 is j0's full stabilizer, read off perms, and a child is tested against
-it only when the loop reaches that child.
+searched.  The center-out order sorts by center loss, then by descending
+least centered magnitude (_Engine), which keeps each orbit of squares
+contiguous, so the candidates before a canonical j0 are whole orbits; a
+symmetry fixing j0 maps them, the box and j0's lines onto themselves, so it
+keeps j0's list: G0 is j0's full stabilizer, read off perms, and a child is
+tested against it only when the loop reaches that child.
 Finally the search's index selections are expanded to their orbits, which
 restores every skipped image, and reported as fundamental classes (orbits
 with a lexicographically least representative).  The orbit pass works on
@@ -106,8 +107,8 @@ from .coverage import Configuration, is_nonattacking
 # Unused here, but perfbench/tracer.py wraps these two by name.
 from .coverage import cover_count, pair_crossings  # noqa: F401
 from .errors import BudgetExceededError, DomainError, InvariantError
-from .geometry import BoardSpec, Square, TRANSFORM_KINDS, check_int, transform_square
-from .loss import center_loss_of_square, stable_board
+from .geometry import SYMMETRIES, BoardSpec, Square, check_int
+from .loss import stable_board
 from . import coverage as _coverage
 
 DEFAULT_BUDGET = 10**10
@@ -277,17 +278,19 @@ class _Engine:
     order[j] is candidate j's square and pos its inverse.  lines[j] is the
     line union of candidate j on B_n's row-major bitboard
     (coverage.line_masks), its own bit included: indices are center-out,
-    bits row-major.  cl_prefix[j + r] - cl_prefix[j] is the least center
+    bits row-major.  In the centered coordinates (u, v) = (2x - p, 2y - p)
+    of geometry, p the board's parity_offset, a square's center loss cl is
+    max(|u|, |v|), and cl_prefix[j + r] - cl_prefix[j] is the least center
     loss of r candidates from j on, because the order sorts by center loss.
     Within one center loss, a ring, it sorts by descending least centered
-    magnitude min(|2x - p|, |2y - p|), with p the board's parity_offset,
-    then by square: the squares of a ring with one least magnitude are one
-    orbit, the images of (u, v) under sign changes and the swap in centered
-    coordinates, so each orbit is a contiguous run led by its least square.
-    perms[k][j] is the index of square j's image under the k-th of the
-    TRANSFORM_KINDS; it is the one symmetry table, and in_f[i] marks the
-    canonical squares, the leaders of the runs: no permutation maps square i
-    to an earlier one, and the candidates before it are whole orbits.
+    magnitude min(|u|, |v|), then by square: the squares of a ring with one
+    least magnitude are one orbit, the images of (u, v) under sign changes
+    and the swap, so each orbit is a contiguous run led by its least square.
+    perms[k][j] is the index of square j's image under the k-th map of
+    geometry.SYMMETRIES, which act on (u, v) in TRANSFORM_KINDS order; it is
+    the one symmetry table, and in_f[i] marks the canonical squares, the
+    leaders of the runs: no permutation maps square i to an earlier one, and
+    the candidates before it are whole orbits.
     lex[j] is the rank of candidate j's square in lexicographic order, so
     keys compare as the squares do, and by_lex maps a key back to its
     square; an image's keys are lex[perm[j]], read through perms.  A box is
@@ -302,21 +305,22 @@ class _Engine:
         self.n = n
         p = board.parity_offset
         span = range(max(board.lo, -radius), min(board.hi, radius + p) + 1)
-        keyed = sorted(
-            (center_loss_of_square(s, board), -min(abs(2 * s[0] - p), abs(2 * s[1] - p)), s)
-            for s in ((x, y) for y in span for x in span)
-        )
+        mags = [(abs(2 * t - p), t) for t in span]
+        keyed = sorted((max(u, v), -min(u, v), (x, y)) for v, y in mags for u, x in mags)
         squares = [s for _, _, s in keyed]
         self.order = squares
         self.cl = [c for c, _, _ in keyed]
         self.cl_prefix = list(accumulate(self.cl, initial=0))
         self.lines = _coverage.line_masks(squares, board)
-        self.pos = pos = {s: i for i, s in enumerate(squares)}
+        self.pos = {s: i for i, s in enumerate(squares)}
         self.by_lex = by_lex = sorted(squares)
         rank = {s: k for k, s in enumerate(by_lex)}
         self.lex = [rank[s] for s in squares]
+        centered = [(2 * x - p, 2 * y - p) for x, y in squares]
+        at = {uv: i for i, uv in enumerate(centered)}
         self.perms = tuple(
-            tuple(pos[transform_square(kind, p, s)] for s in squares) for kind in TRANSFORM_KINDS
+            tuple(at[a * u + b * v, c * u + d * v] for u, v in centered)
+            for a, b, c, d in SYMMETRIES
         )
         self.in_f = [all(perm[i] >= i for perm in self.perms) for i in range(len(squares))]
 
@@ -738,6 +742,8 @@ def _scan(
     """
     _check_positive("n_lo", n_lo)
     _check_positive("n_hi", n_hi)
+    _check_positive("workers", workers)
+    _check_positive("budget", budget)
     if n_lo > n_hi:
         raise DomainError(f"empty scan range [{n_lo}, {n_hi}]")
     run = runner or run_search

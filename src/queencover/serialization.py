@@ -125,7 +125,8 @@ def record_to_optimal_set(record: dict) -> OptimalSet:
     """Rebuild an OptimalSet from a record; a malformed record raises RecordError.
 
     Schema version, field names and types and the window fields against the
-    mode and the window are checked; params go through SearchParams' own
+    mode and the window are checked; params must hold exactly q, n, mode and
+    window, as the encoder writes them, and go through SearchParams' own
     validation.  The classes must equal those rebuilt from their
     representatives, each params.q queens on B_n, within window_used for a
     windowed record, and the members are those of the same orbit pass, left
@@ -149,10 +150,10 @@ def record_to_optimal_set(record: dict) -> OptimalSet:
     p = record["params"]
     if not isinstance(p, dict):
         raise RecordError("params: must be an object")
+    if p.keys() != {"q", "n", "mode", "window"}:
+        raise RecordError(f"params: fields must be q, n, mode and window, got {list(p)}")
     try:
-        params = SearchParams(q=p["q"], n=p["n"], mode=p["mode"], window=p.get("window"))
-    except KeyError as e:
-        raise RecordError(f"missing field params.{e.args[0]!r}") from e
+        params = SearchParams(**p)
     except DomainError as e:
         raise RecordError(f"params: {e}") from e
     if not _is_int(record["max_cover"]):

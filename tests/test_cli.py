@@ -37,12 +37,16 @@ def run_cli(*args, check=False):
 
 
 def test_import_does_not_load_numpy():
-    code = "import sys, queencover, queencover.cli; print('numpy' in sys.modules)"
+    # multiprocessing too: the fork pool imports it only when it starts.
+    code = (
+        "import sys, queencover, queencover.cli; "
+        "print('numpy' in sys.modules, 'multiprocessing' in sys.modules)"
+    )
     result = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=ENV
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "False"
+    assert result.stdout.strip() == "False False"
 
 
 def test_cover_example():
@@ -287,6 +291,11 @@ def test_exit_codes():
         "thresholds", "--q", "2", "--kind", "nonattacking", "--n-lo", "0", "--n-hi", "3"
     )
     assert result.returncode == 2 and result.stderr.startswith("error: n_lo must be >= 1")
+    result = run_cli(
+        "thresholds", "--q", "5", "--kind", "nonattacking", "--n-lo", "1", "--n-hi", "2",
+        "--workers", "0",
+    )
+    assert result.returncode == 2 and result.stderr.startswith("error: workers must be >= 1")
 
 
 def test_unreadable_paths_are_input_errors(tmp_path):
@@ -331,7 +340,7 @@ def _center_record() -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": "search_result",
-        "params": {"q": 1, "n": 3, "mode": "exhaustive"},
+        "params": {"q": 1, "n": 3, "mode": "exhaustive", "window": None},
         "max_cover": 9,
         "classes": [{"representative": [[0, 0]], "orbit_size": 1, "stabilizer_order": 8}],
     }

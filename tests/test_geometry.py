@@ -117,6 +117,8 @@ def test_transform_validation():
     with pytest.raises(DomainError):
         Transform("rot45")
     with pytest.raises(DomainError):
+        transform_square("rot45", 0, (0, 0))
+    with pytest.raises(DomainError):
         apply_transform(Transform("rot90"), BoardSpec(3), (5, 5))
 
 

@@ -151,6 +151,20 @@ def test_stable_board_holds_every_pair_crossing(squares, odd):
     assert is_stable_board(config, board)
 
 
+@pytest.mark.parametrize("odd", [True, False])
+def test_stable_board_sides_are_pinned(odd):
+    # Stability alone would also pass a larger board, so the sides are exact.
+    # The farthest queen sits on either side of the center: on an even board
+    # x = rho + 1 and x = -rho are both rho from the central squares.
+    near = 0 if odd else 1
+    for rho in range(21):
+        side = max(6 * rho + 1, 9) if odd else max(6 * rho + 4, 10)
+        for far in (rho + near, -rho):
+            for queens in ({(far, 0)}, {(0, far)}, {(far, far)}, {(0, 0), (far, -rho)}):
+                board = stable_board(Configuration.of(queens), odd)
+                assert board.n == side, (rho, queens)
+
+
 def test_center_loss_of_square_examples():
     assert center_loss_of_square((0, 0), BoardSpec(9)) == 0
     assert center_loss_of_square((0, 0), BoardSpec(10)) == 1

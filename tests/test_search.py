@@ -726,6 +726,15 @@ def test_threshold_scans_refuse_bad_board_sides(n_lo, n_hi):
             scan(2, n_lo, n_hi)
 
 
+@pytest.mark.parametrize("scan", [nonattacking_threshold, stabilizing_threshold])
+@pytest.mark.parametrize("name, value", [("workers", 0), ("budget", -5)])
+def test_threshold_scans_refuse_bad_workers_and_budget(scan, name, value):
+    # Five queens fit on no side up to 2, so every board is skipped: the bad
+    # value used to come back as a report of skip warnings.
+    with pytest.raises(DomainError, match=f"^{name} must be >= 1"):
+        scan(5, 1, 2, **{name: value})
+
+
 def test_exact_threshold_scans_q5():
     # Empirical, valid only within [9, 21]: n=9 has attacking optima, and the
     # 20 optima of n=17 (10 outside the side-7 window) keep odd N2 at 19.

@@ -87,7 +87,7 @@ def _center_record(**fields) -> dict:
     record = {
         "schema_version": SCHEMA_VERSION,
         "kind": "search_result",
-        "params": {"q": 1, "n": 3, "mode": "exhaustive"},
+        "params": {"q": 1, "n": 3, "mode": "exhaustive", "window": None},
         "max_cover": 9,
         "classes": [{"representative": [[0, 0]], "orbit_size": 1, "stabilizer_order": 8}],
     }
@@ -180,6 +180,23 @@ def test_record_classes_must_be_their_own_orbits(fields, message):
     record_to_optimal_set(_center_record(**_Q2_N17))
     with pytest.raises(RecordError, match=message):
         record_to_optimal_set(_center_record(**fields))
+
+
+@pytest.mark.parametrize(
+    "drop, extra",
+    [("window", {}), (None, {"budget": 10}), (None, {"junk": 0})],
+    ids=["no-window", "budget", "junk"],
+)
+def test_record_params_must_be_the_encoded_fields(drop, extra):
+    # A windowed record without its window used to decode with the default
+    # window, and extra keys were ignored.
+    record = optimal_set_record(windowed_optimal(SearchParams(q=5, n=17, mode="windowed")))
+    record_to_optimal_set(record)
+    params = record["params"]
+    params.pop(drop, None)
+    params.update(extra)
+    with pytest.raises(RecordError, match="^params: fields must be q, n, mode and window"):
+        record_to_optimal_set(record)
 
 
 def test_version_1_record_is_refused(small_result):
