@@ -2,11 +2,12 @@
 
 All three exact routes (exhaustive, windowed and loss) share one
 branch-and-bound over center-out ordered candidate squares that minimizes
-the paper's loss.  Candidate j, placed on queens whose masks OR to m,
-scores cl(j) + popcount(M(j) & m): its center loss plus the squares its mask
-shares with theirs.  A selection's loss sums its queens' scores in placement
-order, and a score only grows as queens are added, so a node with r queens
-still to place is bounded by its loss plus the r least scores of its open
+the paper's loss.  Candidate j, placed on queens whose line masks OR to m,
+scores cl(j) + popcount(L(j) & m): its center loss plus the squares its
+lines share with theirs, L being the engine's line masks, the one mask
+table.  A selection's loss sums its queens' scores in placement order, and
+a score only grows as queens are added, so a node with r queens still to
+place is bounded by its loss plus the r least scores of its open
 candidates.  A node decides this entry cut on its unranked scores; only a
 node that passes ranks its candidates.  Children are tried in ascending
 score, ties in ascending index, each excluding its earlier siblings, so
@@ -16,11 +17,11 @@ reach it are dropped from the child's list.  The cut is strict, so ties
 survive: the bound is exact, never heuristic, and every least-loss selection
 is returned.  The first queen is the least-indexed one, bounded by the q
 least center losses from it on plus a floor on each later queen's overlap
-with it (0 in the cover routes; see the loss route below).  The cover routes
-take the line masks, M(j) = L(j), whose 4n - 3 - cl(j) squares include j's
-own, so j's score is 4n - 3 minus its marginal gain (the squares it covers
-that the placed queens do not) and a q-subset of least loss l has the
-greatest cover, q(4n - 3) - l.  Windowed mode restricts the candidates to a
+with it (0 in the cover routes; see the loss route below).  L(j)'s
+4n - 3 - cl(j) squares include j's own, so in the cover routes j's score is
+4n - 3 minus its marginal gain (the squares it covers that the placed
+queens do not) and a q-subset of least loss l has the greatest cover,
+q(4n - 3) - l.  Windowed mode restricts the candidates to a
 centered box while counting cover on the full board and considers only
 non-attacking placements, so its optimum is relative to the window.  The
 node budget, checked at every node, is the only thing that stops a search;
@@ -71,22 +72,18 @@ non-attacking partners free[j] (_partners): the windowed route builds them
 for each window it searches and the loss route for each parity, and the
 exhaustive route passes None.  Every route enters the kernel through
 _run_problem, which returns the least loss; the cover routes call it
-through _max_cover, which passes the line masks and reads the cover.
+through _max_cover, which reads the cover.
 
 The loss route scores non-attacking subsets of a box by internal plus center
 loss and never counts cover.  It runs on the box's stable board
-(loss.stable_board), which holds every pair crossing of the box's squares.
-Two non-attacking queens' lines meet exactly on their pair crossings, and
-neither queen's square lies on the other's lines, so there cross[j] = L(j) &
-OR of L(k) over k in free[j], with L the engine's line masks, is the union
-of j's pair crossings, and cross[i] & cross[j] is exactly the crossings of i
-and j.  A square's internal loss is the number of queens attacking it beyond
-the first, so placing j on queens whose crossing masks OR to m raises the
-internal loss by exactly popcount(m & cross[j]): every square counted is
-attacked by a placed queen already, and j adds one attacker to it.  With
-cross as the kernel's masks, a selection's loss is its total loss, and
-every later queen crosses the first on at least 10 distinct squares: that
-is the route's first-queen floor.
+(loss.stable_board), which holds every pair crossing of the box's squares,
+so there L(j) & L(k) is exactly the pair crossings of two non-attacking
+squares j and k, since neither lies on the other's lines.  For a candidate
+j that attacks no placed queen, popcount(L(j) & m) therefore counts the
+squares that j attacks and a placed queen attacks already, the internal
+loss that j adds: the kernel's loss is the total loss, and every later
+queen crosses the first on at least 10 squares, the route's first-queen
+floor.
 """
 
 from __future__ import annotations
@@ -371,7 +368,6 @@ def _stabilizer_skip(
 def _search_shard(
     level0: list[int],
     eng: _Engine,
-    masks: list[int],
     pair: int,
     free: Optional[list[frozenset[int]]],
     q: int,
@@ -383,9 +379,9 @@ def _search_shard(
     """Least loss, argmin selections and node count of q queens over one shard.
 
     The shard is the first queens level0, ascending.  Candidate j scores
-    cl[j] + popcount(masks[j] & m) (module docstring): the cover routes pass
-    eng.lines, the loss route its crossing masks, and every later queen's
-    mask shares at least pair squares with the first queen's.  free is
+    cl[j] + popcount(lines[j] & m) on the engine's line masks in every route
+    (module docstring), and every later queen's lines share at least pair
+    squares with the first queen's.  free is
     _partners(eng) for a search of non-attacking subsets, or None when
     attacks are allowed, as in the exhaustive route.  The shared value, when
     present, is a monotone cross-shard incumbent hint; stale reads only
@@ -398,7 +394,7 @@ def _search_shard(
     it by less than a batch per other running shard.
     """
     W = len(eng.order)
-    cl, C = eng.cl, eng.cl_prefix
+    cl, C, lines = eng.cl, eng.cl_prefix, eng.lines
     # Every score is at most 4n - 3, so no selection exceeds this start.
     best = q * (4 * eng.n - 3)
     found: list[tuple[int, ...]] = []
@@ -448,7 +444,7 @@ def _search_shard(
         A child j with skip(j) true is neither counted nor entered; only
         the second level passes a skip test (see _stabilizer_skip).
         """
-        scores = [cl[j] + bc(masks[j] & m) for j in avail]
+        scores = [cl[j] + bc(lines[j] & m) for j in avail]
         if r == 1:
             low = min(scores)
             if loss + low > hint():
@@ -486,7 +482,7 @@ def _search_shard(
                     fj = free[j]
                     kids = [i for _, i in ranked[p + 1 :] if i in fj]
                 if len(kids) >= r - 1:
-                    rec(kids, r - 1, m | masks[j], loss + v, sel + (j,))
+                    rec(kids, r - 1, m | lines[j], loss + v, sel + (j,))
                     cut = hint()
             if p < last:
                 window += ranked[p + r][0] - v
@@ -504,7 +500,7 @@ def _search_shard(
             continue
         avail = [i for i in range(j0 + 1, W) if free is None or i in free[j0]]
         if len(avail) >= q - 1:
-            rec(avail, q - 1, masks[j0], cl[j0], (j0,), _stabilizer_skip(eng.perms, j0))
+            rec(avail, q - 1, lines[j0], cl[j0], (j0,), _stabilizer_skip(eng.perms, j0))
 
     if tally is not None and unadded:
         with tally.get_lock():
@@ -524,7 +520,6 @@ def _pool_run(level0_chunk: list[int]):
 
 def _run_problem(
     eng: _Engine,
-    masks: list[int],
     pair: int,
     free: Optional[list[frozenset[int]]],
     q: int,
@@ -540,7 +535,7 @@ def _run_problem(
     against one shared tally.
     """
     level0 = [j for j in range(len(eng.order)) if eng.in_f[j]]
-    args = (eng, masks, pair, free, q, budget, spent)
+    args = (eng, pair, free, q, budget, spent)
     if workers > 1 and len(level0) > 1:
         # Imported here: the import costs about 10 ms, and only a pool needs it.
         import multiprocessing
@@ -571,9 +566,7 @@ def _max_cover(
     of loss l covers q(4n - 3) - l.
     """
     q = params.q
-    loss, sels, nodes = _run_problem(
-        eng, eng.lines, 0, free, q, params.budget, params.workers, spent
-    )
+    loss, sels, nodes = _run_problem(eng, 0, free, q, params.budget, params.workers, spent)
     return q * (4 * eng.n - 3) - loss, sels, nodes
 
 
@@ -819,27 +812,13 @@ class LossScan:
     even: Optional[LossMinimal]
 
 
-def _loss_tables(radius: int, odd: bool) -> tuple[_Engine, list[frozenset[int]], list[int]]:
-    """The loss route's box engine on its stable board, partner sets and crossings.
-
-    cross[j] is the union of the pair crossings of box square j with the box
-    squares it does not attack.
-    """
-    board = stable_board(Configuration.of([(-radius, -radius)]), odd)
-    eng = _engine(board.n, radius)
-    free = _partners(eng)
-    L = eng.lines
-    cross = [L[j] & reduce(or_, (L[k] for k in fj), 0) for j, fj in enumerate(free)]
-    return eng, free, cross
-
-
 def _loss_scan_parity(
     q: int, radius: int, odd: bool, budget: int, spent: int
 ) -> tuple[Optional[LossMinimal], int]:
     """One parity's loss-minimal patterns and nodes, counting on from spent."""
-    eng, free, cross = _loss_tables(radius, odd)
+    eng = _engine(stable_board(Configuration.of([(-radius, -radius)]), odd).n, radius)
     # Every later queen crosses the first on at least 10 distinct squares.
-    best, found, nodes = _run_problem(eng, cross, 10, free, q, budget, 1, spent)
+    best, found, nodes = _run_problem(eng, 10, _partners(eng), q, budget, 1, spent)
     if not found:
         return None, nodes
     canon = sorted({canonical_offsets(sorted([eng.order[j] for j in sel])) for sel in found})

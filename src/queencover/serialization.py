@@ -126,11 +126,12 @@ def record_to_optimal_set(record: dict) -> OptimalSet:
 
     Schema version, field names and types and the window fields against the
     mode and the window are checked; params must hold exactly q, n, mode and
-    window, as the encoder writes them, and go through SearchParams' own
-    validation.  The classes must equal those rebuilt from their
-    representatives, each params.q queens on B_n, within window_used for a
-    windowed record, and the members are those of the same orbit pass, left
-    unwrapped until configurations is read.  Cover is not checked.
+    window, go through SearchParams' own validation and equal its resolved
+    problem key, as the encoder writes them.  The classes must equal those
+    rebuilt from their representatives, each params.q queens on B_n, within
+    window_used for a windowed record, and the members are those of the same
+    orbit pass, left unwrapped until configurations is read.  Cover is not
+    checked.
     """
     if not isinstance(record, dict):
         raise RecordError("record must be an object")
@@ -156,6 +157,10 @@ def record_to_optimal_set(record: dict) -> OptimalSet:
         params = SearchParams(**p)
     except DomainError as e:
         raise RecordError(f"params: {e}") from e
+    # The encoder writes the resolved fields: a windowed record's window is
+    # never null, so one that is would decode with the default window.
+    if params.problem_key() != p:
+        raise RecordError(f"params: must be resolved as {params.problem_key()}, got {p}")
     if not _is_int(record["max_cover"]):
         raise RecordError("max_cover: must be an integer")
     counts = {key: record.get(key, 0) for key in ("window_retries", "nodes")}

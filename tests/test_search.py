@@ -46,7 +46,6 @@ from queencover.search import (
     _engine,
     _finish,
     _loss_scan_parity,
-    _loss_tables,
     _max_cover,
     _partners,
     _stabilizer_skip,
@@ -838,32 +837,73 @@ def test_loss_route_node_counts_are_pinned(q, radius, odd_nodes, even_nodes, mon
     assert nodes() == (odd_nodes, even_nodes)
 
 
-def test_crossing_masks_match_pair_crossings():
-    # The loss route's crossing table on its own board against the geometric
-    # formula: the union of pair_crossings over j's non-attacking partners in
-    # the box.  The radii reach boxes (r = 4 even, r = 5) whose crossings
-    # leave a board of side 4r + 10, so a too-small board would drop some.
+def _loss_engine(radius, odd):
+    # The loss route's box engine on the parity's stable board of the box.
+    board = queencover.loss.stable_board(Configuration.of([(-radius, -radius)]), odd)
+    return _engine(board.n, radius)
+
+
+def test_line_masks_meet_on_pair_crossings():
+    # The loss route scores on the engine's line masks: on its stable board
+    # two non-attacking box squares' lines must meet exactly on their pair
+    # crossings, at least 10 of them.  The radii reach boxes (r = 4 even,
+    # r = 5) whose crossings leave a board of side 4r + 10, so a too-small
+    # board would drop some.
+    pairs = 0
     for odd in (True, False):
         for radius in range(6):
-            eng, _, cross = _loss_tables(radius, odd)
+            eng = _loss_engine(radius, odd)
             # The parity's engine holds exactly the box's squares.
             board, box = eng.board, eng.order
-            assert len(box) == len(cross) and set(box) == {
+            assert set(box) == {
                 s for s in board.squares() if brute_center_distance(board, s) <= radius
             }
-            for a, mask in zip(box, cross):
-                expected = set()
-                for b in box:
-                    if b != a and not brute_attacks(a, b):
-                        expected.update(queencover.coverage.pair_crossings(a, b))
-                got = {s for k, s in enumerate(board.squares()) if (mask >> k) & 1}
-                assert got == expected, (odd, radius, a)
+            bit = {s: 1 << k for k, s in enumerate(board.squares())}
+            for (i, a), (j, b) in combinations(enumerate(box), 2):
+                if brute_attacks(a, b):
+                    continue
+                crossings = set(queencover.coverage.pair_crossings(a, b))
+                assert crossings <= bit.keys() and len(crossings) >= 10, (odd, radius, a, b)
+                expected = sum(bit[s] for s in crossings)
+                assert eng.lines[i] & eng.lines[j] == expected, (odd, radius, a, b)
+                pairs += 1
+    assert pairs == 21_164
+
+
+def test_kernel_score_is_the_total_loss():
+    # Placed in any order, a non-attacking subset's kernel scores,
+    # cl[j] + popcount(lines[j] & m), sum to its total loss on the stable
+    # board, which the attack-field oracle computes.
+    rng = random.Random(3201)
+    for odd in (True, False):
+        eng = _loss_engine(4, odd)
+        W = len(eng.order)
+        for q in range(2, 7):
+            for _ in range(12):
+                sel = []
+                while len(sel) < q:  # restart from an empty set when stuck
+                    sel = []
+                    for j in rng.sample(range(W), W):
+                        if not any(brute_attacks(eng.order[j], eng.order[i]) for i in sel):
+                            sel.append(j)
+                            if len(sel) == q:
+                                break
+                score = m = 0
+                for j in sel:
+                    score += eng.cl[j] + (eng.lines[j] & m).bit_count()
+                    m |= eng.lines[j]
+                breakdown = queencover.loss.total_loss(
+                    Configuration.of(eng.order[j] for j in sel), eng.board
+                )
+                assert breakdown.stable
+                assert score == breakdown.total, (odd, q, sel)
 
 
 def test_loss_route_never_counts_cover(monkeypatch):
-    # The loss route shares its branch-and-bound with the cover routes but
-    # is still an independent oracle: it must reach its answer without the
-    # cover kernels (cover_count, attack_field) or a stairs build.
+    # The loss route shares its branch-and-bound and line masks with the
+    # cover routes but is still an independent oracle: it must reach its
+    # answer without the cover kernels (cover_count, attack_field) or a
+    # stairs build.
     expected = loss_minimal_patterns(4, 3)
 
     def refuse(*args, **kwargs):

@@ -199,6 +199,16 @@ def test_record_params_must_be_the_encoded_fields(drop, extra):
         record_to_optimal_set(record)
 
 
+def test_windowed_record_must_name_its_window():
+    # A windowed record edited to `"window": null` would decode with the
+    # default window min(q + 3, n) = 5, not the 9 it was searched with.
+    record = _center_record(**_Q2_N17)
+    record_to_optimal_set(record)
+    record["params"] = {**record["params"], "window": None}
+    with pytest.raises(RecordError, match="^params: "):
+        record_to_optimal_set(record)
+
+
 def test_version_1_record_is_refused(small_result):
     record = {
         **optimal_set_record(small_result),
