@@ -19,7 +19,7 @@ from typing import Iterable, Optional
 
 from .constructions import stairs_details
 from .coverage import Configuration, attack_field, cover_count
-from .errors import BudgetExceededError, DomainError, InvariantError, QueenCoverError
+from .errors import BudgetExceededError, DomainError, InvariantError, QueenCoverError, RecordError
 from .geometry import BoardSpec, Square
 from .loss import stable_board, total_loss
 from .search import (
@@ -270,8 +270,16 @@ def _cmd_stairs(args) -> int:
     return 0
 
 
+def _read_records(path: str) -> list[dict]:
+    """The records of a result file; a file that holds none is an input error."""
+    records = parse_lines(Path(path).read_bytes())
+    if not records:
+        raise RecordError(f"{path} holds no records")
+    return records
+
+
 def _cmd_fundamentals(args) -> int:
-    results = [record_to_optimal_set(r) for r in parse_lines(Path(args.input).read_bytes())]
+    results = [record_to_optimal_set(r) for r in _read_records(args.input)]
     if args.format == "structured":
         for result in results:
             stored = optimal_set_record(result)
@@ -304,7 +312,7 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    records = parse_lines(Path(args.input).read_bytes())
+    records = _read_records(args.input)
     mismatches = []
     checked = 0
     for idx, record in enumerate(records):

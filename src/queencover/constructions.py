@@ -8,7 +8,6 @@ it is the standard yardstick for the loss of q queens.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -18,8 +17,6 @@ from .coverage import Configuration, is_nonattacking
 from .errors import DoesNotFitError, DomainError, InvariantError
 from .geometry import BoardSpec, Square, check_int
 from .loss import center_loss, internal_loss_stable
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -245,7 +242,6 @@ def stairs_details(q: int) -> StairsBuild:
     _, shift, union, internal, central_odd = best
     pattern = Pattern.of(union)
     central_even = pattern_center_loss(pattern, odd_board=False)
-    log.info("stairs q=%d uses shift %s (internal %d, central odd %d)", q, shift, internal, central_odd)
     return StairsBuild(
         shift=shift,
         pattern=pattern,

@@ -88,7 +88,6 @@ floor.
 
 from __future__ import annotations
 
-import hashlib
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
@@ -682,6 +681,9 @@ def canonical_pattern_fingerprint(classes: Iterable[FundamentalClass]) -> str:
     orbit sizes of its classes.  The hashed bytes are the repr of the sorted
     multiset as a list, each distinct pattern's repr written count times.
     """
+    # Imported here: hashlib loads OpenSSL, and only fingerprints need it.
+    import hashlib
+
     counts: Counter[tuple[Square, ...]] = Counter()
     for c in classes:
         counts[canonical_offsets(c.representative.queens)] += c.orbit_size

@@ -10,12 +10,14 @@ Identical inputs must produce bit-identical structured output, so the stable
 record view excludes volatile metadata (wall-clock timing, node counts);
 those are kept only inside cache files.  Cache files are keyed by a
 fingerprint covering both the problem parameters and a content hash of this
-package's sources, so results from older code never satisfy a query.
+package's sources, so results from older code never satisfy a query.  The
+source hash is bound when a cache opens; hashlib, whose OpenSSL backend maps
+about 3.5 MB, loads only where something is hashed, so a run that opens no
+cache and computes no fingerprint never loads it.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import tempfile
@@ -41,6 +43,9 @@ _FIELDS = {
 @lru_cache(maxsize=1)
 def engine_fingerprint() -> str:
     """Content hash of this package's source files."""
+    # Imported here: hashlib loads OpenSSL, and only fingerprints need it.
+    import hashlib
+
     pkg = Path(__file__).parent
     h = hashlib.sha256()
     for path in sorted(pkg.glob("*.py")):
@@ -51,6 +56,8 @@ def engine_fingerprint() -> str:
 
 def params_fingerprint(params: SearchParams) -> str:
     """Cache key: engine hash plus the result-determining parameters."""
+    import hashlib
+
     blob = engine_fingerprint() + json.dumps(params.problem_key(), sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()
 
@@ -219,13 +226,18 @@ def record_to_optimal_set(record: dict) -> OptimalSet:
 
 @dataclass
 class ResultCache:
-    """One file per fingerprint; atomic writes; safe for concurrent processes."""
+    """One file per fingerprint; atomic writes; safe for concurrent processes.
+
+    Every key hashes the package's sources, so the cache binds that hash,
+    and loads hashlib, when it opens rather than at its first lookup.
+    """
 
     directory: Path
 
     def __post_init__(self):
         self.directory = Path(self.directory)
         self.directory.mkdir(parents=True, exist_ok=True)
+        engine_fingerprint()
 
     def _path(self, fingerprint: str) -> Path:
         return self.directory / fingerprint

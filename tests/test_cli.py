@@ -49,6 +49,57 @@ def test_import_does_not_load_numpy():
     assert result.stdout.strip() == "False False"
 
 
+# Run in a fresh interpreter: prints, as its last line, which of these modules
+# were loaded after importing the package, after four commands that hash
+# nothing, and after opening a result cache.
+_FOOTPRINT = """
+import json, sys
+from io import StringIO
+from contextlib import redirect_stdout
+LOADED = ("_hashlib", "hashlib", "logging")
+loaded = lambda: [m for m in LOADED if m in sys.modules]
+import queencover, queencover.cli
+for name in ("geometry", "coverage", "loss", "constructions", "search", "serialization"):
+    __import__("queencover." + name)
+stages = {"import": loaded()}
+record, cache, knight = sys.argv[1:]
+with redirect_stdout(StringIO()):
+    codes = [
+        queencover.cli.main(argv)
+        for argv in (
+            ["cover", "--config", knight, "--n", "10"],
+            ["loss", "--config", knight],
+            ["render", "--config", knight, "--n", "6", "--annotate", "attack-numbers"],
+            ["verify", "--input", record],
+        )
+    ]
+stages["commands"] = loaded()
+from queencover.serialization import ResultCache
+ResultCache(cache)
+stages["cache"] = loaded()
+print(json.dumps({"codes": codes, **stages}))
+"""
+
+
+def test_only_hashing_loads_hashlib_and_nothing_loads_logging(tmp_path):
+    # hashlib's OpenSSL backend maps about 3.5 MB, so only a cache or a
+    # fingerprint may load it; the package has no logging at all.
+    from queencover.search import SearchParams, exhaustive_optimal
+    from queencover.serialization import optimal_set_record, to_json_line
+
+    record = tmp_path / "record"
+    record.write_text(to_json_line(optimal_set_record(exhaustive_optimal(SearchParams(q=2, n=6)))) + "\n")
+    result = subprocess.run(
+        [sys.executable, "-c", _FOOTPRINT, str(record), str(tmp_path / "cache"), KNIGHT],
+        capture_output=True, text=True, timeout=60, env=ENV,
+    )
+    assert result.returncode == 0, result.stderr
+    stages = json.loads(result.stdout.splitlines()[-1])
+    assert stages["codes"] == [0, 0, 0, 0]
+    assert stages["import"] == [] and stages["commands"] == []
+    assert "hashlib" in stages["cache"] and "logging" not in stages["cache"]
+
+
 def test_cover_example():
     result = run_cli("cover", "--config", KNIGHT, "--n", "12", check=True)
     assert "cover: 120" in result.stdout
@@ -316,6 +367,19 @@ def test_corrupt_result_file_parse_error(tmp_path):
     result = run_cli("verify", "--input", str(path))
     assert result.returncode == 2
     assert "byte" in result.stderr
+
+
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+@pytest.mark.parametrize("command", ["verify", "fundamentals"])
+@pytest.mark.parametrize("content", [b"", b"\n  \n\n"], ids=["empty", "blank-lines"])
+def test_result_file_without_records_is_an_input_error(tmp_path, command, fmt, content):
+    # A truncated result file must not pass as "0 configurations checked".
+    path = tmp_path / "results"
+    path.write_bytes(content)
+    result = run_cli("--format", fmt, command, "--input", str(path))
+    assert result.returncode == 2, result.stdout
+    assert result.stderr == f"error: {path} holds no records\n"
+    assert result.stdout == ""
 
 
 def test_unsupported_schema_version(tmp_path):

@@ -1,12 +1,15 @@
 """Record round-trips, validation failures and the result cache."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import queencover.search
+import queencover.serialization
 from queencover import (
     Pattern,
     RecordError,
@@ -305,6 +308,19 @@ def test_fingerprint_depends_on_params_not_workers():
     c = params_fingerprint(SearchParams(q=2, n=11))
     assert a == b != c
     assert len(engine_fingerprint()) == 64
+
+
+def test_digests_are_sha256_of_their_inputs():
+    # hashlib is imported where it hashes; the digests, and so every cache
+    # file name (test_cache_round_trip), stay those of the same inputs.
+    h = hashlib.sha256()
+    for path in sorted(Path(queencover.serialization.__file__).parent.glob("*.py")):
+        h.update(path.name.encode())
+        h.update(path.read_bytes())
+    assert engine_fingerprint() == h.hexdigest()
+    params = SearchParams(q=2, n=10)
+    blob = engine_fingerprint() + json.dumps(params.problem_key(), sort_keys=True)
+    assert params_fingerprint(params) == hashlib.sha256(blob.encode()).hexdigest()
 
 
 def test_cache_round_trip(tmp_path, small_result):
