@@ -13,12 +13,10 @@ from .coverage import (
     AttackField,
     Configuration,
     attack_field,
-    attacks,
     cover_count,
     is_nonattacking,
 )
 from .errors import (
-    BoardTooSmallError,
     BudgetExceededError,
     DoesNotFitError,
     DomainError,
@@ -32,13 +30,8 @@ from .errors import (
 from .geometry import (
     BoardSpec,
     Square,
-    Transform,
-    all_transforms,
-    apply_transform,
     board_contains,
-    border_squares,
     chebyshev_center_distance,
-    parity_of,
 )
 from .loss import (
     LossBreakdown,

@@ -199,8 +199,12 @@ def _cmd_search(args) -> int:
         budget=args.budget,
     )
     result = _make_runner(args)(params)
-    record = optimal_set_record(result)
-    _emit(args, record, _classes_text(result))
+    # Only the record carries the fingerprint, which hashes the sources and
+    # loads OpenSSL, so text output never builds it.
+    if args.format == "structured":
+        print(to_json_line(optimal_set_record(result)))
+    else:
+        print(_classes_text(result))
     return 0
 
 

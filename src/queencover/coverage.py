@@ -101,15 +101,6 @@ class Configuration:
         return min(xs), min(ys), max(xs), max(ys)
 
 
-def attacks(a: Square, b: Square) -> bool:
-    """True iff distinct squares share a row, a column or a diagonal."""
-    if a == b:
-        return False
-    dx = a[0] - b[0]
-    dy = a[1] - b[1]
-    return dx == 0 or dy == 0 or abs(dx) == abs(dy)
-
-
 def is_nonattacking(config: Configuration) -> bool:
     """True iff no two queens share a column, a row or a diagonal.
 

@@ -11,10 +11,6 @@ class DomainError(QueenCoverError, ValueError):
     """An argument is outside an operation's domain (off-board square, bad count, ...)."""
 
 
-class BoardTooSmallError(DomainError):
-    """The requested board is too small for the operation (e.g. border of a 1x1 board)."""
-
-
 class DoesNotFitError(DomainError):
     """A pattern's bounding box does not fit on the target board."""
 

@@ -19,9 +19,9 @@ permutations of (u, v) (SYMMETRIES).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Literal
+from typing import Iterator
 
-from .errors import BoardTooSmallError, DomainError
+from .errors import DomainError
 
 Square = tuple[int, int]
 
@@ -88,12 +88,6 @@ class BoardSpec:
             for x in range(self.lo, self.hi + 1):
                 yield (x, y)
 
-    def center_squares(self) -> tuple[Square, ...]:
-        """The single central square (odd n) or the four central ones (even n)."""
-        if self.is_odd:
-            return ((0, 0),)
-        return ((0, 0), (0, 1), (1, 0), (1, 1))
-
     def box_radius(self, side: int) -> int:
         """Largest centered box radius whose box fits inside the given side.
 
@@ -111,18 +105,6 @@ def board_contains(board: BoardSpec, square: Square) -> bool:
     return board.lo <= x <= board.hi and board.lo <= y <= board.hi
 
 
-def border_squares(board: BoardSpec) -> set[Square]:
-    """The ring B_n minus B_{n-2}; has exactly 4n - 4 squares."""
-    if board.n < 2:
-        raise BoardTooSmallError(f"border requires n >= 2, got {board.n}")
-    inner = BoardSpec(board.n - 2) if board.n > 2 else None
-    out = set()
-    for s in board.squares():
-        if inner is None or not board_contains(inner, s):
-            out.add(s)
-    return out
-
-
 def chebyshev_center_distance(board: BoardSpec, square: Square) -> int:
     """Chebyshev distance to the nearest central square: max(x, p - x, y, p - y) - p."""
     if not board_contains(board, square):
@@ -130,27 +112,6 @@ def chebyshev_center_distance(board: BoardSpec, square: Square) -> int:
     x, y = square
     p = board.parity_offset
     return max(x, p - x, y, p - y) - p
-
-
-def parity_of(square: Square) -> Literal["even", "odd"]:
-    """Parity of x - y; used to classify queen pairs as congruent or not."""
-    x, y = square
-    return "even" if (x - y) % 2 == 0 else "odd"
-
-
-@dataclass(frozen=True)
-class Transform:
-    """One of the eight board symmetries (the dihedral group of the square)."""
-
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in TRANSFORM_KINDS:
-            raise DomainError(f"unknown transform kind {self.kind!r}")
-
-
-def all_transforms() -> tuple[Transform, ...]:
-    return tuple(Transform(k) for k in TRANSFORM_KINDS)
 
 
 def transform_square(kind: str, parity_offset: int, square: Square) -> Square:
@@ -168,9 +129,3 @@ def transform_square(kind: str, parity_offset: int, square: Square) -> Square:
     u, v = 2 * square[0] - p, 2 * square[1] - p
     return ((a * u + b * v + p) // 2, (c * u + d * v + p) // 2)
 
-
-def apply_transform(transform: Transform, board: BoardSpec, square: Square) -> Square:
-    """Image of an on-board square under a board symmetry; stays on board."""
-    if not board_contains(board, square):
-        raise DomainError(f"square {square} is not on B_{board.n}")
-    return transform_square(transform.kind, board.parity_offset, square)

@@ -7,7 +7,21 @@ import random
 import pytest
 
 from queencover import BoardSpec, Configuration, Pattern
-from queencover.geometry import TRANSFORM_KINDS, transform_square
+
+# The eight board symmetries as explicit maps of (x, y), keyed by the
+# package's transform names.  c = lo + hi is twice the board's midpoint on
+# each axis (0 on odd boards, 1 on even ones), so x -> c - x reflects a
+# column about the middle of the board.
+BRUTE_SYMMETRIES = {
+    "identity": lambda c, x, y: (x, y),
+    "rot90": lambda c, x, y: (c - y, x),
+    "rot180": lambda c, x, y: (c - x, c - y),
+    "rot270": lambda c, x, y: (y, c - x),
+    "mirror-x": lambda c, x, y: (c - x, y),
+    "mirror-y": lambda c, x, y: (x, c - y),
+    "mirror-diag": lambda c, x, y: (y, x),
+    "mirror-antidiag": lambda c, x, y: (c - y, c - x),
+}
 
 
 def brute_attacks(a, b) -> bool:
@@ -33,17 +47,30 @@ def brute_attack_number(config: Configuration, square) -> int:
 
 
 def brute_center_distance(board: BoardSpec, square) -> int:
-    """Minimum Chebyshev distance to any central square."""
-    return min(
-        max(abs(square[0] - cx), abs(square[1] - cy))
-        for cx, cy in board.center_squares()
-    )
+    """Minimum Chebyshev distance to any central square.
+
+    The central squares are those nearest the board's midpoint on both axes:
+    one on odd boards, four on even ones.
+    """
+    middle = {(board.lo + board.hi) // 2, (board.lo + board.hi + 1) // 2}
+    return min(max(abs(square[0] - cx), abs(square[1] - cy)) for cx in middle for cy in middle)
+
+
+def brute_ring(board: BoardSpec) -> set:
+    """The border ring: B_n less the squares of B_{n-2}, listed by brute force."""
+    inner = BoardSpec(board.n - 2).squares() if board.n > 2 else ()
+    return set(board.squares()) - set(inner)
+
+
+def brute_images(queens, board: BoardSpec) -> list:
+    """The sorted image of a queen set under each of the eight symmetries."""
+    c = board.lo + board.hi
+    return [tuple(sorted(f(c, x, y) for x, y in queens)) for f in BRUTE_SYMMETRIES.values()]
 
 
 def brute_orbit(queens, board: BoardSpec) -> set:
     """The images of a queen tuple under the eight symmetries, square by square."""
-    p = board.parity_offset
-    return {tuple(sorted(transform_square(k, p, s) for s in queens)) for k in TRANSFORM_KINDS}
+    return set(brute_images(queens, board))
 
 
 def brute_classes(configs, board: BoardSpec) -> list:
@@ -61,7 +88,9 @@ def brute_classes(configs, board: BoardSpec) -> list:
 
 def brute_canonical(pattern: Pattern) -> Pattern:
     """The least normalized image of a pattern under the eight symmetries."""
-    images = [Pattern.of(transform_square(k, 0, s) for s in pattern.offsets) for k in TRANSFORM_KINDS]
+    # Pattern.of normalizes away the translation, so any reflection center
+    # will do; B_1's is the origin.
+    images = [Pattern.of(image) for image in brute_images(pattern.offsets, BoardSpec(1))]
     return min(images, key=lambda p: p.offsets)
 
 

@@ -50,8 +50,9 @@ def test_import_does_not_load_numpy():
 
 
 # Run in a fresh interpreter: prints, as its last line, which of these modules
-# were loaded after importing the package, after four commands that hash
-# nothing, and after opening a result cache.
+# were loaded after importing the package, after five commands that hash
+# nothing (text-format search prints no fingerprint), and after opening a
+# result cache.
 _FOOTPRINT = """
 import json, sys
 from io import StringIO
@@ -71,6 +72,7 @@ with redirect_stdout(StringIO()):
             ["loss", "--config", knight],
             ["render", "--config", knight, "--n", "6", "--annotate", "attack-numbers"],
             ["verify", "--input", record],
+            ["search", "--q", "2", "--n", "6"],
         )
     ]
 stages["commands"] = loaded()
@@ -95,7 +97,7 @@ def test_only_hashing_loads_hashlib_and_nothing_loads_logging(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     stages = json.loads(result.stdout.splitlines()[-1])
-    assert stages["codes"] == [0, 0, 0, 0]
+    assert stages["codes"] == [0, 0, 0, 0, 0]
     assert stages["import"] == [] and stages["commands"] == []
     assert "hashlib" in stages["cache"] and "logging" not in stages["cache"]
 

@@ -11,7 +11,6 @@ from queencover import (
     DomainError,
     Pattern,
     attack_field,
-    attacks,
     center_loss,
     centralize,
     internal_loss_stable,
@@ -23,7 +22,7 @@ from queencover import (
 )
 from queencover.constructions import canonical_offsets, pattern_center_loss
 
-from conftest import brute_canonical, random_nonattacking
+from conftest import brute_attacks, brute_canonical, random_nonattacking
 
 
 def test_pattern_normalization():
@@ -186,6 +185,6 @@ def test_stairs_sequences_step_by_knight_moves():
         )
         assert links >= q - 2
         assert not any(
-            attacks(a, b) for a in offsets for b in offsets if a < b
+            brute_attacks(a, b) for a in offsets for b in offsets if a < b
         )
         assert isinstance(shift, tuple) and len(shift) == 2

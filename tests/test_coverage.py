@@ -8,17 +8,20 @@ from queencover import (
     BoardSpec,
     Configuration,
     DomainError,
-    Transform,
-    all_transforms,
-    apply_transform,
     attack_field,
-    attacks,
     cover_count,
     is_nonattacking,
 )
 from queencover.loss import internal_loss, overlap_concentration, stable_board
 
-from conftest import brute_attack_number, brute_attacks, brute_cover, random_config, random_nonattacking
+from conftest import (
+    brute_attack_number,
+    brute_attacks,
+    brute_cover,
+    brute_images,
+    random_config,
+    random_nonattacking,
+)
 
 KNIGHT = Configuration.of([(-1, 0), (0, 2), (1, -1), (2, 1)])
 
@@ -54,10 +57,11 @@ def test_configuration_parity_counts():
 
 
 def test_attacks_examples():
-    assert attacks((0, 0), (0, 5))
-    assert attacks((0, 0), (3, 3))
-    assert not attacks((0, 0), (1, 2))
-    assert not attacks((0, 0), (0, 0))
+    # The pair oracle the other tests lean on, and the package's pair test.
+    for other, attacked in (((0, 5), True), ((3, 3), True), ((1, 2), False)):
+        assert brute_attacks((0, 0), other) == attacked
+        assert is_nonattacking(Configuration.of([(0, 0), other])) != attacked
+    assert not brute_attacks((0, 0), (0, 0))
 
 
 def test_is_nonattacking_examples():
@@ -135,9 +139,8 @@ def test_cover_invariant_under_symmetry(rng):
         for q in (2, 3, 5):
             config = random_config(rng, board, q)
             reference = cover_count(config, board)
-            for t in all_transforms():
-                image = Configuration.of(apply_transform(t, board, s) for s in config)
-                assert cover_count(image, board) == reference
+            for image in brute_images(config, board):
+                assert cover_count(Configuration(image), board) == reference
 
 
 def test_cover_monotone_in_queens(rng):

@@ -2,21 +2,11 @@
 
 import pytest
 
-from queencover import (
-    BoardSpec,
-    BoardTooSmallError,
-    DomainError,
-    Transform,
-    all_transforms,
-    apply_transform,
-    board_contains,
-    border_squares,
-    chebyshev_center_distance,
-    parity_of,
-)
+from queencover import BoardSpec, DomainError, board_contains, chebyshev_center_distance
+from queencover.coverage import border_ring
 from queencover.geometry import TRANSFORM_KINDS, transform_square
 
-from conftest import brute_center_distance
+from conftest import BRUTE_SYMMETRIES, brute_center_distance, brute_ring
 
 
 def test_small_board_listings():
@@ -48,24 +38,27 @@ def test_board_side_must_be_an_int(side):
         BoardSpec(side)
 
 
+def _ring_squares(n):
+    """The squares of border_ring(n), read off its row-major bits."""
+    ring = border_ring(n)
+    return {s for k, s in enumerate(BoardSpec(n).squares()) if ring >> k & 1}
+
+
 def test_border_listings():
-    assert border_squares(BoardSpec(2)) == set(BoardSpec(2).squares())
-    assert border_squares(BoardSpec(3)) == set(BoardSpec(3).squares()) - {(0, 0)}
-    assert len(border_squares(BoardSpec(10))) == 36
+    assert _ring_squares(1) == {(0, 0)}
+    assert _ring_squares(2) == set(BoardSpec(2).squares())
+    assert _ring_squares(3) == set(BoardSpec(3).squares()) - {(0, 0)}
+    assert border_ring(10).bit_count() == 36
 
 
 def test_border_cardinality_and_definition():
-    for n in range(2, 41):
-        border = border_squares(BoardSpec(n))
-        assert len(border) == 4 * n - 4
-        if n > 2:
-            inner = set(BoardSpec(n - 2).squares())
-            assert border == set(BoardSpec(n).squares()) - inner
-
-
-def test_border_requires_n_at_least_2():
-    with pytest.raises(BoardTooSmallError):
-        border_squares(BoardSpec(1))
+    # border_ring is the one border representation: the brute ring as a
+    # row-major bitboard, B_1 included.
+    for n in range(1, 41):
+        board = BoardSpec(n)
+        ring = brute_ring(board)
+        assert border_ring(n) == sum(1 << k for k, s in enumerate(board.squares()) if s in ring)
+        assert len(ring) == max(1, 4 * n - 4)
 
 
 def test_center_distance_examples():
@@ -101,33 +94,33 @@ def test_box_radius_and_side_match_brute_force():
             assert board.box_side(radius + 1) > side
 
 
-def test_parity_examples():
-    assert parity_of((0, 0)) == "even"
-    assert parity_of((1, 2)) == "odd"
-    assert parity_of((1, 3)) == "even"
-
-
 def test_transform_examples():
-    assert apply_transform(Transform("rot180"), BoardSpec(9), (2, 1)) == (-2, -1)
-    assert apply_transform(Transform("rot90"), BoardSpec(10), (1, 0)) == (1, 1)
-    assert apply_transform(Transform("mirror-x"), BoardSpec(9), (2, 1)) == (-2, 1)
+    assert transform_square("rot180", BoardSpec(9).parity_offset, (2, 1)) == (-2, -1)
+    assert transform_square("rot90", BoardSpec(10).parity_offset, (1, 0)) == (1, 1)
+    assert transform_square("mirror-x", BoardSpec(9).parity_offset, (2, 1)) == (-2, 1)
 
 
 def test_transform_validation():
     with pytest.raises(DomainError):
-        Transform("rot45")
-    with pytest.raises(DomainError):
         transform_square("rot45", 0, (0, 0))
-    with pytest.raises(DomainError):
-        apply_transform(Transform("rot90"), BoardSpec(3), (5, 5))
+
+
+def test_transform_square_matches_brute_table():
+    assert set(BRUTE_SYMMETRIES) == set(TRANSFORM_KINDS)
+    for n in range(1, 41):
+        board = BoardSpec(n)
+        c = board.lo + board.hi
+        for kind in TRANSFORM_KINDS:
+            for s in board.squares():
+                assert transform_square(kind, board.parity_offset, s) == BRUTE_SYMMETRIES[kind](c, *s)
 
 
 def test_transforms_are_board_bijections():
     for n in range(1, 41):
         board = BoardSpec(n)
         squares = set(board.squares())
-        for t in all_transforms():
-            image = {apply_transform(t, board, s) for s in squares}
+        for kind in TRANSFORM_KINDS:
+            image = {transform_square(kind, board.parity_offset, s) for s in squares}
             assert image == squares
 
 
@@ -169,12 +162,11 @@ def test_transforms_form_the_dihedral_group(n):
 def test_transform_inverse_round_trip():
     for n in (7, 8):
         board = BoardSpec(n)
+        offset = board.parity_offset
         identity = _perm("identity", board)
         for kind in TRANSFORM_KINDS:
             p = _perm(kind, board)
             inverses = [u for u in TRANSFORM_KINDS if _compose(_perm(u, board), p) == identity]
             assert len(inverses) == 1
-            u = Transform(inverses[0])
-            t = Transform(kind)
             for s in board.squares():
-                assert apply_transform(u, board, apply_transform(t, board, s)) == s
+                assert transform_square(inverses[0], offset, transform_square(kind, offset, s)) == s

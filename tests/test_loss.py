@@ -17,8 +17,6 @@ from queencover import (
     InvariantError,
     NotStableError,
     UnboundedLossError,
-    all_transforms,
-    apply_transform,
     attack_field,
     board_contains,
     center_loss,
@@ -32,7 +30,6 @@ from queencover import (
     is_stable_board,
     noncongruent_pairs,
     overlap_concentration,
-    parity_of,
     predicted_cover,
     quarter_squares,
     stairs,
@@ -48,6 +45,7 @@ from conftest import (
     brute_attacks,
     brute_center_distance,
     brute_cover,
+    brute_images,
     random_config,
     random_nonattacking,
 )
@@ -88,9 +86,8 @@ def test_internal_loss_stable_translation_and_symmetry_invariant(rng):
         config = random_nonattacking(rng, q, lo=-3, hi=3)
         reference = internal_loss_stable(config)
         assert internal_loss_stable(config.translate(17, -6)) == reference
-        for t in all_transforms():
-            image = Configuration.of(apply_transform(t, board, s) for s in config)
-            assert internal_loss_stable(image) == reference
+        for image in brute_images(config, board):
+            assert internal_loss_stable(Configuration(image)) == reference
 
 
 def _squares_within(rho):
@@ -321,7 +318,8 @@ def test_pair_law_within_radius_8():
             config = Configuration.of([(0, 0), other])
             if not is_nonattacking(config):
                 continue
-            expected = 10 if parity_of((0, 0)) != parity_of(other) else 12
+            # Non-congruent: (0,0) and other differ in the parity of x - y.
+            expected = 10 if config.parity_counts == (1, 1) else 12
             assert internal_loss_stable(config) == expected
             checked += 1
     assert checked > 80

@@ -22,10 +22,7 @@ from queencover import (
     DomainError,
     InvariantError,
     SearchParams,
-    all_transforms,
-    apply_transform,
     border_certificate,
-    border_squares,
     cover_count,
     exhaustive_optimal,
     fundamental_classes,
@@ -54,13 +51,16 @@ from queencover.search import (
 )
 
 from conftest import (
+    BRUTE_SYMMETRIES,
     brute_attack_number,
     brute_attacks,
     brute_center_distance,
     brute_canonical,
     brute_classes,
     brute_cover,
+    brute_images,
     brute_orbit,
+    brute_ring,
 )
 from expected_sets import Q2_EVEN, Q2_ODD, Q3_EVEN, Q3_ODD, Q9_N28_WITNESS
 
@@ -159,8 +159,7 @@ def test_optimal_sets_closed_under_symmetry():
     result = exhaustive_optimal(SearchParams(q=2, n=11))
     members = set(_as_set(result.configurations))
     for c in result.configurations:
-        for t in all_transforms():
-            image = tuple(sorted(apply_transform(t, board, s) for s in c))
+        for image in brute_images(c, board):
             assert image in members
 
 
@@ -310,8 +309,8 @@ def test_stabilizer_skips_keep_the_best_ranked_member_of_each_orbit(n, square, r
     assert eng.in_f[j0]
     allowed = None if radius is None else _partners(eng)[j0]
     avail = [i for i in range(j0 + 1, len(eng.order)) if allowed is None or i in allowed]
-    p = eng.board.parity_offset
-    orbits = {frozenset(pos[transform_square(k, p, eng.order[j])] for k in kinds) for j in avail}
+    c = eng.board.lo + eng.board.hi
+    orbits = {frozenset(pos[BRUTE_SYMMETRIES[k](c, *eng.order[j])] for k in kinds) for j in avail}
     assert set().union(*orbits) == set(avail)
     # Children of equal score rank by ascending index.
     skip = _stabilizer_skip(eng.perms, j0)
@@ -513,15 +512,18 @@ def test_fundamental_classes_partition_and_validate():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 10, 13])
 def test_engine_perms_agree_with_transform_square(n):
+    # Both read geometry.SYMMETRIES, so each is held to conftest's own table.
     eng = _engine(n, BoardSpec(n).box_radius(n))
-    p = eng.board.parity_offset
+    board = eng.board
+    p, c = board.parity_offset, board.lo + board.hi
     assert len(eng.perms) == len(TRANSFORM_KINDS)
     for kind, perm in zip(TRANSFORM_KINDS, eng.perms):
         assert sorted(perm) == list(range(len(eng.order))), kind
         for j, s in enumerate(eng.order):
-            assert eng.order[perm[j]] == transform_square(kind, p, s), (kind, s)
+            image = BRUTE_SYMMETRIES[kind](c, *s)
+            assert eng.order[perm[j]] == image == transform_square(kind, p, s), (kind, s)
     canonical = [
-        all(eng.order.index(transform_square(k, p, s)) >= j for k in TRANSFORM_KINDS)
+        all(eng.order.index(f(c, *s)) >= j for f in BRUTE_SYMMETRIES.values())
         for j, s in enumerate(eng.order)
     ]
     assert eng.in_f == canonical
@@ -680,7 +682,7 @@ def test_border_certificate_matches_brute_ring(n, data):
         if s not in kept and not any(brute_attacks(s, c) for c in kept):
             kept.append(s)
     config = Configuration.of(kept)
-    ring = border_squares(BoardSpec(n + 2))
+    ring = brute_ring(BoardSpec(n + 2))
     expected = all(brute_attack_number(config, s) <= 1 for s in ring)
     assert border_certificate(config, board) == expected
 
