@@ -32,7 +32,7 @@ class BudgetExceededError(QueenCoverError):
         self.budget = budget
 
     def __reduce__(self):
-        # Pool workers pickle the error back to the parent process.
+        # A search shard's forked child pickles the error back to the calling process.
         return type(self), (str(self), self.nodes, self.budget)
 
 

@@ -72,7 +72,14 @@ non-attacking partners free[j] (_partners): the windowed route builds them
 for each window it searches and the loss route for each parity, and the
 exhaustive route passes None.  Every route enters the kernel through
 _run_problem, which returns the least loss; the cover routes call it
-through _max_cover, which reads the cover.
+through _max_cover, which reads the cover.  With workers > 1, _run_problem
+deals the canonical first queens round-robin to as many shards as there
+are first queens, at most workers, and runs them as a fork-join in which
+the calling process runs the first shard itself.  The shards share one
+anonymous mmap of 64-bit words: an incumbent hint that every shard lowers
+without a lock (a lost update or a stale read only weakens pruning, since
+the word always holds a loss some shard reached), and one node tally slot
+per shard, written only by its shard, whose sum is the call's one budget.
 
 The loss route scores non-attacking subsets of a box by internal plus center
 loss and never counts cover.  It runs on the box's stable board
@@ -88,6 +95,7 @@ floor.
 
 from __future__ import annotations
 
+import os
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
@@ -382,15 +390,20 @@ def _search_shard(
     (module docstring), and every later queen's lines share at least pair
     squares with the first queen's.  free is
     _partners(eng) for a search of non-attacking subsets, or None when
-    attacks are allowed, as in the exhaustive route.  The shared value, when
-    present, is a monotone cross-shard incumbent hint; stale reads only
-    weaken pruning, never correctness.  Counting starts at spent, the nodes
-    of the call's earlier windows or parity, and the budget is checked
-    against the total at every node.  The tally, when present, is the node
-    total of all pool shards: each shard adds its nodes to it every
-    _TALLY_BATCH nodes and checks the budget against the tally it last saw
-    plus its own unadded nodes, so the shards spend one budget, overshooting
-    it by less than a batch per other running shard.
+    attacks are allowed, as in the exhaustive route.  Counting starts at
+    spent, the nodes of the call's earlier windows or parity, and the budget
+    is checked against the total at every node.  A serial search passes
+    shared and tally as None.  A fork-join shard (_run_problem) passes
+    shared, the 64-bit words that all shards of one call map, and tally,
+    the index of its own word among them.  Word 0 is the cross-shard
+    incumbent hint, written without a lock: a shard lowers it when it finds
+    a lower loss, and a lost update or a stale read only weakens pruning,
+    since the word always holds a loss some shard reached.  Words 1 .. k are
+    the tally slots, one per shard, and only its own shard writes a slot:
+    each shard adds its nodes to its slot every _TALLY_BATCH nodes and
+    checks the budget against the sum of all slots it last read plus its
+    own unadded nodes, so the shards spend one budget, overshooting it by
+    less than a batch per other running shard.
     """
     W = len(eng.order)
     cl, C, lines = eng.cl, eng.cl_prefix, eng.lines
@@ -398,8 +411,8 @@ def _search_shard(
     best = q * (4 * eng.n - 3)
     found: list[tuple[int, ...]] = []
     nodes = spent
-    seen = tally.value if tally is not None else 0  # the tally when last read
-    unadded = 0  # nodes counted here, not yet added to the tally
+    seen = sum(shared[1:]) if tally is not None else 0  # the slots' sum when last read
+    unadded = 0  # nodes counted here, not yet added to the tally slot
     bc = int.bit_count
 
     def note(loss: int, sel: tuple[int, ...]):
@@ -408,16 +421,14 @@ def _search_shard(
             best = loss
             found.clear()
             found.append(sel)
-            if shared is not None and loss < shared.value:
-                with shared.get_lock():
-                    if loss < shared.value:
-                        shared.value = loss
+            if shared is not None and loss < shared[0]:
+                shared[0] = loss
         elif loss == best:
             found.append(sel)
 
     def hint() -> int:
         if shared is not None:
-            v = shared.value
+            v = shared[0]
             if v < best:
                 return v
         return best
@@ -429,9 +440,8 @@ def _search_shard(
         if tally is not None:
             unadded += count
             if unadded >= _TALLY_BATCH:
-                with tally.get_lock():
-                    tally.value += unadded
-                    seen = tally.value
+                shared[tally] += unadded
+                seen = sum(shared[1:])
                 unadded = 0
             total = seen + unadded
         if total > node_budget:
@@ -502,19 +512,14 @@ def _search_shard(
             rec(avail, q - 1, lines[j0], cl[j0], (j0,), _stabilizer_skip(eng.perms, j0))
 
     if tally is not None and unadded:
-        with tally.get_lock():
-            tally.value += unadded
+        shared[tally] += unadded
     return best, found, nodes
 
 
-_POOL_STATE: dict = {}
-# Nodes a pool shard counts before adding them to the shared tally; small
-# against any budget worth sharding, large enough that the lock stays cold.
+# Nodes a fork-join shard counts before adding them to its tally slot; small
+# against any budget worth sharding, large enough that summing the slots
+# stays rare.
 _TALLY_BATCH = 256
-
-
-def _pool_run(level0_chunk: list[int]):
-    return _search_shard(level0_chunk, *_POOL_STATE["shard_args"])
 
 
 def _run_problem(
@@ -529,31 +534,92 @@ def _run_problem(
     """Least loss, argmin index selections and nodes, counting on from spent.
 
     The first queens are the engine's canonical squares (see _search_shard
-    for the other arguments).  With workers > 1 they are dealt to a fork
-    pool of at most one process per chunk, whose shards count their nodes
-    against one shared tally.
+    for the other arguments).  With k = min(workers, first queens) > 1, the
+    search is a fork-join: the first queens are dealt round-robin to k
+    shards, the calling process runs shard 0, which holds the greedy first
+    descent from the most central square, and k - 1 forked children run the
+    others.  The shards share one anonymous mapping of k + 1 words, the
+    incumbent hint and one node tally slot per shard, the caller's starting
+    at spent.  Each child sends back its result or its exception, pickled,
+    through a pipe, and every child is reaped before the call returns or
+    raises.
     """
     level0 = [j for j in range(len(eng.order)) if eng.in_f[j]]
     args = (eng, pair, free, q, budget, spent)
-    if workers > 1 and len(level0) > 1:
-        # Imported here: the import costs about 10 ms, and only a pool needs it.
-        import multiprocessing
+    k = min(workers, len(level0))
+    if k == 1:
+        return _search_shard(level0, *args)
+    # Imported here: only a fork-join needs them (pickle alone takes about
+    # 2 ms to import).
+    import mmap
+    import pickle
+    import signal
 
-        chunks = [level0[i :: workers * 4] for i in range(workers * 4)]
-        chunks = [c for c in chunks if c]
-        shared = multiprocessing.Value("q", q * (4 * eng.n - 3))
-        tally = multiprocessing.Value("q", spent)
-        # Forked workers inherit _search_shard's arguments: nothing is pickled.
-        _POOL_STATE["shard_args"] = (*args, shared, tally)
+    children = {}  # pid -> read end of the child's result pipe, until reaped
+    with mmap.mmap(-1, 8 * (k + 1)) as buf, memoryview(buf).cast("q") as shared:
+        shared[0] = q * (4 * eng.n - 3)
+        shared[1] = spent
         try:
-            with multiprocessing.get_context("fork").Pool(min(workers, len(chunks))) as pool:
-                results = pool.map(_pool_run, chunks)
+            for w in range(1, k):
+                pid, pipe = _fork_shard(level0[w::k], args, shared, w + 1)
+                children[pid] = pipe
+            results = [_search_shard(level0[0::k], *args, shared, 1)]
+            for pid, pipe in list(children.items()):
+                with pipe:
+                    data = pipe.read()
+                status = os.waitpid(pid, 0)[1]
+                del children[pid]
+                if not data:
+                    raise ChildProcessError(
+                        f"search shard {pid} ended without a result (wait status {status})"
+                    )
+                out = pickle.loads(data)
+                if isinstance(out, BaseException):
+                    raise out
+                results.append(out)
         finally:
-            _POOL_STATE.clear()
-        best = min(b for b, _, _ in results)
-        sels = [sel for b, found, _ in results if b == best for sel in found]
-        return best, sels, spent + sum(nd - spent for _, _, nd in results)
-    return _search_shard(level0, *args)
+            # Children are left here only when a shard raised: stop them.
+            for pid, pipe in children.items():
+                pipe.close()
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    best = min(b for b, _, _ in results)
+    sels = [sel for b, found, _ in results if b == best for sel in found]
+    return best, sels, spent + sum(nd - spent for _, _, nd in results)
+
+
+def _fork_shard(shard: list[int], args: tuple, shared: memoryview, slot: int):
+    """Fork a child that runs _search_shard over the first queens shard.
+
+    Returns the child's pid and the read end of its result pipe, to which
+    it writes its result or its exception, pickled.  The child leaves only
+    through os._exit, so the caller's finally blocks, atexit handlers and
+    buffered output never run in it.
+    """
+    import pickle
+
+    rfd, wfd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(rfd)
+        os.close(wfd)
+        raise
+    if pid:
+        os.close(wfd)
+        return pid, open(rfd, "rb")
+    status = 1
+    try:
+        os.close(rfd)
+        try:
+            out = _search_shard(shard, *args, shared, slot)
+        except BaseException as exc:
+            out = exc
+        with open(wfd, "wb") as pipe:
+            pipe.write(pickle.dumps(out))
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def _max_cover(

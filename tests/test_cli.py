@@ -37,7 +37,7 @@ def run_cli(*args, check=False):
 
 
 def test_import_does_not_load_numpy():
-    # multiprocessing too: the fork pool imports it only when it starts.
+    # multiprocessing too: no code path of the package imports it.
     code = (
         "import sys, queencover, queencover.cli; "
         "print('numpy' in sys.modules, 'multiprocessing' in sys.modules)"
@@ -47,6 +47,23 @@ def test_import_does_not_load_numpy():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False False"
+
+
+def test_pooled_search_loads_neither_multiprocessing_nor_ctypes():
+    # The fork-join shares its state through one anonymous mmap, not
+    # multiprocessing's ctypes values.
+    code = (
+        "import sys, contextlib, io, queencover.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = queencover.cli.main("
+        "['search', '--workers', '2', '--q', '6', '--n', '21', '--mode', 'windowed'])\n"
+        "print(code, 'multiprocessing' in sys.modules, 'ctypes' in sys.modules)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=ENV
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "0 False False"
 
 
 # Run in a fresh interpreter: prints, as its last line, which of these modules

@@ -2,7 +2,7 @@
 
 import functools
 import hashlib
-import multiprocessing
+import os
 import pickle
 import random
 from itertools import combinations
@@ -388,7 +388,7 @@ def test_pool_shards_share_one_node_budget():
 
 
 def test_budget_error_survives_pickling():
-    # A pool worker sends its BudgetExceededError back to the parent pickled.
+    # A shard's child process sends its BudgetExceededError back to the caller pickled.
     err = pickle.loads(pickle.dumps(BudgetExceededError("aborted", 1001, 1000)))
     assert (str(err), err.nodes, err.budget) == ("aborted", 1001, 1000)
 
@@ -405,21 +405,62 @@ def test_worker_count_does_not_change_results():
         assert base.window_retries == multi.window_retries
 
 
-def test_pool_starts_no_more_processes_than_chunks(monkeypatch):
-    # Exhaustive (2,4) has 3 canonical first queens, so 3 chunks at workers=4.
-    ctx = multiprocessing.get_context("fork")
-    real = ctx.Pool
-    started = []
+def test_fork_join_forks_one_child_per_shard_but_the_callers(monkeypatch):
+    # Exhaustive (2,4) has 3 canonical first queens, so 3 shards at workers=4:
+    # the caller runs one of them and forks a child for each of the others.
+    real = os.fork
+    forked = []
 
-    def pool(processes=None, *args, **kwargs):
-        started.append(processes)
-        return real(processes, *args, **kwargs)
+    def fork():
+        pid = real()
+        if pid:
+            forked.append(pid)
+        return pid
 
-    monkeypatch.setattr(ctx, "Pool", pool)
+    monkeypatch.setattr(os, "fork", fork)
     base = exhaustive_optimal(SearchParams(q=2, n=4, workers=1))
+    assert forked == []
     multi = exhaustive_optimal(SearchParams(q=2, n=4, workers=4))
-    assert started == [3]
+    assert len(forked) == 2
     assert multi.max_cover == base.max_cover and multi.classes == base.classes
+
+
+def test_worker_count_sizes_nothing_beyond_the_shards():
+    # The shards are dealt over min(workers, first queens), so a huge worker
+    # count allocates nothing in proportion to it.
+    base = exhaustive_optimal(SearchParams(q=2, n=4, workers=1))
+    multi = exhaustive_optimal(SearchParams(q=2, n=4, workers=10**9))
+    assert multi.max_cover == base.max_cover and multi.classes == base.classes
+    assert _as_set(multi.configurations) == _as_set(base.configurations)
+
+
+def _assert_no_child_process():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_fork_join_leaves_no_process_behind():
+    windowed_optimal(SearchParams(q=6, n=21, mode="windowed", workers=2))
+    _assert_no_child_process()
+    with pytest.raises(BudgetExceededError):
+        windowed_optimal(SearchParams(q=6, n=21, mode="windowed", budget=10_000, workers=2))
+    _assert_no_child_process()
+
+
+def test_more_shards_than_cores_keep_results_and_one_budget():
+    # Five shards on a two-core machine: the shards' tally slots must still
+    # add up to one budget (each shard alone stays far under 10,000 nodes),
+    # and the racy incumbent hint must not lose an optimum.
+    base = windowed_optimal(SearchParams(q=6, n=21, mode="windowed", workers=1))
+    multi = windowed_optimal(SearchParams(q=6, n=21, mode="windowed", workers=5))
+    assert multi.max_cover == base.max_cover and multi.classes == base.classes
+    assert _as_set(multi.configurations) == _as_set(base.configurations)
+    with pytest.raises(BudgetExceededError) as err:
+        windowed_optimal(SearchParams(q=6, n=21, mode="windowed", budget=10_000, workers=5))
+    # The raising shard last read the other shards' slots at most a batch
+    # of theirs ago.
+    assert 10_000 < err.value.nodes <= 10_000 + 5 * queencover.search._TALLY_BATCH
+    _assert_no_child_process()
 
 
 def test_windowed_five_queens_matches_known_classes():
