@@ -104,7 +104,7 @@ def _class_lines(result: OptimalSet) -> list[str]:
 def _classes_text(result: OptimalSet) -> str:
     lines = [
         f"max cover: {result.max_cover}",
-        f"optimal configurations: {len(result.members)}",
+        f"optimal configurations: {sum(c.orbit_size for c in result.classes)}",
         f"classes: {len(result.classes)}",
     ]
     if result.window_used is not None:

@@ -47,15 +47,20 @@ keeps j0's list: G0 is j0's full stabilizer, read off perms, and a child is
 tested against it only when the loop reaches that child.
 Finally the search's index selections are expanded to their orbits, which
 restores every skipped image, and reported as fundamental classes (orbits
-with a lexicographically least representative).  The orbit pass works on
-each candidate's lexicographic key (lex, the rank of its square in sorted
-order) read through perms, so each image is a sorted tuple of small ints
-that compares as its squares do: a member maps back to squares already
-sorted, and the orbit's least key tuple is its representative.  The loss
+with a lexicographically least representative).  The orbit pass
+(_orbit_classes) stays in key space: each candidate's lexicographic key
+(lex, the rank of its square in sorted order) is read through perms, so
+each image is a sorted tuple of small ints that compares as its squares do,
+and an orbit's least key tuple is its representative.  Only the
+representatives are mapped back to squares; an OptimalSet keeps its orbits
+as key tuples and maps them to squares (by_lex) when its members are first
+read, and a scan counts optima from the orbit sizes.  Decoding a stored
+record (serialization) checks its classes in this same pass.  The loss
 route reports canonical patterns, the same for every image, and the
 threshold scans fingerprint them; both take the canonical offsets
-(constructions.canonical_offsets) straight from squares, and only the loss
-route's final patterns are wrapped as Patterns.
+(constructions.canonical_offsets) straight from squares, the scans through
+a bounded memo per representative, and only the loss route's final
+patterns are wrapped as Patterns.
 
 A search reads only the squares of its centered box, and every centered box
 is a prefix of the center-out order that the eight symmetries map onto
@@ -184,11 +189,16 @@ class FundamentalClass:
 class OptimalSet:
     """All cover-maximal configurations for one search, orbit-decomposed.
 
-    members are the orbit members as tuples of squares, each one sorted,
-    the members in no particular order, as the orbit pass built them; they
-    are left out of comparison and repr, since the classes determine them.
-    configurations wraps them, sorted, on first read; a stored record keeps
-    only the classes, from which decoding rebuilds the members (orbits).
+    The set costs only its classes until its members are read.  orbit_keys
+    holds each class's orbit, in class order, as sorted tuples of the
+    lexicographic keys of the engine the search finished on, and by_lex is
+    that engine's table from a key back to its square; both are left out of
+    comparison and repr, since the classes determine them.  members maps the
+    keys to sorted tuples of squares on first read, orbit by orbit, and
+    configurations wraps them, sorted, on first read.  The optimum count is
+    the summed orbit sizes of the classes, which reads no member.  A stored
+    record keeps only the classes; decoding takes the orbit keys from the
+    orbit pass that checks them.
 
     A windowed result (window_used set) is the optimum within the final
     window, not certified as the optimum of B_n: optima that attack each
@@ -200,10 +210,17 @@ class OptimalSet:
     params: SearchParams
     max_cover: int
     classes: tuple[FundamentalClass, ...]
-    members: tuple[tuple[Square, ...], ...] = field(compare=False, repr=False)
+    orbit_keys: tuple[Sequence[tuple[int, ...]], ...] = field(compare=False, repr=False)
+    by_lex: Sequence[Square] = field(compare=False, repr=False)
     window_used: Optional[int] = None
     window_retries: int = 0
     nodes: int = 0
+
+    @cached_property
+    def members(self) -> tuple[tuple[Square, ...], ...]:
+        """The orbit members as sorted tuples of squares, mapped from their keys on first read."""
+        by_lex = self.by_lex
+        return tuple(tuple([by_lex[k] for k in m]) for orbit in self.orbit_keys for m in orbit)
 
     @cached_property
     def configurations(self) -> tuple[Configuration, ...]:
@@ -214,64 +231,60 @@ class OptimalSet:
 def fundamental_classes(
     configs: Iterable[Configuration], board: BoardSpec
 ) -> tuple[FundamentalClass, ...]:
-    """Partition configurations into orbits under the eight board symmetries."""
-    return tuple(orbits(configs, board, board.box_radius(board.n))[1])
+    """Partition configurations into orbits under the eight board symmetries.
 
-
-def orbits(
-    configs: Iterable[Configuration], board: BoardSpec, radius: int
-) -> tuple[list[tuple[Square, ...]], list[FundamentalClass]]:
-    """The configurations' orbit members, each sorted, and classes (_orbit_classes).
-
-    The orbits are taken on the engine of the centered box of the given
-    radius (the whole board at board.box_radius(board.n)), and every
-    configuration must lie in that box.  Classes come in the order of each
-    orbit's least given configuration, so sorted least representatives, one
-    per orbit, give back their own classes.
+    Classes come in the order of each orbit's least given configuration, so
+    sorted least representatives, one per orbit, give back their own classes.
     """
+    radius = board.box_radius(board.n)
     eng = _engine(board.n, radius)
-    pos = eng.pos
-    pool = set()
-    for c in configs:
-        if not all(s in pos for s in c.queens):
-            where = "" if len(pos) == board.n**2 else f"the centered box of radius {radius} on "
-            raise DomainError(f"configuration {c.queens} is not feasible on {where}B_{board.n}")
-        pool.add(c.queens)
-    return _orbit_classes(eng, ([pos[s] for s in queens] for queens in sorted(pool)))
+    sels = [_selection(eng, radius, queens) for queens in sorted({c.queens for c in configs})]
+    return tuple(_class_of(eng, orbit) for orbit in _orbit_classes(eng, sels))
 
 
-def _orbit_classes(
-    eng: _Engine, sels: Iterable[Sequence[int]]
-) -> tuple[list[tuple[Square, ...]], list[FundamentalClass]]:
-    """Every member of the selections' orbits as sorted squares, and their classes.
+def _selection(eng: _Engine, radius: int, queens: Sequence[Square]) -> list[int]:
+    """The candidate indices of queens on the engine of the box of the given radius.
 
-    Each selection is expanded once through the engine's permutations, unless
-    an earlier orbit already holds it; the members and the classes come in
-    that order, each class represented by its orbit's least member.  Images
-    are sorted tuples of lexicographic keys (eng.lex), which order as the
-    squares do, so each member maps back to squares already sorted and the
-    least key tuple is the least member.
+    A queen outside the box raises DomainError.
     """
-    lex, by_lex, perms = eng.lex, eng.by_lex, eng.perms
+    pos = eng.pos
+    if not all(s in pos for s in queens):
+        where = "" if len(pos) == eng.n**2 else f"the centered box of radius {radius} on "
+        raise DomainError(f"configuration {tuple(queens)} is not feasible on {where}B_{eng.n}")
+    return [pos[s] for s in queens]
+
+
+def _orbit_classes(eng: _Engine, sels: Iterable[Sequence[int]]) -> list[list[tuple[int, ...]]]:
+    """The selections' orbits, one per class, each as its sorted key tuples.
+
+    Each selection is expanded once through the engine's permutations,
+    unless an earlier orbit already holds it, and the orbits come in that
+    order.  An image is the sorted tuple of its squares' lexicographic keys
+    (eng.lex), which orders as the sorted squares do, so an orbit's first
+    key tuple is its least member, the class representative, and its length
+    is the orbit size.  No square tuple is built here (see _class_of).
+    """
+    lex, perms = eng.lex, eng.perms
     seen: set[tuple[int, ...]] = set()
-    members: list[tuple[Square, ...]] = []
-    classes = []
+    found = []
     for sel in sels:
         if tuple(sorted([lex[i] for i in sel])) in seen:
             continue
         orbit = {tuple(sorted([lex[h[i]] for i in sel])) for h in perms}
         # Set to set: update() from a list would grow the table twice as large.
         seen |= orbit
-        configs = [tuple([by_lex[k] for k in m]) for m in sorted(orbit)]
-        members += configs
-        classes.append(
-            FundamentalClass(
-                representative=Configuration(configs[0]),
-                orbit_size=len(orbit),
-                stabilizer_order=8 // len(orbit),
-            )
-        )
-    return members, classes
+        found.append(sorted(orbit))
+    return found
+
+
+def _class_of(eng: _Engine, orbit: Sequence[tuple[int, ...]]) -> FundamentalClass:
+    """The class of an orbit of _orbit_classes: its least member, mapped to squares."""
+    by_lex = eng.by_lex
+    return FundamentalClass(
+        representative=Configuration(tuple([by_lex[k] for k in orbit[0]])),
+        orbit_size=len(orbit),
+        stabilizer_order=8 // len(orbit),
+    )
 
 
 class _Engine:
@@ -645,8 +658,10 @@ def _finish(
     window_retries: int,
 ) -> OptimalSet:
     lines, pos = eng.lines, eng.pos
-    members, classes = _orbit_classes(eng, sels)
-    if sum(c.orbit_size for c in classes) != len(members):
+    # Key tuples compare as the squares do: least representatives ascend.
+    orbits = sorted(_orbit_classes(eng, sels), key=lambda orbit: orbit[0])
+    classes = [_class_of(eng, orbit) for orbit in orbits]
+    if sum(c.orbit_size for c in classes) != sum(map(len, orbits)):
         raise InvariantError("orbit sizes do not partition the optimal set")
     for c in classes:
         queens = c.representative.queens
@@ -658,8 +673,9 @@ def _finish(
     return OptimalSet(
         params=params,
         max_cover=best,
-        classes=tuple(sorted(classes, key=lambda c: c.representative.queens)),
-        members=tuple(members),
+        classes=tuple(classes),
+        orbit_keys=tuple(orbits),
+        by_lex=eng.by_lex,
         window_used=window_used,
         window_retries=window_retries,
         nodes=nodes,
@@ -737,22 +753,29 @@ def border_certificate(config: Configuration, board: BoardSpec) -> bool:
     return not twice & _coverage.border_ring(m)
 
 
+# Centered boards of one parity share their coordinates, so past the
+# stabilizing threshold every board repeats the same representatives, and a
+# rescan meets them all again: criterion 4's six scans hold about 1,200.
+_canonical_of = lru_cache(maxsize=4096)(canonical_offsets)
+
+
 def canonical_pattern_fingerprint(classes: Iterable[FundamentalClass]) -> str:
     """Hash of the multiset of translation- and symmetry-normalized patterns.
 
     The multiset runs over every member of every orbit.  Board symmetries are
     translations composed with the eight plane symmetries, so all members of
     an orbit share the representative's normalized pattern: it is computed
-    once per class, and each distinct pattern is counted with the summed
-    orbit sizes of its classes.  The hashed bytes are the repr of the sorted
-    multiset as a list, each distinct pattern's repr written count times.
+    once per representative, memoized by its squares (_canonical_of), and
+    each distinct pattern is counted with the summed orbit sizes of its
+    classes.  The hashed bytes are the repr of the sorted multiset as a list,
+    each distinct pattern's repr written count times.
     """
     # Imported here: hashlib loads OpenSSL, and only fingerprints need it.
     import hashlib
 
     counts: Counter[tuple[Square, ...]] = Counter()
     for c in classes:
-        counts[canonical_offsets(c.representative.queens)] += c.orbit_size
+        counts[_canonical_of(c.representative.queens)] += c.orbit_size
     blob = ", ".join(", ".join([repr(offs)] * k) for offs, k in sorted(counts.items()))
     return hashlib.sha256(f"[{blob}]".encode()).hexdigest()
 
@@ -819,7 +842,7 @@ def _scan(
             ScanEntry(
                 n=n,
                 max_cover=result.max_cover,
-                optimal_count=len(result.members),
+                optimal_count=sum(c.orbit_size for c in result.classes),
                 # The symmetries map lines to lines, so an orbit's members
                 # attack each other exactly when its representative does.
                 all_nonattacking=all(is_nonattacking(c.representative) for c in result.classes),

@@ -1,11 +1,14 @@
 """Stable result records, fingerprinting and the on-disk result cache.
 
 Records are single-line JSON with sorted keys and an explicit schema version.
-A search record stores an optimal set once, as its fundamental classes;
-decoding rebuilds the orbit members from the representatives in one orbit
-pass (search.orbits) on the engine the search finished on, the window's box
-for a windowed record, and hands them, in orbit order, to the OptimalSet as
-tuples of squares, wrapped as Configurations only when read.
+A search record stores an optimal set once, as its fundamental classes.
+Decoding checks them in the package's one orbit pass (search._orbit_classes)
+on the engine the search finished on, the window's box for a windowed
+record: each representative lies on that box, is the least image of its
+orbit and comes after the previous class's, its orbit size is its number of
+images, and no image lies in an earlier class's orbit.  The OptimalSet keeps
+the orbits that pass found as key tuples; its members are mapped to squares
+only when read, and wrapped as Configurations only when those are read.
 Identical inputs must produce bit-identical structured output, so the stable
 record view excludes volatile metadata (wall-clock timing, node counts);
 those are kept only inside cache files.  Cache files are keyed by a
@@ -29,7 +32,14 @@ from typing import Iterable, Optional
 from .coverage import Configuration
 from .errors import DomainError, RecordError, UnsupportedSchemaError
 from .geometry import BoardSpec, Square
-from .search import FundamentalClass, OptimalSet, SearchParams, orbits
+from .search import (
+    FundamentalClass,
+    OptimalSet,
+    SearchParams,
+    _engine,
+    _orbit_classes,
+    _selection,
+)
 
 SCHEMA_VERSION = 2
 
@@ -134,11 +144,11 @@ def record_to_optimal_set(record: dict) -> OptimalSet:
     Schema version, field names and types and the window fields against the
     mode and the window are checked; params must hold exactly q, n, mode and
     window, go through SearchParams' own validation and equal its resolved
-    problem key, as the encoder writes them.  The classes must equal those
-    rebuilt from their representatives, each params.q queens on B_n, within
-    window_used for a windowed record, and the members are those of the same
-    orbit pass, left unwrapped until configurations is read.  Cover is not
-    checked.
+    problem key, as the encoder writes them.  The classes must be their own
+    sorted orbits, each representative params.q queens on B_n, within
+    window_used for a windowed record, checked in one orbit pass (module
+    docstring) whose orbit keys the OptimalSet keeps, its members left
+    unbuilt until read.  Cover is not checked.
     """
     if not isinstance(record, dict):
         raise RecordError("record must be an object")
@@ -204,20 +214,33 @@ def record_to_optimal_set(record: dict) -> OptimalSet:
         if not _is_int(size) or not _is_int(stab) or size * stab != 8:
             raise RecordError(f"classes[{i}]: orbit_size x stabilizer_order must be 8")
         classes.append(FundamentalClass(rep, size, stab))
-    # The orbits are rebuilt on the box engine the search finished on: the
-    # window's, so a windowed record's representatives must lie in the window.
+    # One orbit pass on the box engine the search finished on: the window's,
+    # so a windowed record's representatives must lie in the window.  It
+    # skips a representative whose orbit an earlier class holds, so the
+    # classes are their own orbits when it finds one per class, each led by
+    # its representative's keys, as large as the class says, ascending.
     radius = board.box_radius(window_used or n)
+    eng = _engine(n, radius)
     try:
-        members, rebuilt = orbits((c.representative for c in classes), board, radius)
+        sels = [_selection(eng, radius, c.representative.queens) for c in classes]
     except DomainError as e:
         raise RecordError(f"classes: {e}") from e
-    if rebuilt != classes:
+    orbits = _orbit_classes(eng, sels)
+    lex = eng.lex
+    # A representative is sorted, and keys order as squares: its key tuple.
+    least = [tuple([lex[j] for j in sel]) for sel in sels]
+    if (
+        len(orbits) != len(classes)
+        or any(o[0] != k or len(o) != c.orbit_size for o, k, c in zip(orbits, least, classes))
+        or any(a >= b for a, b in zip(least, least[1:]))
+    ):
         raise RecordError("classes: not the sorted orbits of least representatives")
     return OptimalSet(
         params=params,
         max_cover=record["max_cover"],
         classes=tuple(classes),
-        members=tuple(members),
+        orbit_keys=tuple(orbits),
+        by_lex=eng.by_lex,
         window_used=window_used,
         window_retries=counts["window_retries"],
         nodes=counts["nodes"],
@@ -253,6 +276,11 @@ class ResultCache:
         result = record_to_optimal_set(record)
         if record.get("fingerprint") != path.name:
             raise RecordError(f"cache file {path.name} fingerprint mismatch")
+        # The name is the fingerprint of the query, but the record's own
+        # fingerprint field could be edited to match it.
+        asked, held = params.problem_key(), result.params.problem_key()
+        if held != asked:
+            raise RecordError(f"cache file {path.name} holds the result of {held}, not {asked}")
         return result
 
     def put(self, result: OptimalSet, timing_s: Optional[float] = None) -> Path:

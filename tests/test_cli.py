@@ -10,7 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from queencover.serialization import SCHEMA_VERSION
+import queencover.cli
+from queencover.search import OptimalSet, SearchParams, run_search
+from queencover.serialization import SCHEMA_VERSION, params_fingerprint
 
 KNIGHT = "(-1,0);(0,2);(1,-1);(2,1)"
 
@@ -145,6 +147,42 @@ def test_search_reports_two_classes():
     assert "optimal configurations: 16" in result.stdout
     assert "classes: 2" in result.stdout
     assert result.stdout.count("orbit 8") == 2
+
+
+def test_text_search_counts_optima_without_reading_members(tmp_path, monkeypatch, capsys):
+    # The text count is the classes' summed orbit sizes, the same searched
+    # and read back through a warm cache, and neither reads a member.
+    expected = len(run_search(SearchParams(q=3, n=13)).members)
+    read = []
+    members = OptimalSet.members
+
+    def counting(self):
+        read.append(self.params)
+        return members.func(self)
+
+    monkeypatch.setattr(OptimalSet, "members", property(counting))
+    args = ["--cache-dir", str(tmp_path), "search", "--q", "3", "--n", "13"]
+    assert queencover.cli.main(args) == 0
+    cold = capsys.readouterr().out
+    assert queencover.cli.main(args) == 0
+    warm = capsys.readouterr().out
+    assert f"optimal configurations: {expected}\n" in cold
+    assert warm == cold and read == []
+
+
+def test_cache_file_of_other_params_is_an_input_error(tmp_path):
+    # A record whose fingerprint field was edited to another query's file
+    # name used to answer that query: (2,13)'s max cover 84 for B_12.
+    run_cli("--cache-dir", str(tmp_path), "search", "--q", "2", "--n", "13", check=True)
+    (path,) = tmp_path.iterdir()
+    record = json.loads(path.read_text())
+    name = params_fingerprint(SearchParams(q=2, n=12))
+    record["fingerprint"] = name
+    (tmp_path / name).write_text(json.dumps(record) + "\n")
+    result = run_cli("--cache-dir", str(tmp_path), "search", "--q", "2", "--n", "12")
+    assert result.returncode == 2, result.stdout
+    assert result.stderr.startswith("error: cache file ") and "holds the result of" in result.stderr
+    assert result.stdout == ""
 
 
 def test_windowed_search_is_labelled_window_relative():

@@ -40,14 +40,16 @@ from queencover.search import (
     DEFAULT_BUDGET,
     FundamentalClass,
     _Engine,
+    _class_of,
     _engine,
     _finish,
     _loss_scan_parity,
     _max_cover,
+    _orbit_classes,
     _partners,
+    _selection,
     _stabilizer_skip,
     canonical_pattern_fingerprint,
-    orbits,
 )
 
 from conftest import (
@@ -668,8 +670,9 @@ def test_fundamental_classes_match_brute_orbits(n, data):
 
 def test_box_orbits_match_brute_orbits():
     # Seeded configurations of centered boxes, attacking and not, through the
-    # box engines: every member comes sorted, and each class is its brute
-    # orbit with the least member as representative.
+    # box engines' key-space orbit pass: each orbit comes as ascending key
+    # tuples whose members map back to sorted squares, and each class is its
+    # brute orbit with the least member as representative.
     rng = random.Random(2508)
     for n in range(1, 15):
         board = BoardSpec(n)
@@ -684,10 +687,15 @@ def test_box_orbits_match_brute_orbits():
                     if len(kept) < q and not any(brute_attacks(s, c) for c in kept):
                         kept.append(s)
                 configs.append(Configuration.of(kept))
-            members, classes = orbits(configs, board, radius)
+            eng = _engine(n, radius)
+            pool = sorted({c.queens for c in configs})
+            found = _orbit_classes(eng, [_selection(eng, radius, queens) for queens in pool])
+            classes = [_class_of(eng, orbit) for orbit in found]
             assert [(c.representative.queens, c.orbit_size) for c in classes] == brute_classes(
                 configs, board
             ), (n, radius)
+            assert all(list(orbit) == sorted(set(orbit)) for orbit in found)
+            members = [tuple(eng.by_lex[k] for k in m) for orbit in found for m in orbit]
             assert all(list(m) == sorted(m) for m in members)
             assert len(members) == len(set(members)) == sum(c.orbit_size for c in classes)
             expected = set()

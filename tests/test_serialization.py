@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,7 @@ from queencover import (
     stabilizing_threshold,
     windowed_optimal,
 )
+from queencover.constructions import canonical_offsets
 from queencover.serialization import (
     SCHEMA_VERSION,
     ResultCache,
@@ -351,6 +353,21 @@ def test_cache_rejects_mismatched_fingerprint(tmp_path, small_result):
         cache.get(SearchParams(q=2, n=12))
 
 
+def test_cache_refuses_a_record_of_other_params(tmp_path):
+    # The file name is the query's fingerprint, and the record's own
+    # fingerprint field can be edited to match it: (2,13)'s record under
+    # (2,12)'s name would answer with B_13's max cover, 84 against 76.
+    cache = ResultCache(tmp_path)
+    path = cache.put(exhaustive_optimal(SearchParams(q=2, n=13)))
+    record = json.loads(path.read_text())
+    other = params_fingerprint(SearchParams(q=2, n=12))
+    record["fingerprint"] = other
+    (tmp_path / other).write_text(json.dumps(record) + "\n")
+    assert cache.get(SearchParams(q=2, n=13)).max_cover == 84
+    with pytest.raises(RecordError, match=r"holds the result of .*'n': 13.*, not .*'n': 12"):
+        cache.get(SearchParams(q=2, n=12))
+
+
 def test_scans_wrap_no_member_cold_or_warm(tmp_path):
     # A scan counts each optimal set from its orbit sizes, searched or read
     # back from the cache, so no result wraps its members until they are read.
@@ -368,9 +385,12 @@ def test_scans_wrap_no_member_cold_or_warm(tmp_path):
     cold = nonattacking_threshold(2, 4, 10, runner=runner)
     warm = nonattacking_threshold(2, 4, 10, runner=runner)
     assert cold == warm and len(seen) == 2 * len(cold.entries)
+    # The first half were searched, the second half read from the cache.
+    assert all("members" not in vars(result) for result in seen)
     assert all("configurations" not in vars(result) for result in seen)
     for entry, result in zip(cold.entries + warm.entries, seen):
-        assert entry.optimal_count == len(result.configurations)
+        assert len(result.members) == sum(c.orbit_size for c in result.classes)
+        assert entry.optimal_count == len(result.members) == len(result.configurations)
         queens = [c.queens for c in result.configurations]
         assert queens == sorted(queens)
 
@@ -399,3 +419,44 @@ def test_warm_scans_build_no_pattern(tmp_path, monkeypatch):
     warm = [nonattacking_threshold(3, 4, 10, runner=runner), stabilizing_threshold(2, 6, 12, runner=runner)]
     assert warm == cold
     assert built == []
+
+
+# Acceptance criterion 4's six scans.
+_CRITERION_4 = (
+    (nonattacking_threshold, 2, 4, 14),
+    (nonattacking_threshold, 3, 4, 14),
+    (nonattacking_threshold, 4, 5, 13),
+    (stabilizing_threshold, 2, 6, 16),
+    (stabilizing_threshold, 3, 6, 18),
+    (stabilizing_threshold, 4, 8, 20),
+)
+
+
+def test_pattern_memo_changes_no_fingerprint(tmp_path):
+    # Cold and then warm through one cache, every fingerprint is the hash of
+    # the patterns that the unmemoized canonical_offsets gives, each counted
+    # with its orbit size; the warm pass reads them from the bounded memo.
+    memo = queencover.search._canonical_of
+    memo.cache_clear()
+    cache = ResultCache(tmp_path)
+    results = {}
+
+    def runner(params):
+        result = cache.get(params)
+        if result is None:
+            result = run_search(params)
+            cache.put(result)
+        results[params.q, params.n] = result
+        return result
+
+    for _ in ("cold", "warm"):
+        for scan, q, n_lo, n_hi in _CRITERION_4:
+            for entry in scan(q, n_lo, n_hi, runner=runner).entries:
+                counts = Counter()
+                for c in results[q, entry.n].classes:
+                    counts[canonical_offsets(c.representative.queens)] += c.orbit_size
+                expected = hashlib.sha256(repr(sorted(counts.elements())).encode()).hexdigest()
+                assert entry.pattern_fingerprint == expected, (scan.__name__, q, entry.n)
+    info = memo.cache_info()
+    assert info.maxsize is not None and 0 < info.currsize <= info.maxsize
+    assert info.hits >= info.currsize  # the warm pass alone hits every one
