@@ -38,6 +38,7 @@ from .serialization import (
     optimal_set_record,
     parse_lines,
     record_to_optimal_set,
+    result_fields,
     to_json_line,
 )
 
@@ -286,10 +287,9 @@ def _cmd_fundamentals(args) -> int:
     results = [record_to_optimal_set(r) for r in _read_records(args.input)]
     if args.format == "structured":
         for result in results:
-            stored = optimal_set_record(result)
-            record = {"schema_version": SCHEMA_VERSION, "kind": "fundamentals"}
-            record.update((k, stored[k]) for k in ("params", "max_cover", "classes"))
-            print(to_json_line(record))
+            # The fields alone: a search record's fingerprint hashes the sources.
+            fields = result_fields(result)
+            print(to_json_line({"schema_version": SCHEMA_VERSION, "kind": "fundamentals", **fields}))
         return 0
     lines = []
     for result in results:

@@ -242,19 +242,3 @@ def predicted_cover(config: Configuration, board: BoardSpec) -> int:
     loss = internal_loss(config, board) + _center_loss_on_board(config, board)
     return (4 * board.n - 3) * config.q - loss
 
-
-__all__ = [
-    "LossBreakdown",
-    "center_loss",
-    "center_loss_of_square",
-    "crossing_budget",
-    "internal_loss",
-    "internal_loss_stable",
-    "is_stable_board",
-    "noncongruent_pairs",
-    "overlap_concentration",
-    "predicted_cover",
-    "quarter_squares",
-    "stable_board",
-    "total_loss",
-]

@@ -77,14 +77,17 @@ non-attacking partners free[j] (_partners): the windowed route builds them
 for each window it searches and the loss route for each parity, and the
 exhaustive route passes None.  Every route enters the kernel through
 _run_problem, which returns the least loss; the cover routes call it
-through _max_cover, which reads the cover.  With workers > 1, _run_problem
-deals the canonical first queens round-robin to as many shards as there
-are first queens, at most workers, and runs them as a fork-join in which
-the calling process runs the first shard itself.  The shards share one
-anonymous mmap of 64-bit words: an incumbent hint that every shard lowers
-without a lock (a lost update or a stale read only weakens pruning, since
-the word always holds a loss some shard reached), and one node tally slot
-per shard, written only by its shard, whose sum is the call's one budget.
+through _max_cover, which reads the cover.  _run_problem deals the
+canonical first queens round-robin to as many shards as there are first
+queens, at most workers, and the kernel (_search_shard) speaks one protocol
+for any number of shards: it cuts on word 0 of the shards' 64-bit words,
+the incumbent, which every shard lowers without a lock (a lost update or a
+stale read only weakens pruning, since the word always holds a loss some
+shard reached), and counts its nodes in its own tally slot, one word per
+shard, whose sum is the call's one budget.  A serial search is the one-shard
+case, its words a two-item list; with more shards they are one anonymous
+mmap, and the search is a fork-join in which the calling process runs the
+first shard itself.
 
 The loss route scores non-attacking subsets of a box by internal plus center
 loss and never counts cover.  It runs on the box's stable board
@@ -392,40 +395,38 @@ def _search_shard(
     free: Optional[list[frozenset[int]]],
     q: int,
     node_budget: int,
-    spent: int = 0,
-    shared=None,
-    tally=None,
+    shared: list[int] | memoryview,
+    slot: int,
 ) -> tuple[int, list[tuple[int, ...]], int]:
-    """Least loss, argmin selections and node count of q queens over one shard.
+    """Least loss, argmin selections and the nodes counted, of q queens over one shard.
 
     The shard is the first queens level0, ascending.  Candidate j scores
     cl[j] + popcount(lines[j] & m) on the engine's line masks in every route
     (module docstring), and every later queen's lines share at least pair
-    squares with the first queen's.  free is
-    _partners(eng) for a search of non-attacking subsets, or None when
-    attacks are allowed, as in the exhaustive route.  Counting starts at
-    spent, the nodes of the call's earlier windows or parity, and the budget
-    is checked against the total at every node.  A serial search passes
-    shared and tally as None.  A fork-join shard (_run_problem) passes
-    shared, the 64-bit words that all shards of one call map, and tally,
-    the index of its own word among them.  Word 0 is the cross-shard
-    incumbent hint, written without a lock: a shard lowers it when it finds
-    a lower loss, and a lost update or a stale read only weakens pruning,
-    since the word always holds a loss some shard reached.  Words 1 .. k are
-    the tally slots, one per shard, and only its own shard writes a slot:
-    each shard adds its nodes to its slot every _TALLY_BATCH nodes and
-    checks the budget against the sum of all slots it last read plus its
-    own unadded nodes, so the shards spend one budget, overshooting it by
-    less than a batch per other running shard.
+    squares with the first queen's.  free is _partners(eng) for a search of
+    non-attacking subsets, or None when attacks are allowed, as in the
+    exhaustive route.  shared holds the 64-bit words of the call's shards
+    (_run_problem), and slot is the index of this shard's own.  Word 0 is
+    the incumbent, on which every cut is taken: a shard lowers it, without a
+    lock, when it finds a lower loss, and a lost update or a stale read only
+    weakens pruning, since the word always holds a loss some shard reached.
+    Words 1 .. k are the node tally slots, one per shard, and only its own
+    shard writes a slot: a shard adds its nodes to its slot every
+    _TALLY_BATCH nodes and checks the budget, at every node, against the sum
+    of all slots it last read plus its own unadded nodes, so the shards
+    spend one budget, overshooting it by less than a batch per other running
+    shard.  A serial search is the one-shard case, where word 0 is always
+    the shard's own least loss and the count is exact.  The count returned
+    is the growth of the shard's slot.
     """
     W = len(eng.order)
     cl, C, lines = eng.cl, eng.cl_prefix, eng.lines
     # Every score is at most 4n - 3, so no selection exceeds this start.
     best = q * (4 * eng.n - 3)
     found: list[tuple[int, ...]] = []
-    nodes = spent
-    seen = sum(shared[1:]) if tally is not None else 0  # the slots' sum when last read
-    unadded = 0  # nodes counted here, not yet added to the tally slot
+    start = shared[slot]
+    seen = sum(shared[1:])  # the slots' sum when last read
+    unadded = 0  # nodes counted here, not yet added to the slot
     bc = int.bit_count
 
     def note(loss: int, sel: tuple[int, ...]):
@@ -434,30 +435,20 @@ def _search_shard(
             best = loss
             found.clear()
             found.append(sel)
-            if shared is not None and loss < shared[0]:
+            if loss < shared[0]:
                 shared[0] = loss
         elif loss == best:
             found.append(sel)
 
-    def hint() -> int:
-        if shared is not None:
-            v = shared[0]
-            if v < best:
-                return v
-        return best
-
     def spend(count: int):
-        nonlocal nodes, seen, unadded
-        nodes += count
-        total = nodes
-        if tally is not None:
-            unadded += count
-            if unadded >= _TALLY_BATCH:
-                shared[tally] += unadded
-                seen = sum(shared[1:])
-                unadded = 0
+        nonlocal seen, unadded
+        unadded += count
+        if unadded >= _TALLY_BATCH:
+            shared[slot] += unadded
+            seen = sum(shared[1:])
+            unadded = 0
+        if seen + unadded > node_budget:
             total = seen + unadded
-        if total > node_budget:
             raise BudgetExceededError(f"search aborted after {total} nodes", total, node_budget)
 
     def rec(avail: list[int], r: int, m: int, loss: int, sel: tuple[int, ...], skip=None):
@@ -469,7 +460,7 @@ def _search_shard(
         scores = [cl[j] + bc(lines[j] & m) for j in avail]
         if r == 1:
             low = min(scores)
-            if loss + low > hint():
+            if loss + low > shared[0]:
                 return
             ties = [j for s, j in zip(scores, avail) if s == low and (skip is None or not skip(j))]
             spend(len(ties))
@@ -479,7 +470,7 @@ def _search_shard(
         # The entry cut, on the unranked scores: most nodes end here, so
         # only a node that can enter its first child ranks its candidates.
         window = sum(sorted(scores)[:r])
-        cut = hint()
+        cut = shared[0]
         if loss + window > cut:
             return
         # Children in ascending score; each excludes its earlier siblings,
@@ -505,7 +496,7 @@ def _search_shard(
                     kids = [i for _, i in ranked[p + 1 :] if i in fj]
                 if len(kids) >= r - 1:
                     rec(kids, r - 1, m | lines[j], loss + v, sel + (j,))
-                    cut = hint()
+                    cut = shared[0]
             if p < last:
                 window += ranked[p + r][0] - v
                 if loss + window > cut:
@@ -514,7 +505,7 @@ def _search_shard(
     for j0 in level0:
         if j0 > W - q:
             break
-        if pair * (q - 1) + C[j0 + q] - C[j0] > hint():
+        if pair * (q - 1) + C[j0 + q] - C[j0] > shared[0]:
             break
         spend(1)
         if q == 1:
@@ -524,14 +515,12 @@ def _search_shard(
         if len(avail) >= q - 1:
             rec(avail, q - 1, lines[j0], cl[j0], (j0,), _stabilizer_skip(eng.perms, j0))
 
-    if tally is not None and unadded:
-        shared[tally] += unadded
-    return best, found, nodes
+    shared[slot] += unadded
+    return best, found, shared[slot] - start
 
 
-# Nodes a fork-join shard counts before adding them to its tally slot; small
-# against any budget worth sharding, large enough that summing the slots
-# stays rare.
+# Nodes a shard counts before adding them to its tally slot; small against
+# any budget worth sharding, large enough that summing the slots stays rare.
 _TALLY_BATCH = 256
 
 
@@ -547,21 +536,37 @@ def _run_problem(
     """Least loss, argmin index selections and nodes, counting on from spent.
 
     The first queens are the engine's canonical squares (see _search_shard
-    for the other arguments).  With k = min(workers, first queens) > 1, the
-    search is a fork-join: the first queens are dealt round-robin to k
-    shards, the calling process runs shard 0, which holds the greedy first
-    descent from the most central square, and k - 1 forked children run the
-    others.  The shards share one anonymous mapping of k + 1 words, the
-    incumbent hint and one node tally slot per shard, the caller's starting
-    at spent.  Each child sends back its result or its exception, pickled,
-    through a pipe, and every child is reaped before the call returns or
-    raises.
+    for the other arguments), dealt round-robin to k = min(workers, first
+    queens) shards.  The shards' words are the incumbent, starting at
+    q(4n - 3), and one node tally slot per shard, shard 0's starting at
+    spent.  Shard 0 holds the greedy first descent from the most central
+    square and runs in the calling process.  With one shard the words are a
+    list, and the search is serial; with more they are one shared anonymous
+    mapping, and the other shards run in forked children (_fork_join).
+    Either way the result is the least loss over the shards, the argmin
+    selections of the shards that reached it and spent plus their nodes.
     """
     level0 = [j for j in range(len(eng.order)) if eng.in_f[j]]
-    args = (eng, pair, free, q, budget, spent)
+    args = (eng, pair, free, q, budget)
+    words = [q * (4 * eng.n - 3), spent]
     k = min(workers, len(level0))
     if k == 1:
-        return _search_shard(level0, *args)
+        results = [_search_shard(level0, *args, words, 1)]
+    else:
+        results = _fork_join(level0, k, args, words)
+    best = min(b for b, _, _ in results)
+    sels = [sel for b, found, _ in results if b == best for sel in found]
+    return best, sels, spent + sum(grown for _, _, grown in results)
+
+
+def _fork_join(level0: list[int], k: int, args: tuple, words: list[int]) -> list[tuple]:
+    """The results of k > 1 shards of level0, shard 0 run here, the others forked.
+
+    The shards share one anonymous mapping of k + 1 words, the first two
+    set from words and the other slots 0.  Each child sends back its result
+    or its exception, pickled, through a pipe, and every child is reaped
+    before the call returns or raises.
+    """
     # Imported here: only a fork-join needs them (pickle alone takes about
     # 2 ms to import).
     import mmap
@@ -570,8 +575,7 @@ def _run_problem(
 
     children = {}  # pid -> read end of the child's result pipe, until reaped
     with mmap.mmap(-1, 8 * (k + 1)) as buf, memoryview(buf).cast("q") as shared:
-        shared[0] = q * (4 * eng.n - 3)
-        shared[1] = spent
+        shared[0], shared[1] = words
         try:
             for w in range(1, k):
                 pid, pipe = _fork_shard(level0[w::k], args, shared, w + 1)
@@ -596,9 +600,7 @@ def _run_problem(
                 pipe.close()
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
-    best = min(b for b, _, _ in results)
-    sels = [sel for b, found, _ in results if b == best for sel in found]
-    return best, sels, spent + sum(nd - spent for _, _, nd in results)
+    return results
 
 
 def _fork_shard(shard: list[int], args: tuple, shared: memoryview, slot: int):
@@ -661,8 +663,6 @@ def _finish(
     # Key tuples compare as the squares do: least representatives ascend.
     orbits = sorted(_orbit_classes(eng, sels), key=lambda orbit: orbit[0])
     classes = [_class_of(eng, orbit) for orbit in orbits]
-    if sum(c.orbit_size for c in classes) != sum(map(len, orbits)):
-        raise InvariantError("orbit sizes do not partition the optimal set")
     for c in classes:
         queens = c.representative.queens
         # The eight symmetries map B_n's lines onto lines, so cover is constant

@@ -95,12 +95,9 @@ def _decode_config(payload, where: str) -> Configuration:
         raise RecordError(f"{where}: {e}") from e
 
 
-def optimal_set_record(result: OptimalSet) -> dict:
-    """JSON-ready record for one search result, deterministic for its parameters."""
+def result_fields(result: OptimalSet) -> dict:
+    """The params, max_cover and classes of a result's record; hashes nothing."""
     return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "search_result",
-        "fingerprint": params_fingerprint(result.params),
         "params": result.params.problem_key(),
         "max_cover": result.max_cover,
         "classes": [
@@ -111,6 +108,16 @@ def optimal_set_record(result: OptimalSet) -> dict:
             }
             for c in result.classes
         ],
+    }
+
+
+def optimal_set_record(result: OptimalSet) -> dict:
+    """JSON-ready record for one search result, deterministic for its parameters."""
+    return {
+        "schema_version": SCHEMA_VERSION,
+        "kind": "search_result",
+        "fingerprint": params_fingerprint(result.params),
+        **result_fields(result),
         "window_used": result.window_used,
         "window_retries": result.window_retries,
     }

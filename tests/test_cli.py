@@ -68,10 +68,26 @@ def test_pooled_search_loads_neither_multiprocessing_nor_ctypes():
     assert result.stdout.strip() == "0 False False"
 
 
+def test_serial_search_loads_none_of_the_fork_join_modules():
+    # mmap, pickle and signal serve only a fork-join's shards.
+    code = (
+        "import sys, queencover\n"
+        "queencover.run_search(queencover.SearchParams(q=3, n=9))\n"
+        "queencover.run_search(queencover.SearchParams(q=6, n=21, mode='windowed'))\n"
+        "queencover.loss_minimal_patterns(4, 3)\n"
+        "print([m for m in ('mmap', 'pickle', 'signal') if m in sys.modules])"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=ENV
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
 # Run in a fresh interpreter: prints, as its last line, which of these modules
-# were loaded after importing the package, after five commands that hash
-# nothing (text-format search prints no fingerprint), and after opening a
-# result cache.
+# were loaded after importing the package, after six commands that hash
+# nothing (text-format search and structured fundamentals print no
+# fingerprint), and after opening a result cache.
 _FOOTPRINT = """
 import json, sys
 from io import StringIO
@@ -92,6 +108,7 @@ with redirect_stdout(StringIO()):
             ["render", "--config", knight, "--n", "6", "--annotate", "attack-numbers"],
             ["verify", "--input", record],
             ["search", "--q", "2", "--n", "6"],
+            ["--format", "structured", "fundamentals", "--input", record],
         )
     ]
 stages["commands"] = loaded()
@@ -116,7 +133,7 @@ def test_only_hashing_loads_hashlib_and_nothing_loads_logging(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     stages = json.loads(result.stdout.splitlines()[-1])
-    assert stages["codes"] == [0, 0, 0, 0, 0]
+    assert stages["codes"] == [0, 0, 0, 0, 0, 0]
     assert stages["import"] == [] and stages["commands"] == []
     assert "hashlib" in stages["cache"] and "logging" not in stages["cache"]
 

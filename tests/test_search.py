@@ -375,6 +375,21 @@ def test_window_retries_share_one_node_budget():
     assert last.nodes < err.value.nodes <= last.nodes + 6
 
 
+@pytest.mark.parametrize("mode, q, n", [("exhaustive", 4, 30), ("windowed", 6, 21)])
+def test_a_serial_search_counts_its_nodes_exactly(mode, q, n):
+    # A serial search counts its nodes as the growth of its one tally slot,
+    # across every window of the call: (6,21) grows its window once.  The
+    # count is exact, so a budget of that many nodes suffices and one fewer
+    # stops the search at its last node.
+    result = run_search(SearchParams(q=q, n=n, mode=mode))
+    assert result.window_retries == (mode == "windowed")
+    again = run_search(SearchParams(q=q, n=n, mode=mode, budget=result.nodes))
+    assert again.nodes == result.nodes and again.classes == result.classes
+    with pytest.raises(BudgetExceededError) as err:
+        run_search(SearchParams(q=q, n=n, mode=mode, budget=result.nodes - 1))
+    assert (err.value.nodes, err.value.budget) == (result.nodes, result.nodes - 1)
+
+
 def test_pool_shards_share_one_node_budget():
     # The shards of a workers=2 run spend the one budget between them; each
     # alone stays under it (together they visit about 12,200 nodes; the
