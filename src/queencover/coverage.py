@@ -11,8 +11,9 @@ line-shift arithmetic.  The cover count ORs the queens' line masks; the
 search engine (search._Engine) keeps one per candidate square.  A queen's
 attack mask is her line mask less her own square; the attack field adds
 those masks into a bit-sliced binary counter: planes[b] is the set of
-squares whose attacking number has bit b set.  The loss statistics are
-popcounts of the planes (AttackField), never a per-square scan.
+squares whose attacking number has bit b set.  The histogram and the loss
+statistics read one frequency table that the field splits from its planes
+once (AttackField), never a per-square scan.
 
 The kernels share their work on one configuration and one board through a
 slot (evaluation) that holds the most recent (configuration object, board
@@ -92,14 +93,6 @@ class Configuration:
         object.__setattr__(moved, "queens", tuple((x + dx, y + dy) for x, y in self.queens))
         return moved
 
-    def bounding_box(self) -> tuple[int, int, int, int]:
-        """(min_x, min_y, max_x, max_y); requires a non-empty configuration."""
-        if not self.queens:
-            raise DomainError("empty configuration has no bounding box")
-        xs = [x for x, _ in self.queens]
-        ys = [y for _, y in self.queens]
-        return min(xs), min(ys), max(xs), max(ys)
-
 
 def is_nonattacking(config: Configuration) -> bool:
     """True iff no two queens share a column, a row or a diagonal.
@@ -133,48 +126,39 @@ class AttackField:
 
     planes[b] is the row-major bitboard of the squares whose a(s) has bit b
     set, so a(s) is the sum of 2**b over the planes holding the square's bit.
-    Immutable after construction.  The loss statistics are popcounts of the
-    planes, with |P| the popcount of a plane P:
+    The planes never change after construction.  The board statistics read
+    one frequency table f, f[a] the number of squares with a(s) = a, built
+    on the first call that needs it by splitting the board on the planes,
+    and kept: the loss kernels and the histogram ask one field several
+    times.  Over the attacked squares (a >= 1),
 
-        sum of a(s)      = sum_b 2**b |P_b|
-        sum of a(s)**2   = sum_b 4**b |P_b| + sum_{b<c} 2**(b+c+1) |P_b & P_c|
-
-    and the attacked squares are P_0 | P_1 | ....  histogram() and
-    max_count() split the board into one mask per counter value on every
-    call; no caller asks one field twice.
+        internal loss         = sum (a - 1) f[a]
+        overlap concentration = sum (C(a, 2) - (a - 1)) f[a] = sum C(a - 1, 2) f[a].
     """
 
     def __init__(self, board: BoardSpec, planes: tuple[int, ...]):
         self.board = board
         self.planes = planes
-        self._moment: Optional[tuple[int, int]] = None
+        self._freqs: Optional[list[int]] = None
 
     def _frequencies(self) -> list[int]:
-        """freqs[a]: the number of squares attacked exactly a times."""
-        # Splitting on the planes from the top one down keeps the masks in
-        # order of value: masks[v] holds the squares whose counter reads v.
-        masks = [line_shifts(self.board.n).full]
-        for plane in reversed(self.planes):
-            split = []
-            for m in masks:
-                high = m & plane
-                split += (m ^ high, high)
-            masks = split
-        freqs = [m.bit_count() for m in masks]
-        while len(freqs) > 1 and not freqs[-1]:
-            freqs.pop()
+        """freqs[a]: the number of squares attacked exactly a times, built on first call."""
+        freqs = self._freqs
+        if freqs is None:
+            # Splitting on the planes from the top one down keeps the masks in
+            # order of value: masks[v] holds the squares whose counter reads v.
+            masks = [line_shifts(self.board.n).full]
+            for plane in reversed(self.planes):
+                split = []
+                for m in masks:
+                    high = m & plane
+                    split += (m ^ high, high)
+                masks = split
+            freqs = [m.bit_count() for m in masks]
+            while len(freqs) > 1 and not freqs[-1]:
+                freqs.pop()
+            self._freqs = freqs
         return freqs
-
-    def _first_moment(self) -> tuple[int, int]:
-        """(attacked squares, sum of a(s)) over the board, built on first call."""
-        moment = self._moment
-        if moment is None:
-            attacked = total = 0
-            for b, plane in enumerate(self.planes):
-                attacked |= plane
-                total += plane.bit_count() << b
-            moment = self._moment = (attacked.bit_count(), total)
-        return moment
 
     def count(self, square: Square) -> int:
         if not board_contains(self.board, square):
@@ -208,19 +192,13 @@ class AttackField:
 
     def internal_loss(self) -> int:
         """Sum of a(s) - 1 over attacked squares."""
-        attacked, total = self._first_moment()
-        return total - attacked
+        freqs = self._frequencies()
+        return sum((a - 1) * freqs[a] for a in range(2, len(freqs)))
 
     def overlap_concentration(self) -> int:
         """Sum of C(a(s), 2) - (a(s) - 1) over attacked squares."""
-        attacked, total = self._first_moment()
-        planes = self.planes
-        squares = 0
-        for b, plane in enumerate(planes):
-            squares += plane.bit_count() << 2 * b
-            for c in range(b + 1, len(planes)):
-                squares += (plane & planes[c]).bit_count() << b + c + 1
-        return (squares - total) // 2 - (total - attacked)
+        freqs = self._frequencies()
+        return sum((a - 1) * (a - 2) // 2 * freqs[a] for a in range(3, len(freqs)))
 
 
 def line_masks(squares: Iterable[Square], board: BoardSpec) -> list[int]:

@@ -8,15 +8,19 @@ non-attacking configuration further decomposes as ``crossing_budget - overlap
 concentration``, where the crossing budget depends only on the queens' parity
 counts.
 
-The internal loss and the overlap concentration are popcounts of the attack
-field's bit planes (coverage.AttackField): one kernel for both.  Feasibility,
-center loss and stability are one pass each over the queens.
+The internal loss and the overlap concentration are sums over one frequency
+table of the attack field (coverage.AttackField): f[a] squares attacked a
+times give internal loss sum (a - 1) f[a] and overlap concentration
+sum (C(a, 2) - a + 1) f[a].  Feasibility, parity counts and center loss are
+one pass over the queens (_queen_pass); stability is one pass over the
+queen pairs.
 
-internal_loss, total_loss and predicted_cover read the attack field
-through coverage.attack_field, so for one configuration object on one board
-it is built once, in coverage's evaluation slot.  The center loss and the
-pair-crossing stability flag are one cheap pass each and are recomputed on
-every call; is_stable_board builds no field and leaves the slot as it is.
+internal_loss, overlap_concentration, total_loss and predicted_cover read
+the attack field through coverage.attack_field, so for one configuration
+object on one board the field and its table are built once, in coverage's
+evaluation slot, however often and in whatever order they are asked.  The
+queen and pair passes are cheap and are recomputed on every call;
+is_stable_board builds no field and leaves the slot as it is.
 internal_loss_stable builds its masks once, on one board, and outside the
 slot, so the caller's entry survives.
 """
@@ -24,6 +28,7 @@ slot, so the caller's entry survives.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from .coverage import (
     Configuration,
@@ -62,11 +67,6 @@ def internal_loss(config: Configuration, board: BoardSpec) -> int:
     return attack_field(config, board).internal_loss()
 
 
-def _centered(config: Configuration) -> Configuration:
-    x0, y0, x1, y1 = config.bounding_box()
-    return config.translate(-(x0 + x1) // 2, -(y0 + y1) // 2)
-
-
 def stable_board(config: Configuration, odd: bool) -> BoardSpec:
     """Board of the given parity holding every pair crossing of the queens as placed.
 
@@ -88,7 +88,7 @@ def stable_board(config: Configuration, odd: bool) -> BoardSpec:
 def internal_loss_stable(config: Configuration) -> int:
     """Board-size-independent internal loss of a non-attacking configuration.
 
-    Evaluated with the configuration centered on its odd stable_board B_n,
+    Evaluated with the configuration's box centered on its odd stable_board B_n,
     then certified by recomputing on B_{n + 2} and requiring equality.  Both
     values come from one set of masks on B_{n + 2}: B_n is its inner part,
     B_{n + 2} less its border ring, and each queen's attack set on B_n is
@@ -98,7 +98,10 @@ def internal_loss_stable(config: Configuration) -> int:
         raise UnboundedLossError("internal loss grows with n for attacking configurations")
     if config.q <= 1:
         return 0
-    centered = _centered(config)
+    # The queens are sorted, so the first and last hold the x extremes.
+    qs = config.queens
+    ys = [y for _, y in qs]
+    centered = config.translate(-(qs[0][0] + qs[-1][0]) // 2, -(min(ys) + max(ys)) // 2)
     n = stable_board(centered, odd=True).n
     big = n + 2
     inner = line_shifts(big).full ^ border_ring(big)
@@ -128,17 +131,27 @@ def center_loss_of_square(square: Square, board: BoardSpec) -> int:
 
 def center_loss(config: Configuration, board: BoardSpec) -> int:
     """Sum of center_loss_of_square over the queens, which must be on the board."""
-    lo, hi = board.lo, board.hi
+    _, central, off = _queen_pass(config, board)
+    if off is not None:
+        raise DomainError(f"square {off} is not on B_{board.n}")
+    return central
+
+
+def _queen_pass(config: Configuration, board: BoardSpec) -> tuple[int, int, Optional[Square]]:
+    """(even queens, center loss, None) in one pass, or (0, 0, the first off-board queen).
+
+    The board spans [p - hi, hi] on each axis, so a queen is on it iff
+    max(x, p - x, y, p - y), her center loss plus p over 2, is at most hi.
+    """
+    hi, p = board.hi, board.parity_offset
+    even = central = 0
     for x, y in config.queens:
-        if not (lo <= x <= hi and lo <= y <= hi):
-            raise DomainError(f"square {(x, y)} is not on B_{board.n}")
-    return _center_loss_on_board(config, board)
-
-
-def _center_loss_on_board(config: Configuration, board: BoardSpec) -> int:
-    """center_loss for a configuration already known to be on the board."""
-    p = board.parity_offset
-    return 2 * sum(max(x, p - x, y, p - y) for x, y in config.queens) - p * config.q
+        c = max(x, p - x, y, p - y)
+        if c > hi:
+            return 0, 0, (x, y)
+        even += (x - y) % 2 == 0
+        central += c
+    return even, 2 * central - p * len(config.queens), None
 
 
 def crossing_budget(even_count: int, odd_count: int) -> int:
@@ -200,12 +213,12 @@ def _crossings_on_board(config: Configuration, board: BoardSpec) -> bool:
 
 def total_loss(config: Configuration, board: BoardSpec) -> LossBreakdown:
     """Full loss breakdown of a board-feasible configuration."""
-    if not config.is_feasible(board):
+    e, central, off = _queen_pass(config, board)
+    if off is not None:
         raise DomainError("total loss requires all queens on board")
-    e, o = config.parity_counts
+    o = config.q - e
     field = attack_field(config, board)
     internal = field.internal_loss()
-    central = _center_loss_on_board(config, board)
     return LossBreakdown(
         internal=internal,
         central=central,
@@ -232,13 +245,14 @@ def noncongruent_pairs(config: Configuration) -> int:
 
 def predicted_cover(config: Configuration, board: BoardSpec) -> int:
     """Cover via the loss identity (4n - 3) q - loss; exact on stable boards only."""
-    if not config.is_feasible(board):
+    _, central, off = _queen_pass(config, board)
+    if off is not None:
         raise DomainError("total loss requires all queens on board")
     if not _crossings_on_board(config, board):
         raise NotStableError(
             f"B_{board.n} is too small for the cover identity at radius "
             f"{config.radius(board)}"
         )
-    loss = internal_loss(config, board) + _center_loss_on_board(config, board)
+    loss = internal_loss(config, board) + central
     return (4 * board.n - 3) * config.q - loss
 

@@ -12,6 +12,7 @@ from queencover import (
     cover_count,
     is_nonattacking,
 )
+from queencover.coverage import AttackField
 from queencover.loss import internal_loss, overlap_concentration, stable_board
 
 from conftest import (
@@ -191,11 +192,22 @@ def test_attack_field_matches_brute_attack_numbers(data):
         with pytest.raises(DomainError):
             field.row_counts(y)
     attacked = [a for a in brute.values() if a >= 1]
-    assert field.histogram() == {a: attacked.count(a) for a in set(attacked)}
-    assert field.internal_loss() == sum(a - 1 for a in attacked)
-    assert internal_loss(config, board) == sum(a - 1 for a in attacked)
-    assert field.overlap_concentration() == sum(a * (a - 1) // 2 - (a - 1) for a in attacked)
-    assert field.max_count() == max(brute.values())
+    histogram = {a: attacked.count(a) for a in set(attacked)}
+    expected = {
+        "internal_loss": sum(a - 1 for a in attacked),
+        "overlap_concentration": sum(a * (a - 1) // 2 - (a - 1) for a in attacked),
+        "max_count": max(brute.values()),
+    }
+    # The field builds its frequency table on the first statistic asked:
+    # each of these first on a fresh field, then the histogram from it.
+    for first, value in expected.items():
+        fresh = AttackField(board, field.planes)
+        assert getattr(fresh, first)() == value
+        assert fresh.histogram() == histogram
+    assert field.histogram() == histogram
+    for name, value in expected.items():
+        assert getattr(field, name)() == value
+    assert internal_loss(config, board) == expected["internal_loss"]
 
 
 @pytest.mark.parametrize("n", range(1, 21))

@@ -377,6 +377,9 @@ def _outcome(kernel, *args):
 KERNELS = {
     "cover": lambda c, b: _outcome(cover_count, c, b),
     "histogram": lambda c, b: _outcome(lambda: attack_field(c, b).histogram()),
+    "max_count": lambda c, b: _outcome(lambda: attack_field(c, b).max_count()),
+    "internal": lambda c, b: _outcome(internal_loss, c, b),
+    "overlap": lambda c, b: _outcome(overlap_concentration, c, b),
     "total": lambda c, b: _outcome(total_loss, c, b),
     "internal_stable": lambda c, b: _outcome(internal_loss_stable, c),
     "predicted": lambda c, b: _outcome(predicted_cover, c, b),
@@ -389,9 +392,10 @@ def _fingerprint(config):
 
 @pytest.mark.parametrize("n", [1, 2, 9, 14, 31, 40])
 def test_shared_evaluation_is_invisible(n, rng):
-    # The kernels share one configuration object's masks, field and flags;
-    # in any order, and twice over, each returns what it returns alone on a
-    # fresh equal configuration, and the configuration itself looks the same.
+    # The kernels share one configuration object's masks, field, frequency
+    # table and flags; in any order, and twice over, each returns what it
+    # returns alone on a fresh equal configuration, and the configuration
+    # itself looks the same.
     board = BoardSpec(n)
     names = list(KERNELS)
     outcomes = set()
