@@ -32,9 +32,9 @@ from .search import (
     stabilizing_threshold,
 )
 from .serialization import (
-    SCHEMA_VERSION,
     ResultCache,
     encode_squares,
+    make_record,
     optimal_set_record,
     parse_lines,
     record_to_optimal_set,
@@ -87,9 +87,9 @@ def render_board(config: Configuration, board: BoardSpec, annotate: str = "none"
     return "\n".join(lines)
 
 
-def _emit(args, record: dict, text: str) -> None:
+def _emit(args, kind: str, fields: dict, text: str) -> None:
     if args.format == "structured":
-        print(to_json_line(record))
+        print(to_json_line(make_record(kind, fields)))
     else:
         print(text)
 
@@ -139,9 +139,7 @@ def _cmd_cover(args) -> int:
     value = cover_count(config, board)
     field = attack_field(config, board)
     hist = field.histogram()
-    record = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "cover",
+    fields = {
         "n": args.n,
         "config": encode_squares(config.queens),
         "cover": value,
@@ -151,7 +149,7 @@ def _cmd_cover(args) -> int:
         [f"cover: {value}"]
         + [f"attacked {k} times: {v} squares" for k, v in sorted(hist.items())]
     )
-    _emit(args, record, text)
+    _emit(args, "cover", fields, text)
     return 0
 
 
@@ -172,12 +170,7 @@ def _cmd_loss(args) -> int:
     else:
         boards = [stable_board(config, odd=True), stable_board(config, odd=False)]
     breakdowns = [_breakdown_record(config, b) for b in boards]
-    record = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "loss",
-        "config": encode_squares(config.queens),
-        "breakdowns": breakdowns,
-    }
+    fields = {"config": encode_squares(config.queens), "breakdowns": breakdowns}
     text_lines = []
     for d in breakdowns:
         text_lines.append(
@@ -186,7 +179,7 @@ def _cmd_loss(args) -> int:
             f"{d['overlap_concentration']}, parity {d['even_count']}e/{d['odd_count']}o, "
             f"stable {d['stable']})"
         )
-    _emit(args, record, "\n".join(text_lines))
+    _emit(args, "loss", fields, "\n".join(text_lines))
     return 0
 
 
@@ -220,12 +213,8 @@ def _cmd_thresholds(args) -> int:
         budget=args.budget,
         runner=runner,
     )
-    record = {
-        **dataclasses.asdict(report),
-        "schema_version": SCHEMA_VERSION,
-        "kind": "threshold_report",
-        "threshold": report.kind,
-    }
+    # The record's kind replaces the report's, which goes to "threshold".
+    fields = {**dataclasses.asdict(report), "threshold": report.kind}
     lines = [
         f"{report.kind} threshold scan q={report.q} on [{report.n_lo}, {report.n_hi}] "
         f"(empirical, valid only within the scanned range)"
@@ -244,15 +233,13 @@ def _cmd_thresholds(args) -> int:
         )
     for w in report.warnings:
         lines.append(f"warning: {w}")
-    _emit(args, record, "\n".join(lines))
+    _emit(args, "threshold_report", fields, "\n".join(lines))
     return 0
 
 
 def _cmd_stairs(args) -> int:
     build = stairs_details(args.q)
-    record = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "stairs",
+    fields = {
         "q": args.q,
         "shift": list(build.shift),
         "pattern": encode_squares(build.pattern.offsets),
@@ -271,7 +258,7 @@ def _cmd_stairs(args) -> int:
             f"centrality even: {build.center_even}  total even: {build.total_even}",
         ]
     )
-    _emit(args, record, text)
+    _emit(args, "stairs", fields, text)
     return 0
 
 
@@ -288,8 +275,7 @@ def _cmd_fundamentals(args) -> int:
     if args.format == "structured":
         for result in results:
             # The fields alone: a search record's fingerprint hashes the sources.
-            fields = result_fields(result)
-            print(to_json_line({"schema_version": SCHEMA_VERSION, "kind": "fundamentals", **fields}))
+            print(to_json_line(make_record("fundamentals", result_fields(result))))
         return 0
     lines = []
     for result in results:
@@ -304,14 +290,7 @@ def _cmd_render(args) -> int:
     config = parse_config(args.config)
     board = BoardSpec(args.n)
     text = render_board(config, board, annotate=args.annotate)
-    record = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "render",
-        "n": args.n,
-        "annotate": args.annotate,
-        "text": text,
-    }
-    _emit(args, record, text)
+    _emit(args, "render", {"n": args.n, "annotate": args.annotate, "text": text}, text)
     return 0
 
 
@@ -330,12 +309,6 @@ def _cmd_verify(args) -> int:
                 mismatches.append(
                     {"record": idx, "configuration": jdx, "stored": stored, "recomputed": actual}
                 )
-    record = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "verify",
-        "checked": checked,
-        "mismatches": mismatches,
-    }
     lines = [
         f"record {m['record']} configuration {m['configuration']}: "
         f"stored max_cover {m['stored']}, recomputed {m['recomputed']}"
@@ -345,7 +318,7 @@ def _cmd_verify(args) -> int:
         lines.append(f"FAIL: {len(mismatches)} mismatches in {checked} configurations")
     else:
         lines.append(f"OK: {checked} configurations recomputed, no mismatches")
-    _emit(args, record, "\n".join(lines))
+    _emit(args, "verify", {"checked": checked, "mismatches": mismatches}, "\n".join(lines))
     return 1 if mismatches else 0
 
 

@@ -17,12 +17,12 @@ once (AttackField), never a per-square scan.
 
 The kernels share their work on one configuration and one board through a
 slot (evaluation) that holds the most recent (configuration object, board
-side) pair: its line masks, its attack field and the configuration's
-non-attacking flag, each built on first use.  Only this module reads the
-slot; the loss module reaches the field through attack_field.  The slot is
-keyed by object identity and replaced on a miss, so an equal but distinct
-Configuration builds everything anew and memory stays at one pair's masks.
-Nothing is stored on the configuration.
+side) pair: its line masks, built with the entry, and its attack field and
+the configuration's non-attacking flag, each built on first use.  Only this
+module reads the slot; the loss module reaches the field through
+attack_field.  The slot is keyed by object identity and replaced on a miss,
+so an equal but distinct Configuration builds everything anew and memory
+stays at one pair's masks.  Nothing is stored on the configuration.
 """
 
 from __future__ import annotations
@@ -164,9 +164,7 @@ class AttackField:
         if not board_contains(self.board, square):
             raise DomainError(f"square {square} is not on B_{self.board.n}")
         x, y = square
-        lo = self.board.lo
-        k = (y - lo) * self.board.n + (x - lo)
-        return sum((plane >> k & 1) << b for b, plane in enumerate(self.planes))
+        return self.row_counts(y)[x - self.board.lo]
 
     def row_counts(self, y: int) -> list[int]:
         """a(s) of every square of row y, from x = lo up."""
@@ -248,32 +246,28 @@ def attack_field(config: Configuration, board: BoardSpec) -> AttackField:
 class Evaluation:
     """What this module's kernels build for one configuration on one board, each once.
 
-    lines() (line_masks of the queens) and field() (the attack field) are
-    built on first call.  nonattacking is is_nonattacking's flag, None until
-    first computed.
+    lines (line_masks of the queens) is built with the entry: both kernels
+    that create an entry, cover_count and attack_field, read it.  field()
+    (the attack field) is built on first call.  nonattacking is
+    is_nonattacking's flag, None until first computed; it stays lazy because
+    cover_count alone (the verify path) never asks it.
     """
 
-    __slots__ = ("config", "board", "_lines", "_field", "nonattacking")
+    __slots__ = ("config", "board", "lines", "_field", "nonattacking")
 
     def __init__(self, config: Configuration, board: BoardSpec):
         self.config = config
         self.board = board
-        self._lines: Optional[list[int]] = None
+        self.lines = line_masks(config.queens, board)
         self._field: Optional[AttackField] = None
         self.nonattacking: Optional[bool] = None
-
-    def lines(self) -> list[int]:
-        lines = self._lines
-        if lines is None:
-            lines = self._lines = line_masks(self.config.queens, self.board)
-        return lines
 
     def field(self) -> AttackField:
         field = self._field
         if field is None:
             n, lo = self.board.n, self.board.lo
             planes: list[int] = []
-            for (x, y), m in zip(self.config.queens, self.lines()):
+            for (x, y), m in zip(self.config.queens, self.lines):
                 ix, iy = x - lo, y - lo
                 if 0 <= ix < n and 0 <= iy < n:
                     m ^= 1 << iy * n + ix  # the attack mask: her own bit out
@@ -382,6 +376,6 @@ def border_ring(n: int) -> int:
 def cover_count(config: Configuration, board: BoardSpec) -> int:
     """Number of board squares occupied or attacked at least once."""
     m = 0
-    for line in evaluation(config, board).lines():
+    for line in evaluation(config, board).lines:
         m |= line  # includes the queen's own square when on board
     return m.bit_count()

@@ -52,7 +52,7 @@ SYMMETRIES = (
 def check_int(value, what: str) -> None:
     """Refuse anything but a plain integer; bools and integral floats included."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise DomainError(f"{what} must be an int, got {value!r}")
+        raise DomainError(f"{what} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True, order=True)

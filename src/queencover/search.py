@@ -106,7 +106,7 @@ from __future__ import annotations
 import os
 from bisect import bisect_right
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache, reduce
 from itertools import accumulate
 from operator import or_
@@ -129,9 +129,7 @@ _MODES = ("exhaustive", "windowed")
 
 
 def _check_positive(name: str, value) -> None:
-    # bool is an int subclass, but a record's `true` is no queen count.
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise DomainError(f"{name} must be an integer, got {value!r}")
+    check_int(value, name)
     if value < 1:
         raise DomainError(f"{name} must be >= 1, got {value}")
 
@@ -813,16 +811,20 @@ Runner = Callable[[SearchParams], OptimalSet]
 
 
 def _scan(
+    kind: str,
     q: int,
     n_lo: int,
     n_hi: int,
     workers: int,
     budget: int,
     runner: Optional[Runner],
-) -> tuple[list[ScanEntry], list[str]]:
-    """Summaries of the exact optimal sets (attacks allowed) for n in [n_lo, n_hi].
+) -> ThresholdReport:
+    """The report of a scan of the given kind, its candidate fields left unset.
 
-    A board whose search exceeds the node budget raises BudgetExceededError.
+    Its entries summarize the exact optimal sets (attacks allowed) for n in
+    [n_lo, n_hi]; a board with more queens than squares is skipped with a
+    warning.  A board whose search exceeds the node budget raises
+    BudgetExceededError.
     """
     _check_positive("n_lo", n_lo)
     _check_positive("n_hi", n_hi)
@@ -852,7 +854,14 @@ def _scan(
                 pattern_fingerprint=canonical_pattern_fingerprint(result.classes),
             )
         )
-    return entries, warnings
+    return ThresholdReport(
+        kind=kind,
+        q=q,
+        n_lo=n_lo,
+        n_hi=n_hi,
+        entries=tuple(entries),
+        warnings=tuple(warnings),
+    )
 
 
 def nonattacking_threshold(
@@ -864,22 +873,14 @@ def nonattacking_threshold(
     runner: Optional[Runner] = None,
 ) -> ThresholdReport:
     """Scan for the least n from which every optimum is non-attacking (exact, see _scan)."""
-    entries, warnings = _scan(q, n_lo, n_hi, workers, budget, runner)
+    report = _scan("nonattacking", q, n_lo, n_hi, workers, budget, runner)
     n1 = None
-    for e in reversed(entries):
+    for e in reversed(report.entries):
         if e.all_nonattacking:
             n1 = e.n
         else:
             break
-    return ThresholdReport(
-        kind="nonattacking",
-        q=q,
-        n_lo=n_lo,
-        n_hi=n_hi,
-        entries=tuple(entries),
-        warnings=tuple(warnings),
-        n1_candidate=n1,
-    )
+    return replace(report, n1_candidate=n1)
 
 
 @dataclass(frozen=True)
@@ -959,7 +960,8 @@ def stabilizing_threshold(
     translation- and symmetry-normalized pattern fingerprints.  Every board is
     searched exactly within the node budget (see _scan).
     """
-    entries, warnings = _scan(q, n_lo, n_hi, workers, budget, runner)
+    report = _scan("stabilizing", q, n_lo, n_hi, workers, budget, runner)
+    entries = report.entries
     per_parity: dict[int, Optional[int]] = {0: None, 1: None}
     bad: list[int] = []
     for parity in (0, 1):
@@ -973,14 +975,4 @@ def stabilizing_threshold(
     combined = None
     if entries and any(v is not None for v in per_parity.values()):
         combined = (max(bad) + 1) if bad else entries[0].n
-    return ThresholdReport(
-        kind="stabilizing",
-        q=q,
-        n_lo=n_lo,
-        n_hi=n_hi,
-        entries=tuple(entries),
-        warnings=tuple(warnings),
-        n2_odd=per_parity[1],
-        n2_even=per_parity[0],
-        n2_combined=combined,
-    )
+    return replace(report, n2_odd=per_parity[1], n2_even=per_parity[0], n2_combined=combined)

@@ -1,7 +1,9 @@
 """Stable result records, fingerprinting and the on-disk result cache.
 
-Records are single-line JSON with sorted keys and an explicit schema version.
-A search record stores an optimal set once, as its fundamental classes.
+Records are single-line JSON with sorted keys.  Every record, a search
+record or a structured CLI output, is its fields plus schema_version and
+kind, added by make_record.  A parse error names the byte it occurs at.  A
+search record stores an optimal set once, as its fundamental classes.
 Decoding checks them in the package's one orbit pass (search._orbit_classes)
 on the engine the search finished on, the window's box for a windowed
 record: each representative lies on that box, is the least image of its
@@ -77,11 +79,6 @@ def encode_squares(squares: Iterable[Square]) -> list[list[int]]:
     return [[x, y] for x, y in squares]
 
 
-def _is_int(value) -> bool:
-    # bool is an int subclass, but a JSON `true` is no count.
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _decode_config(payload, where: str) -> Configuration:
     # Exact type tests: a JSON `false` decodes to a bool, an int subclass.
     if type(payload) is not list or not all(
@@ -111,16 +108,22 @@ def result_fields(result: OptimalSet) -> dict:
     }
 
 
+def make_record(kind: str, fields: dict) -> dict:
+    """A record of the given kind: its fields, then schema_version and kind over them."""
+    return {**fields, "schema_version": SCHEMA_VERSION, "kind": kind}
+
+
 def optimal_set_record(result: OptimalSet) -> dict:
     """JSON-ready record for one search result, deterministic for its parameters."""
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "search_result",
-        "fingerprint": params_fingerprint(result.params),
-        **result_fields(result),
-        "window_used": result.window_used,
-        "window_retries": result.window_retries,
-    }
+    return make_record(
+        "search_result",
+        {
+            "fingerprint": params_fingerprint(result.params),
+            **result_fields(result),
+            "window_used": result.window_used,
+            "window_retries": result.window_retries,
+        },
+    )
 
 
 def to_json_line(record: dict) -> str:
@@ -137,7 +140,11 @@ def parse_lines(data: bytes) -> list[dict]:
             try:
                 records.append(json.loads(stripped.decode("utf-8")))
             except (UnicodeDecodeError, json.JSONDecodeError) as e:
-                pos = getattr(e, "pos", getattr(e, "start", 0))
+                if isinstance(e, UnicodeDecodeError):
+                    pos = e.start
+                else:
+                    # A JSONDecodeError counts characters of the decoded line.
+                    pos = len(e.doc[: e.pos].encode("utf-8"))
                 raise RecordError(
                     f"parse error at byte {offset + len(raw) - len(raw.lstrip()) + pos}"
                 ) from e
@@ -185,11 +192,11 @@ def record_to_optimal_set(record: dict) -> OptimalSet:
     # never null, so one that is would decode with the default window.
     if params.problem_key() != p:
         raise RecordError(f"params: must be resolved as {params.problem_key()}, got {p}")
-    if not _is_int(record["max_cover"]):
+    if type(record["max_cover"]) is not int:
         raise RecordError("max_cover: must be an integer")
     counts = {key: record.get(key, 0) for key in ("window_retries", "nodes")}
     for key, value in counts.items():
-        if not (_is_int(value) and value >= 0):
+        if not (type(value) is int and value >= 0):
             raise RecordError(f"{key}: must be an integer >= 0")
     window_used, n = record.get("window_used"), params.n
     board = BoardSpec(n)
@@ -202,7 +209,7 @@ def record_to_optimal_set(record: dict) -> OptimalSet:
         # The search starts on its window's box and grows it a ring per retry.
         start = board.box_radius(params.window)
         side = board.box_side(start)
-        if not (_is_int(window_used) and side <= window_used <= n and (n - window_used) % 2 == 0):
+        if not (type(window_used) is int and side <= window_used <= n and (n - window_used) % 2 == 0):
             raise RecordError(f"window_used: must be a side from {side} to {n} of the parity of n")
         grown = board.box_radius(window_used) - start
         if counts["window_retries"] > grown:
@@ -218,7 +225,7 @@ def record_to_optimal_set(record: dict) -> OptimalSet:
             raise RecordError(f"classes[{i}].representative: must hold {params.q} queens")
         size = cls.get("orbit_size")
         stab = cls.get("stabilizer_order")
-        if not _is_int(size) or not _is_int(stab) or size * stab != 8:
+        if type(size) is not int or type(stab) is not int or size * stab != 8:
             raise RecordError(f"classes[{i}]: orbit_size x stabilizer_order must be 8")
         classes.append(FundamentalClass(rep, size, stab))
     # One orbit pass on the box engine the search finished on: the window's,

@@ -51,7 +51,7 @@ def test_import_does_not_load_numpy():
     assert result.stdout.strip() == "False False"
 
 
-def test_pooled_search_loads_neither_multiprocessing_nor_ctypes():
+def test_fork_join_search_loads_neither_multiprocessing_nor_ctypes():
     # The fork-join shares its state through one anonymous mmap, not
     # multiprocessing's ctypes values.
     code = (
@@ -149,6 +149,36 @@ def test_cover_structured():
     assert payload["cover"] == 88  # (4 * 10 - 3) * 4 - 60
     assert payload["attack_histogram"] == {"1": 48, "2": 28, "3": 4, "4": 4}
     assert payload["schema_version"] == SCHEMA_VERSION
+
+
+# Each subcommand's arguments and the kind of its structured records;
+# RECORD stands for a file holding one search record.
+_STRUCTURED_KINDS = {
+    "search": (["--q", "2", "--n", "6"], "search_result"),
+    "cover": (["--config", KNIGHT, "--n", "10"], "cover"),
+    "loss": (["--config", KNIGHT], "loss"),
+    "thresholds": (
+        ["--q", "2", "--kind", "stabilizing", "--n-lo", "3", "--n-hi", "5"], "threshold_report"
+    ),
+    "stairs": (["--q", "5"], "stairs"),
+    "fundamentals": (["--input", "RECORD"], "fundamentals"),
+    "render": (["--config", KNIGHT, "--n", "6"], "render"),
+    "verify": (["--input", "RECORD"], "verify"),
+}
+
+
+@pytest.mark.parametrize("command", list(_STRUCTURED_KINDS))
+def test_structured_records_carry_the_schema_version_and_their_kind(command, tmp_path):
+    from queencover.serialization import optimal_set_record, to_json_line
+
+    record = tmp_path / "record"
+    record.write_text(to_json_line(optimal_set_record(run_search(SearchParams(q=2, n=6)))) + "\n")
+    args, kind = _STRUCTURED_KINDS[command]
+    args = [str(record) if a == "RECORD" else a for a in args]
+    out = run_cli("--format", "structured", command, *args, check=True).stdout
+    payloads = [json.loads(line) for line in out.splitlines()]
+    assert payloads
+    assert [(p["schema_version"], p["kind"]) for p in payloads] == [(SCHEMA_VERSION, kind)] * len(payloads)
 
 
 def test_stairs_table_row():

@@ -390,7 +390,7 @@ def test_a_serial_search_counts_its_nodes_exactly(mode, q, n):
     assert (err.value.nodes, err.value.budget) == (result.nodes, result.nodes - 1)
 
 
-def test_pool_shards_share_one_node_budget():
+def test_fork_join_shards_share_one_node_budget():
     # The shards of a workers=2 run spend the one budget between them; each
     # alone stays under it (together they visit about 12,200 nodes; the
     # largest shard of the final window takes about 5,700 on top of the
@@ -411,7 +411,7 @@ def test_budget_error_survives_pickling():
 
 
 def test_worker_count_does_not_change_results():
-    # Each pool shard skips its own first queens' stabilizer images.
+    # Each fork-join shard skips its own first queens' stabilizer images.
     for mode, q, n in (("exhaustive", 3, 9), ("windowed", 6, 21), ("windowed", 7, 25)):
         base = run_search(SearchParams(q=q, n=n, mode=mode, workers=1))
         multi = run_search(SearchParams(q=q, n=n, mode=mode, workers=2))
@@ -875,7 +875,7 @@ def test_loss_route_rejects_budgets_below_one_node():
 def test_loss_route_refuses_a_non_integer_radius(radius):
     # True used to run as radius 1, 1.0 to fail on a queen coordinate and
     # "2" with a bare TypeError.
-    with pytest.raises(DomainError, match="radius must be an int"):
+    with pytest.raises(DomainError, match="radius must be an integer"):
         loss_minimal_patterns(2, radius)
 
 

@@ -284,6 +284,24 @@ def test_parse_error_names_byte_offset():
         parse_lines(data)
 
 
+@pytest.mark.parametrize(
+    "line, at",
+    [
+        (b'{"a":"bc" x}', b"x"),
+        (b' \t {"a":"bc" x}', b"x"),
+        # Two 2-byte characters before the error: character 10, byte 12.
+        ('{"a":"\u00e9\u00e9" x}'.encode(), b"x"),
+        (b'  {"a":"\xff"}', b"\xff"),
+    ],
+    ids=["ascii", "indented", "non-ascii", "invalid-utf-8"],
+)
+def test_parse_error_offsets_count_bytes(line, at):
+    data = b'{"schema_version":1}\n' + line + b"\n"
+    with pytest.raises(RecordError) as err:
+        parse_lines(data)
+    assert str(err.value) == f"parse error at byte {data.index(at)}"
+
+
 @given(
     st.lists(
         st.tuples(st.integers(-30, 30), st.integers(-30, 30)),
