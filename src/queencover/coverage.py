@@ -13,7 +13,7 @@ attack mask is her line mask less her own square; the attack field adds
 those masks into a bit-sliced binary counter: planes[b] is the set of
 squares whose attacking number has bit b set.  The histogram and the loss
 statistics read one frequency table that the field splits from its planes
-once (AttackField), never a per-square scan.
+when it is built (AttackField), never a per-square scan.
 
 The kernels share their work on one configuration and one board through a
 slot (evaluation) that holds the most recent (configuration object, board
@@ -127,10 +127,11 @@ class AttackField:
     planes[b] is the row-major bitboard of the squares whose a(s) has bit b
     set, so a(s) is the sum of 2**b over the planes holding the square's bit.
     The planes never change after construction.  The board statistics read
-    one frequency table f, f[a] the number of squares with a(s) = a, built
-    on the first call that needs it by splitting the board on the planes,
-    and kept: the loss kernels and the histogram ask one field several
-    times.  Over the attacked squares (a >= 1),
+    one frequency table, freqs[a] the number of squares with a(s) = a,
+    split from the board on the planes when the field is built: every
+    caller but a render or a border check asks at least one statistic, and
+    the loss kernels and the histogram ask one field several times.  With
+    f = freqs, over the attacked squares (a >= 1),
 
         internal loss         = sum (a - 1) f[a]
         overlap concentration = sum (C(a, 2) - (a - 1)) f[a] = sum C(a - 1, 2) f[a].
@@ -139,26 +140,19 @@ class AttackField:
     def __init__(self, board: BoardSpec, planes: tuple[int, ...]):
         self.board = board
         self.planes = planes
-        self._freqs: Optional[list[int]] = None
-
-    def _frequencies(self) -> list[int]:
-        """freqs[a]: the number of squares attacked exactly a times, built on first call."""
-        freqs = self._freqs
-        if freqs is None:
-            # Splitting on the planes from the top one down keeps the masks in
-            # order of value: masks[v] holds the squares whose counter reads v.
-            masks = [line_shifts(self.board.n).full]
-            for plane in reversed(self.planes):
-                split = []
-                for m in masks:
-                    high = m & plane
-                    split += (m ^ high, high)
-                masks = split
-            freqs = [m.bit_count() for m in masks]
-            while len(freqs) > 1 and not freqs[-1]:
-                freqs.pop()
-            self._freqs = freqs
-        return freqs
+        # Splitting on the planes from the top one down keeps the masks in
+        # order of value: masks[v] holds the squares whose counter reads v.
+        masks = [line_shifts(board.n).full]
+        for plane in reversed(planes):
+            split = []
+            for m in masks:
+                high = m & plane
+                split += (m ^ high, high)
+            masks = split
+        freqs = [m.bit_count() for m in masks]
+        while len(freqs) > 1 and not freqs[-1]:
+            freqs.pop()
+        self.freqs = freqs
 
     def count(self, square: Square) -> int:
         if not board_contains(self.board, square):
@@ -183,19 +177,19 @@ class AttackField:
 
     def histogram(self) -> dict[int, int]:
         """Multiplicity histogram {attacking number: square count}, zeros omitted."""
-        return {a: f for a, f in enumerate(self._frequencies()) if a > 0 and f > 0}
+        return {a: f for a, f in enumerate(self.freqs) if a > 0 and f > 0}
 
     def max_count(self) -> int:
-        return len(self._frequencies()) - 1
+        return len(self.freqs) - 1
 
     def internal_loss(self) -> int:
         """Sum of a(s) - 1 over attacked squares."""
-        freqs = self._frequencies()
+        freqs = self.freqs
         return sum((a - 1) * freqs[a] for a in range(2, len(freqs)))
 
     def overlap_concentration(self) -> int:
         """Sum of C(a(s), 2) - (a(s) - 1) over attacked squares."""
-        freqs = self._frequencies()
+        freqs = self.freqs
         return sum((a - 1) * (a - 2) // 2 * freqs[a] for a in range(3, len(freqs)))
 
 

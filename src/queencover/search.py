@@ -53,8 +53,8 @@ with a lexicographically least representative).  The orbit pass
 each image is a sorted tuple of small ints that compares as its squares do,
 and an orbit's least key tuple is its representative.  Only the
 representatives are mapped back to squares; an OptimalSet keeps its orbits
-as key tuples and maps them to squares (by_lex) when its members are first
-read, and a scan counts optima from the orbit sizes.  Decoding a stored
+as key tuples and maps them to squares (by_lex) when its configurations are
+first read, and a scan counts optima from the orbit sizes.  Decoding a stored
 record (serialization) checks its classes in this same pass.  The loss
 route reports canonical patterns, the same for every image, and the
 threshold scans fingerprint them; both take the canonical offsets
@@ -76,8 +76,9 @@ is that engine plus, for the routes that allow no attacks, each candidate's
 non-attacking partners free[j] (_partners): the windowed route builds them
 for each window it searches and the loss route for each parity, and the
 exhaustive route passes None.  Every route enters the kernel through
-_run_problem, which returns the least loss; the cover routes call it
-through _max_cover, which reads the cover.  _run_problem deals the
+_run_problem, which returns the least loss; the cover routes read their
+cover off it only in _finish, which checks it with coverage.cover_count on
+one representative per class.  _run_problem deals the
 canonical first queens round-robin to as many shards as there are first
 queens, at most workers, and the kernel (_search_shard) speaks one protocol
 for any number of shards: it cuts on word 0 of the shards' 64-bit words,
@@ -107,17 +108,16 @@ import os
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 from itertools import accumulate
-from operator import or_
 from typing import Callable, Iterable, Optional, Sequence
 
 from .constructions import Pattern, canonical_offsets
 # Unused here, but perfbench/tracer.py wraps these four by name.
 from .constructions import centralize, pattern_of, stairs, stairs_details  # noqa: F401
-from .coverage import Configuration, is_nonattacking
-# Unused here, but perfbench/tracer.py wraps these two by name.
-from .coverage import cover_count, pair_crossings  # noqa: F401
+from .coverage import Configuration, cover_count, is_nonattacking
+# Unused here, but perfbench/tracer.py wraps it by name.
+from .coverage import pair_crossings  # noqa: F401
 from .errors import BudgetExceededError, DomainError, InvariantError
 from .geometry import SYMMETRIES, BoardSpec, Square, check_int
 from .loss import stable_board
@@ -190,13 +190,13 @@ class FundamentalClass:
 class OptimalSet:
     """All cover-maximal configurations for one search, orbit-decomposed.
 
-    The set costs only its classes until its members are read.  orbit_keys
-    holds each class's orbit, in class order, as sorted tuples of the
-    lexicographic keys of the engine the search finished on, and by_lex is
-    that engine's table from a key back to its square; both are left out of
-    comparison and repr, since the classes determine them.  members maps the
-    keys to sorted tuples of squares on first read, orbit by orbit, and
-    configurations wraps them, sorted, on first read.  The optimum count is
+    The set costs only its classes until its configurations are read.
+    orbit_keys holds each class's orbit, in class order, as sorted tuples of
+    the lexicographic keys of the engine the search finished on, and by_lex
+    is that engine's table from a key back to its square; both are left out
+    of comparison and repr, since the classes determine them.
+    configurations sorts the key tuples on first read, which orders them as
+    their squares, and maps each to a Configuration.  The optimum count is
     the summed orbit sizes of the classes, which reads no member.  A stored
     record keeps only the classes; decoding takes the orbit keys from the
     orbit pass that checks them.
@@ -218,15 +218,11 @@ class OptimalSet:
     nodes: int = 0
 
     @cached_property
-    def members(self) -> tuple[tuple[Square, ...], ...]:
-        """The orbit members as sorted tuples of squares, mapped from their keys on first read."""
-        by_lex = self.by_lex
-        return tuple(tuple([by_lex[k] for k in m]) for orbit in self.orbit_keys for m in orbit)
-
-    @cached_property
     def configurations(self) -> tuple[Configuration, ...]:
-        """The orbit members, sorted, wrapped as Configurations on first read."""
-        return tuple(map(Configuration, sorted(self.members)))
+        """The orbit members, sorted, mapped from their keys to Configurations on first read."""
+        by_lex = self.by_lex
+        keys = sorted(m for orbit in self.orbit_keys for m in orbit)
+        return tuple(Configuration(tuple([by_lex[k] for k in m])) for m in keys)
 
 
 def fundamental_classes(
@@ -635,39 +631,32 @@ def _fork_shard(shard: list[int], args: tuple, shared: memoryview, slot: int):
         os._exit(status)
 
 
-def _max_cover(
-    eng: _Engine, free: Optional[list[frozenset[int]]], params: SearchParams, spent: int = 0
-) -> tuple[int, list[tuple[int, ...]], int]:
-    """Best cover, argmax index selections and nodes, counting on from spent.
-
-    The search minimizes the loss of the engine's line masks, and a q-subset
-    of loss l covers q(4n - 3) - l.
-    """
-    q = params.q
-    loss, sels, nodes = _run_problem(eng, 0, free, q, params.budget, params.workers, spent)
-    return q * (4 * eng.n - 3) - loss, sels, nodes
-
-
 def _finish(
     params: SearchParams,
     eng: _Engine,
-    best: int,
+    loss: int,
     sels: list[tuple[int, ...]],
     nodes: int,
     window_used: Optional[int],
     window_retries: int,
 ) -> OptimalSet:
-    lines, pos = eng.lines, eng.pos
+    """The OptimalSet of a cover route's least loss and its argmin selections.
+
+    A q-subset of loss l covers q(4n - 3) - l: this is the one place where
+    the cover routes read cover off the kernel.  The selections' orbits
+    become classes, sorted by least representative.  The eight symmetries
+    map B_n's lines onto lines, so cover is constant on an orbit, and
+    coverage.cover_count of one representative per class checks them all.
+    """
+    best = params.q * (4 * eng.n - 3) - loss
     # Key tuples compare as the squares do: least representatives ascend.
     orbits = sorted(_orbit_classes(eng, sels), key=lambda orbit: orbit[0])
     classes = [_class_of(eng, orbit) for orbit in orbits]
     for c in classes:
-        queens = c.representative.queens
-        # The eight symmetries map B_n's lines onto lines, so cover is constant
-        # on an orbit: one member per class checks them all.  The engine's
-        # lines are coverage.line_masks, so this counts what cover_count would.
-        if reduce(or_, (lines[pos[s]] for s in queens), 0).bit_count() != best:
-            raise InvariantError(f"reported optimum {queens} does not reach cover {best}")
+        if cover_count(c.representative, eng.board) != best:
+            raise InvariantError(
+                f"reported optimum {c.representative.queens} does not reach cover {best}"
+            )
     return OptimalSet(
         params=params,
         max_cover=best,
@@ -685,8 +674,8 @@ def exhaustive_optimal(params: SearchParams) -> OptimalSet:
     if params.mode != "exhaustive":
         raise DomainError("exhaustive_optimal requires mode='exhaustive'")
     eng = _engine(params.n, BoardSpec(params.n).box_radius(params.n))
-    best, sels, nodes = _max_cover(eng, None, params)
-    return _finish(params, eng, best, sels, nodes, None, 0)
+    loss, sels, nodes = _run_problem(eng, 0, None, params.q, params.budget, params.workers, 0)
+    return _finish(params, eng, loss, sels, nodes, None, 0)
 
 
 def windowed_optimal(params: SearchParams) -> OptimalSet:
@@ -713,7 +702,8 @@ def windowed_optimal(params: SearchParams) -> OptimalSet:
         eng = _engine(params.n, radius)
         if len(eng.order) < params.q:
             continue
-        best, sels, nodes = _max_cover(eng, _partners(eng), params, nodes)
+        free = _partners(eng)
+        loss, sels, nodes = _run_problem(eng, 0, free, params.q, params.budget, params.workers, nodes)
         # A window holding no non-attacking q-subset grows like a touched one.
         # The squares off the boundary are the box of radius - 1, a prefix.
         inner = max(0, board.box_side(radius - 1)) ** 2
@@ -722,7 +712,7 @@ def windowed_optimal(params: SearchParams) -> OptimalSet:
         retries += 1
     if not sels:
         raise DomainError(f"B_{params.n} holds no non-attacking configuration of {params.q} queens")
-    return _finish(params, eng, best, sels, nodes, board.box_side(radius), retries)
+    return _finish(params, eng, loss, sels, nodes, board.box_side(radius), retries)
 
 
 def run_search(params: SearchParams) -> OptimalSet:

@@ -10,7 +10,7 @@ record: each representative lies on that box, is the least image of its
 orbit and comes after the previous class's, its orbit size is its number of
 images, and no image lies in an earlier class's orbit.  The OptimalSet keeps
 the orbits that pass found as key tuples; its members are mapped to squares
-only when read, and wrapped as Configurations only when those are read.
+and wrapped as Configurations only when its configurations are read.
 Identical inputs must produce bit-identical structured output, so the stable
 record view excludes volatile metadata (wall-clock timing, node counts);
 those are kept only inside cache files.  Cache files are keyed by a
@@ -161,8 +161,9 @@ def record_to_optimal_set(record: dict) -> OptimalSet:
     problem key, as the encoder writes them.  The classes must be their own
     sorted orbits, each representative params.q queens on B_n, within
     window_used for a windowed record, checked in one orbit pass (module
-    docstring) whose orbit keys the OptimalSet keeps, its members left
-    unbuilt until read.  Cover is not checked.
+    docstring) whose orbit keys the OptimalSet keeps, its configurations
+    left unbuilt until read.  timing_s must be null or a finite number >= 0.
+    Cover is not checked.
     """
     if not isinstance(record, dict):
         raise RecordError("record must be an object")
@@ -198,6 +199,10 @@ def record_to_optimal_set(record: dict) -> OptimalSet:
     for key, value in counts.items():
         if not (type(value) is int and value >= 0):
             raise RecordError(f"{key}: must be an integer >= 0")
+    timing = record.get("timing_s")
+    # JSON's NaN and Infinity parse as floats; neither passes the bounds.
+    if timing is not None and not (type(timing) in (int, float) and 0 <= timing < float("inf")):
+        raise RecordError("timing_s: must be null or a finite number >= 0")
     window_used, n = record.get("window_used"), params.n
     board = BoardSpec(n)
     if params.mode == "exhaustive":

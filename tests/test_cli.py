@@ -199,15 +199,15 @@ def test_search_reports_two_classes():
 def test_text_search_counts_optima_without_reading_members(tmp_path, monkeypatch, capsys):
     # The text count is the classes' summed orbit sizes, the same searched
     # and read back through a warm cache, and neither reads a member.
-    expected = len(run_search(SearchParams(q=3, n=13)).members)
+    expected = len(run_search(SearchParams(q=3, n=13)).configurations)
     read = []
-    members = OptimalSet.members
+    configurations = OptimalSet.configurations
 
     def counting(self):
         read.append(self.params)
-        return members.func(self)
+        return configurations.func(self)
 
-    monkeypatch.setattr(OptimalSet, "members", property(counting))
+    monkeypatch.setattr(OptimalSet, "configurations", property(counting))
     args = ["--cache-dir", str(tmp_path), "search", "--q", "3", "--n", "13"]
     assert queencover.cli.main(args) == 0
     cold = capsys.readouterr().out

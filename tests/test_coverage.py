@@ -99,6 +99,14 @@ def test_attack_field_occupied_square_counts_other_attackers():
     assert field.count((0, 3)) == 1
 
 
+def test_attack_field_count_refuses_off_board_squares():
+    # Queens may sit off the board, but a counted square may not.
+    field = attack_field(Configuration.of([(0, 0), (30, 0)]), BoardSpec(5))
+    for square in ((3, 0), (0, -3), (30, 0), (-3, 3)):
+        with pytest.raises(DomainError, match=r"is not on B_5$"):
+            field.count(square)
+
+
 def test_attack_field_accepts_off_board_queens():
     # A queen far to the right still attacks the whole row and a diagonal tail.
     field = attack_field(Configuration.of([(30, 0)]), BoardSpec(5))

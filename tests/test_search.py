@@ -44,9 +44,9 @@ from queencover.search import (
     _engine,
     _finish,
     _loss_scan_parity,
-    _max_cover,
     _orbit_classes,
     _partners,
+    _run_problem,
     _selection,
     _stabilizer_skip,
     canonical_pattern_fingerprint,
@@ -98,6 +98,13 @@ def test_params_validation():
     # A window belongs to windowed mode only; exhaustive searches the board.
     with pytest.raises(DomainError, match="window requires mode='windowed'"):
         SearchParams(q=2, n=9, window=5)
+
+
+def test_each_route_refuses_the_other_mode():
+    with pytest.raises(DomainError, match="requires mode='exhaustive'"):
+        exhaustive_optimal(SearchParams(q=2, n=5, mode="windowed"))
+    with pytest.raises(DomainError, match="requires mode='windowed'"):
+        windowed_optimal(SearchParams(q=2, n=5))
 
 
 def test_default_window_fits_the_board():
@@ -527,16 +534,17 @@ def test_nine_queen_witness_on_28x28_lies_outside_the_window():
 
 
 def test_finish_refuses_a_cover_its_representatives_miss():
-    # _finish counts the cover of one member per orbit; claiming one square
-    # more than the (5,17) window's optimum must fail that count.
+    # _finish counts the cover of one member per orbit; claiming one loss
+    # less, one square more than the (5,17) window's optimum, must fail that
+    # count.
     params = SearchParams(q=5, n=17, mode="windowed")
     result = windowed_optimal(params)
     eng = _engine(17, BoardSpec(17).box_radius(result.window_used))
-    best, sels, _ = _max_cover(eng, _partners(eng), params)
+    loss, sels, _ = _run_problem(eng, 0, _partners(eng), params.q, params.budget, params.workers, 0)
     extra = (result.nodes, result.window_used, result.window_retries)
-    assert _finish(params, eng, best, sels, *extra) == result
+    assert _finish(params, eng, loss, sels, *extra) == result
     with pytest.raises(InvariantError, match="does not reach cover 234"):
-        _finish(params, eng, best + 1, sels, *extra)
+        _finish(params, eng, loss - 1, sels, *extra)
 
 
 def test_windowed_grows_a_window_without_nonattacking_subsets():

@@ -386,6 +386,40 @@ def test_cache_refuses_a_record_of_other_params(tmp_path):
         cache.get(SearchParams(q=2, n=12))
 
 
+@pytest.mark.parametrize(
+    "value, ok",
+    [
+        ("not a time", False),
+        (-5.0, False),
+        (True, False),
+        (float("nan"), False),
+        (float("inf"), False),
+        ([1], False),
+        (None, True),
+        (0, True),
+        (0.25, True),
+    ],
+)
+def test_timing_must_be_null_or_a_finite_number(tmp_path, small_result, value, ok):
+    # A hand-edited cache file used to carry any timing through.  json writes
+    # NaN and Infinity as bare tokens and parses them back as floats.
+    cache = ResultCache(tmp_path)
+    path = cache.put(small_result)
+    record = json.loads(path.read_text())
+    record["timing_s"] = value
+    path.write_text(json.dumps(record) + "\n")
+    decoded = parse_lines(path.read_bytes())[0]
+    if ok:
+        assert record_to_optimal_set(decoded) == small_result
+        assert cache.get(small_result.params) == small_result
+        return
+    message = r"^timing_s: must be null or a finite number >= 0$"
+    with pytest.raises(RecordError, match=message):
+        record_to_optimal_set(decoded)
+    with pytest.raises(RecordError, match=message):
+        cache.get(small_result.params)
+
+
 def test_scans_wrap_no_member_cold_or_warm(tmp_path):
     # A scan counts each optimal set from its orbit sizes, searched or read
     # back from the cache, so no result wraps its members until they are read.
@@ -404,11 +438,10 @@ def test_scans_wrap_no_member_cold_or_warm(tmp_path):
     warm = nonattacking_threshold(2, 4, 10, runner=runner)
     assert cold == warm and len(seen) == 2 * len(cold.entries)
     # The first half were searched, the second half read from the cache.
-    assert all("members" not in vars(result) for result in seen)
     assert all("configurations" not in vars(result) for result in seen)
     for entry, result in zip(cold.entries + warm.entries, seen):
-        assert len(result.members) == sum(c.orbit_size for c in result.classes)
-        assert entry.optimal_count == len(result.members) == len(result.configurations)
+        assert len(result.configurations) == sum(c.orbit_size for c in result.classes)
+        assert entry.optimal_count == len(result.configurations)
         queens = [c.queens for c in result.configurations]
         assert queens == sorted(queens)
 
