@@ -12,12 +12,13 @@ candidates.  A node decides this entry cut on its unranked scores; only a
 node that passes ranks its candidates.  Children are tried in ascending
 score, ties in ascending index, each excluding its earlier siblings, so
 child p is cut once the node's loss plus the scores at ranks p .. p + r - 1
-exceed the incumbent; with attacks allowed, candidates whose score cannot
-reach it are dropped from the child's list.  The cut is strict, so ties
-survive: the bound is exact, never heuristic, and every least-loss selection
-is returned.  The first queen is the least-indexed one, bounded by the q
-least center losses from it on plus a floor on each later queen's overlap
-with it (0 in the cover routes; see the loss route below).  L(j)'s
+exceed the incumbent.  A child's list is the later-ranked candidates whose
+score can still reach it, a slice of the ranking, and in the routes that
+allow no attacks only the child's partners among them.  The cut is strict,
+so ties survive: the bound is exact, never heuristic, and every least-loss
+selection is returned.  The first queen is the least-indexed one, bounded by
+the q least center losses from it on plus a floor on each later queen's
+overlap with it (0 in the cover routes; see the loss route below).  L(j)'s
 4n - 3 - cl(j) squares include j's own, so in the cover routes j's score is
 4n - 3 minus its marginal gain (the squares it covers that the placed
 queens do not) and a q-subset of least loss l has the greatest cover,
@@ -120,7 +121,7 @@ from .coverage import Configuration, cover_count, is_nonattacking
 from .coverage import pair_crossings  # noqa: F401
 from .errors import BudgetExceededError, DomainError, InvariantError
 from .geometry import SYMMETRIES, BoardSpec, Square, check_int
-from .loss import stable_board
+from .loss import center_loss, internal_loss_stable, stable_board
 from . import coverage as _coverage
 
 DEFAULT_BUDGET = 10**10
@@ -398,20 +399,20 @@ def _search_shard(
     cl[j] + popcount(lines[j] & m) on the engine's line masks in every route
     (module docstring), and every later queen's lines share at least pair
     squares with the first queen's.  free is _partners(eng) for a search of
-    non-attacking subsets, or None when attacks are allowed, as in the
-    exhaustive route.  shared holds the 64-bit words of the call's shards
-    (_run_problem), and slot is the index of this shard's own.  Word 0 is
-    the incumbent, on which every cut is taken: a shard lowers it, without a
-    lock, when it finds a lower loss, and a lost update or a stale read only
-    weakens pruning, since the word always holds a loss some shard reached.
-    Words 1 .. k are the node tally slots, one per shard, and only its own
-    shard writes a slot: a shard adds its nodes to its slot every
-    _TALLY_BATCH nodes and checks the budget, at every node, against the sum
-    of all slots it last read plus its own unadded nodes, so the shards
-    spend one budget, overshooting it by less than a batch per other running
-    shard.  A serial search is the one-shard case, where word 0 is always
-    the shard's own least loss and the count is exact.  The count returned
-    is the growth of the shard's slot.
+    non-attacking subsets, which filters each child's sliced list, or None
+    when attacks are allowed (exhaustive route).  shared holds the 64-bit
+    words of the call's shards (_run_problem), and slot is the index of this
+    shard's own.  Word 0 is the incumbent, on which every cut is taken: a
+    shard lowers it, without a lock, when it finds a lower loss, and a lost
+    update or a stale read only weakens pruning, since the word always holds
+    a loss some shard reached.  Words 1 .. k are the node tally slots, one
+    per shard, and only its own shard writes a slot: a shard adds its nodes
+    to its slot every _TALLY_BATCH nodes and checks the budget, at every
+    node, against the sum of all slots it last read plus its own unadded
+    nodes, so the shards spend one budget, overshooting it by less than a
+    batch per other running shard.  A serial search is the one-shard case,
+    where word 0 is always the shard's own least loss and the count is
+    exact.  The count returned is the growth of the shard's slot.
     """
     W = len(eng.order)
     cl, C, lines = eng.cl, eng.cl_prefix, eng.lines
@@ -471,28 +472,26 @@ def _search_shard(
         # so a child's subtree draws only from the candidates after it,
         # whose r - 1 least scores bound its completion.
         ranked = sorted(zip(scores, avail))
-        if free is None:
-            # Ascending, so the kids that can reach the cut are a slice.
-            asc = [s for s, _ in ranked]
-            idx = [i for _, i in ranked]
+        # Ascending, so the kids that can reach the cut are a slice.
+        asc = [s for s, _ in ranked]
+        idx = [i for _, i in ranked]
         last = len(ranked) - r
         for p in range(last + 1):
-            v, j = ranked[p]
+            v, j = asc[p], idx[p]
             if skip is None or not skip(j):
                 spend(1)
-                if free is None:
-                    # Scores here bound the child's (they only grow), so keep
-                    # only those that can reach the cut with the r - 2 least others.
-                    ceiling = cut - loss - v - sum(asc[p + 1 : p + r - 1])
-                    kids = idx[p + 1 : bisect_right(asc, ceiling, p + 1)]
-                else:
-                    fj = free[j]
-                    kids = [i for _, i in ranked[p + 1 :] if i in fj]
+                # Scores here bound the child's (they only grow), so keep
+                # only those that can reach the cut with the r - 2 least others.
+                ceiling = cut - loss - v - sum(asc[p + 1 : p + r - 1])
+                kids = idx[p + 1 : bisect_right(asc, ceiling, p + 1)]
+                if free is not None:
+                    # Filtering the slice keeps the ranked order.
+                    kids = list(filter(free[j].__contains__, kids))
                 if len(kids) >= r - 1:
                     rec(kids, r - 1, m | lines[j], loss + v, sel + (j,))
                     cut = shared[0]
             if p < last:
-                window += ranked[p + r][0] - v
+                window += asc[p + r] - v
                 if loss + window > cut:
                     return
 
@@ -897,16 +896,29 @@ class LossScan:
 def _loss_scan_parity(
     q: int, radius: int, odd: bool, budget: int, spent: int
 ) -> tuple[Optional[LossMinimal], int]:
-    """One parity's loss-minimal patterns and nodes, counting on from spent."""
+    """One parity's loss-minimal patterns and nodes, counting on from spent.
+
+    One selection per pattern is checked, as _finish checks the cover
+    routes: its total recomputed by the loss module's own kernels,
+    internal_loss_stable plus the center loss on the stable board, must be
+    the kernel's least loss, or InvariantError is raised.
+    """
     eng = _engine(stable_board(Configuration.of([(-radius, -radius)]), odd).n, radius)
     # Every later queen crosses the first on at least 10 distinct squares.
     best, found, nodes = _run_problem(eng, 10, _partners(eng), q, budget, 1, spent)
     if not found:
         return None, nodes
-    canon = sorted({canonical_offsets(sorted([eng.order[j] for j in sel])) for sel in found})
+    reps: dict[tuple[Square, ...], Configuration] = {}
+    for sel in found:
+        queens = tuple(sorted([eng.order[j] for j in sel]))
+        reps.setdefault(canonical_offsets(queens), Configuration(queens))
+    for config in reps.values():
+        total = internal_loss_stable(config) + center_loss(config, eng.board)
+        if total != best:
+            raise InvariantError(f"loss-minimal pattern {config.queens} totals {total}, not {best}")
     return LossMinimal(
         min_total=best,
-        patterns=tuple(Pattern(offs) for offs in canon),
+        patterns=tuple(Pattern(offs) for offs in sorted(reps)),
     ), nodes
 
 

@@ -152,6 +152,13 @@ def parse_lines(data: bytes) -> list[dict]:
     return records
 
 
+def _check_timing(timing) -> None:
+    """Refuse a timing_s that is not null or a finite number >= 0 (RecordError)."""
+    # JSON's NaN and Infinity parse as floats; neither passes the bounds.
+    if timing is not None and not (type(timing) in (int, float) and 0 <= timing < float("inf")):
+        raise RecordError("timing_s: must be null or a finite number >= 0")
+
+
 def record_to_optimal_set(record: dict) -> OptimalSet:
     """Rebuild an OptimalSet from a record; a malformed record raises RecordError.
 
@@ -199,10 +206,7 @@ def record_to_optimal_set(record: dict) -> OptimalSet:
     for key, value in counts.items():
         if not (type(value) is int and value >= 0):
             raise RecordError(f"{key}: must be an integer >= 0")
-    timing = record.get("timing_s")
-    # JSON's NaN and Infinity parse as floats; neither passes the bounds.
-    if timing is not None and not (type(timing) in (int, float) and 0 <= timing < float("inf")):
-        raise RecordError("timing_s: must be null or a finite number >= 0")
+    _check_timing(record.get("timing_s"))
     window_used, n = record.get("window_used"), params.n
     board = BoardSpec(n)
     if params.mode == "exhaustive":
@@ -303,7 +307,12 @@ class ResultCache:
         return result
 
     def put(self, result: OptimalSet, timing_s: Optional[float] = None) -> Path:
-        """Write the stable record plus the search's timing and node count."""
+        """Write the stable record plus the search's timing and node count.
+
+        A timing that get would refuse raises RecordError before any file is
+        written.
+        """
+        _check_timing(timing_s)
         record = {**optimal_set_record(result), "timing_s": timing_s, "nodes": result.nodes}
         path = self._path(record["fingerprint"])
         data = (to_json_line(record) + "\n").encode()

@@ -206,8 +206,9 @@ def test_attack_field_matches_brute_attack_numbers(data):
         "overlap_concentration": sum(a * (a - 1) // 2 - (a - 1) for a in attacked),
         "max_count": max(brute.values()),
     }
-    # The field builds its frequency table on the first statistic asked:
-    # each of these first on a fresh field, then the histogram from it.
+    # The field builds its frequency table (freqs) with itself, and every
+    # statistic reads it: each of these first on a fresh field of the same
+    # planes, then the histogram.
     for first, value in expected.items():
         fresh = AttackField(board, field.planes)
         assert getattr(fresh, first)() == value

@@ -5,6 +5,7 @@ import hashlib
 import os
 import pickle
 import random
+from bisect import bisect_right
 from itertools import combinations
 from math import comb
 
@@ -909,6 +910,67 @@ def test_loss_route_node_counts_are_pinned(q, radius, odd_nodes, even_nodes, mon
     assert nodes() == _LOSS_NODES[q, radius]
     _no_stabilizer_skips(monkeypatch)
     assert nodes() == (odd_nodes, even_nodes)
+
+
+def test_child_score_ceiling_drops_no_node_or_result(monkeypatch):
+    # Every ranked node slices its children's lists at the score ceiling,
+    # and only then filters them by partners when attacks are not allowed.
+    # Keeping every later candidate instead must count the same nodes and
+    # return the same results on both branches.  The loss route at radius 6
+    # is where the slice drops the most kids; windowed (4,11) and exhaustive
+    # (4,12) hold optima that a ceiling one lower would lose.
+    def runs():
+        loss = [_loss_scan_parity(6, 6, odd, DEFAULT_BUDGET, 0) for odd in (True, False)]
+        cover = [
+            windowed_optimal(SearchParams(q=6, n=21, mode="windowed")),
+            windowed_optimal(SearchParams(q=4, n=11, mode="windowed")),
+            exhaustive_optimal(SearchParams(q=4, n=13)),
+            exhaustive_optimal(SearchParams(q=4, n=12)),
+        ]
+        return loss, [(r, r.nodes, r.configurations) for r in cover]
+
+    sliced = runs()
+    dropped = 0
+
+    def keep_all(asc, ceiling, lo):
+        nonlocal dropped
+        dropped += len(asc) - bisect_right(asc, ceiling, lo)
+        return len(asc)
+
+    monkeypatch.setattr(queencover.search, "bisect_right", keep_all)
+    assert runs() == sliced
+    assert dropped > 0
+
+
+def test_loss_route_refuses_a_total_its_patterns_miss(monkeypatch):
+    # Each parity recomputes one selection per pattern with the loss
+    # module's kernels; a least loss one below the (5,4) odd optimum, 92,
+    # must fail that check.
+    run = queencover.search._run_problem
+
+    def one_less(*args):
+        best, found, nodes = run(*args)
+        return best - 1, found, nodes
+
+    assert _loss_scan_parity(5, 4, True, DEFAULT_BUDGET, 0)[0].min_total == 92
+    monkeypatch.setattr(queencover.search, "_run_problem", one_less)
+    with pytest.raises(InvariantError, match="totals 92, not 91"):
+        _loss_scan_parity(5, 4, True, DEFAULT_BUDGET, 0)
+
+
+@pytest.mark.heavy
+def test_six_queen_loss_route_at_radius_14():
+    # The farthest queen f of a six-queen pattern that ties the minimum has
+    # center loss cl(f) <= M(6) - M(5) - 4 * 5, 28 odd and 27 even, so no
+    # such pattern reaches beyond radius 14: this box settles M(6).  It is
+    # the large box that the child score ceiling speeds up; the minimum and
+    # its patterns are those of the radius-5 box.
+    small = loss_minimal_patterns(6, 5)
+    for odd, nodes, side in ((True, 8_040, small.odd), (False, 7_958, small.even)):
+        large, spent = _loss_scan_parity(6, 14, odd, DEFAULT_BUDGET, 0)
+        assert spent == nodes
+        assert large.min_total == 140
+        assert large == side
 
 
 def _loss_engine(radius, odd):

@@ -420,6 +420,19 @@ def test_timing_must_be_null_or_a_finite_number(tmp_path, small_result, value, o
         cache.get(small_result.params)
 
 
+@pytest.mark.parametrize("value", ["not a time", -1.0, True, float("nan"), float("inf"), [1]])
+def test_cache_writes_no_timing_that_it_would_refuse(tmp_path, small_result, value):
+    # put used to write any timing, and json a NaN or an infinity as a bare
+    # token, so the next get refused the file that put had just written.
+    cache = ResultCache(tmp_path)
+    with pytest.raises(RecordError, match=r"^timing_s: must be null or a finite number >= 0$"):
+        cache.put(small_result, timing_s=value)
+    assert list(tmp_path.iterdir()) == []
+    path = cache.put(small_result, timing_s=0.5)
+    assert json.loads(path.read_text())["timing_s"] == 0.5
+    assert cache.get(small_result.params) == small_result
+
+
 def test_scans_wrap_no_member_cold_or_warm(tmp_path):
     # A scan counts each optimal set from its orbit sizes, searched or read
     # back from the cache, so no result wraps its members until they are read.
