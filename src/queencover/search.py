@@ -113,6 +113,17 @@ from functools import cached_property, lru_cache
 from itertools import accumulate
 from typing import Callable, Iterable, Optional, Sequence
 
+# Every fingerprint hashes with CPython's built-in SHA-256 (_sha2 from 3.12,
+# _sha256 before), as random.py takes its SHA-512: hashlib would map
+# OpenSSL's libcrypto, about 3.5 MB, for the same digests.
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
+
 from .constructions import Pattern, canonical_offsets
 # Unused here, but perfbench/tracer.py wraps these four by name.
 from .constructions import centralize, pattern_of, stairs, stairs_details  # noqa: F401
@@ -757,14 +768,11 @@ def canonical_pattern_fingerprint(classes: Iterable[FundamentalClass]) -> str:
     classes.  The hashed bytes are the repr of the sorted multiset as a list,
     each distinct pattern's repr written count times.
     """
-    # Imported here: hashlib loads OpenSSL, and only fingerprints need it.
-    import hashlib
-
     counts: Counter[tuple[Square, ...]] = Counter()
     for c in classes:
         counts[_canonical_of(c.representative.queens)] += c.orbit_size
     blob = ", ".join(", ".join([repr(offs)] * k) for offs, k in sorted(counts.items()))
-    return hashlib.sha256(f"[{blob}]".encode()).hexdigest()
+    return sha256(f"[{blob}]".encode()).hexdigest()
 
 
 @dataclass(frozen=True)

@@ -16,9 +16,9 @@ record view excludes volatile metadata (wall-clock timing, node counts);
 those are kept only inside cache files.  Cache files are keyed by a
 fingerprint covering both the problem parameters and a content hash of this
 package's sources, so results from older code never satisfy a query.  The
-source hash is bound when a cache opens; hashlib, whose OpenSSL backend maps
-about 3.5 MB, loads only where something is hashed, so a run that opens no
-cache and computes no fingerprint never loads it.
+source hash is bound when a cache opens.  Fingerprints hash with CPython's
+built-in SHA-256 (search.sha256), so no run loads hashlib and its OpenSSL
+backend unless the interpreter lacks that module.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from .search import (
     _engine,
     _orbit_classes,
     _selection,
+    sha256,
 )
 
 SCHEMA_VERSION = 2
@@ -55,11 +56,8 @@ _FIELDS = {
 @lru_cache(maxsize=1)
 def engine_fingerprint() -> str:
     """Content hash of this package's source files."""
-    # Imported here: hashlib loads OpenSSL, and only fingerprints need it.
-    import hashlib
-
     pkg = Path(__file__).parent
-    h = hashlib.sha256()
+    h = sha256()
     for path in sorted(pkg.glob("*.py")):
         h.update(path.name.encode())
         h.update(path.read_bytes())
@@ -68,10 +66,8 @@ def engine_fingerprint() -> str:
 
 def params_fingerprint(params: SearchParams) -> str:
     """Cache key: engine hash plus the result-determining parameters."""
-    import hashlib
-
     blob = engine_fingerprint() + json.dumps(params.problem_key(), sort_keys=True)
-    return hashlib.sha256(blob.encode()).hexdigest()
+    return sha256(blob.encode()).hexdigest()
 
 
 def encode_squares(squares: Iterable[Square]) -> list[list[int]]:
@@ -274,8 +270,8 @@ def record_to_optimal_set(record: dict) -> OptimalSet:
 class ResultCache:
     """One file per fingerprint; atomic writes; safe for concurrent processes.
 
-    Every key hashes the package's sources, so the cache binds that hash,
-    and loads hashlib, when it opens rather than at its first lookup.
+    Every key hashes the package's sources, so the cache binds that hash
+    when it opens rather than at its first lookup.
     """
 
     directory: Path

@@ -87,7 +87,9 @@ def test_serial_search_loads_none_of_the_fork_join_modules():
 # Run in a fresh interpreter: prints, as its last line, which of these modules
 # were loaded after importing the package, after six commands that hash
 # nothing (text-format search and structured fundamentals print no
-# fingerprint), and after opening a result cache.
+# fingerprint), after opening a result cache (the source hash), after a
+# structured search (its record's fingerprint) and after a structured
+# non-attacking threshold scan (its pattern fingerprints).
 _FOOTPRINT = """
 import json, sys
 from io import StringIO
@@ -99,9 +101,10 @@ for name in ("geometry", "coverage", "loss", "constructions", "search", "seriali
     __import__("queencover." + name)
 stages = {"import": loaded()}
 record, cache, knight = sys.argv[1:]
+main = queencover.cli.main
 with redirect_stdout(StringIO()):
     codes = [
-        queencover.cli.main(argv)
+        main(argv)
         for argv in (
             ["cover", "--config", knight, "--n", "10"],
             ["loss", "--config", knight],
@@ -115,13 +118,25 @@ stages["commands"] = loaded()
 from queencover.serialization import ResultCache
 ResultCache(cache)
 stages["cache"] = loaded()
-print(json.dumps({"codes": codes, **stages}))
+with redirect_stdout(out := StringIO()):
+    codes.append(main(["--format", "structured", "search", "--q", "2", "--n", "6"]))
+fingerprints = [json.loads(out.getvalue())["fingerprint"]]
+stages["search"] = loaded()
+with redirect_stdout(out := StringIO()):
+    codes.append(main([
+        "--format", "structured", "thresholds", "--q", "2", "--kind", "nonattacking",
+        "--n-lo", "4", "--n-hi", "6",
+    ]))
+fingerprints += [e["pattern_fingerprint"] for e in json.loads(out.getvalue())["entries"]]
+stages["thresholds"] = loaded()
+print(json.dumps({"codes": codes, "fingerprints": fingerprints, "stages": stages}))
 """
 
 
-def test_only_hashing_loads_hashlib_and_nothing_loads_logging(tmp_path):
-    # hashlib's OpenSSL backend maps about 3.5 MB, so only a cache or a
-    # fingerprint may load it; the package has no logging at all.
+def test_no_stage_loads_hashlib_or_logging(tmp_path):
+    # Fingerprints hash with CPython's built-in SHA-256, so no stage maps
+    # hashlib's OpenSSL backend, about 3.5 MB, where that module exists; the
+    # package has no logging at all.
     from queencover.search import SearchParams, exhaustive_optimal
     from queencover.serialization import optimal_set_record, to_json_line
 
@@ -132,10 +147,14 @@ def test_only_hashing_loads_hashlib_and_nothing_loads_logging(tmp_path):
         capture_output=True, text=True, timeout=60, env=ENV,
     )
     assert result.returncode == 0, result.stderr
-    stages = json.loads(result.stdout.splitlines()[-1])
-    assert stages["codes"] == [0, 0, 0, 0, 0, 0]
-    assert stages["import"] == [] and stages["commands"] == []
-    assert "hashlib" in stages["cache"] and "logging" not in stages["cache"]
+    out = json.loads(result.stdout.splitlines()[-1])
+    assert out["codes"] == [0] * 8
+    assert [len(f) for f in out["fingerprints"]] == [64] * 4
+    builtin = any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256"))
+    barred = {"_hashlib", "hashlib", "logging"} if builtin else {"logging"}
+    assert {stage: barred & set(mods) for stage, mods in out["stages"].items()} == {
+        stage: set() for stage in ("import", "commands", "cache", "search", "thresholds")
+    }
 
 
 def test_cover_example():

@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import queencover
 import queencover.search
 import queencover.serialization
 from queencover import (
@@ -331,8 +335,8 @@ def test_fingerprint_depends_on_params_not_workers():
 
 
 def test_digests_are_sha256_of_their_inputs():
-    # hashlib is imported where it hashes; the digests, and so every cache
-    # file name (test_cache_round_trip), stay those of the same inputs.
+    # Fingerprints hash with CPython's built-in SHA-256; the digests, and so
+    # every cache file name (test_cache_round_trip), are hashlib's.
     h = hashlib.sha256()
     for path in sorted(Path(queencover.serialization.__file__).parent.glob("*.py")):
         h.update(path.name.encode())
@@ -341,6 +345,43 @@ def test_digests_are_sha256_of_their_inputs():
     params = SearchParams(q=2, n=10)
     blob = engine_fingerprint() + json.dumps(params.problem_key(), sort_keys=True)
     assert params_fingerprint(params) == hashlib.sha256(blob.encode()).hexdigest()
+
+
+# Run in a fresh interpreter that hides the built-in SHA-256 modules, so the
+# package falls back to hashlib: prints whether hashlib was loaded and the
+# three fingerprints.
+_FALLBACK = """
+import json, sys
+sys.modules["_sha2"] = sys.modules["_sha256"] = None
+from queencover import SearchParams, exhaustive_optimal
+from queencover.search import canonical_pattern_fingerprint
+from queencover.serialization import engine_fingerprint, params_fingerprint
+print(json.dumps([
+    "hashlib" in sys.modules,
+    engine_fingerprint(),
+    params_fingerprint(SearchParams(q=2, n=10)),
+    canonical_pattern_fingerprint(exhaustive_optimal(SearchParams(q=2, n=6)).classes),
+]))
+"""
+
+
+def test_hashlib_fallback_gives_the_same_fingerprints():
+    # On CPython 3.11 this hides _sha256; the _sha2 branch (3.12 on) runs only
+    # on such an interpreter.
+    src = str(Path(queencover.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    result = subprocess.run(
+        [sys.executable, "-c", _FALLBACK],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert result.returncode == 0, result.stderr
+    classes = exhaustive_optimal(SearchParams(q=2, n=6)).classes
+    assert json.loads(result.stdout) == [
+        True,
+        engine_fingerprint(),
+        params_fingerprint(SearchParams(q=2, n=10)),
+        queencover.search.canonical_pattern_fingerprint(classes),
+    ]
 
 
 def test_cache_round_trip(tmp_path, small_result):
