@@ -37,7 +37,15 @@ from .geometry import BoardSpec, Square, board_contains, chebyshev_center_distan
 
 @dataclass(frozen=True)
 class Configuration:
-    """A finite set of queens, stored lexicographically sorted and duplicate-free."""
+    """A finite set of queens, stored lexicographically sorted and duplicate-free.
+
+    Configuration(queens) and Configuration.of check their queens: the
+    constructor refuses duplicates and unsorted tuples, and of sorts any
+    integer squares first.  _sorted trusts its caller and checks nothing;
+    it is only for tuples the package sorted itself from distinct squares
+    (a translation, the search's orbit members and representatives, the
+    loss route's selections).
+    """
 
     queens: tuple[Square, ...]
 
@@ -54,6 +62,13 @@ class Configuration:
             check_int(x, "queen coordinate")
             check_int(y, "queen coordinate")
         return cls(tuple(sorted(squares)))
+
+    @classmethod
+    def _sorted(cls, queens: tuple[Square, ...]) -> "Configuration":
+        """The configuration of queens, already sorted and distinct: nothing is checked."""
+        config = object.__new__(cls)
+        object.__setattr__(config, "queens", queens)
+        return config
 
     @property
     def q(self) -> int:
@@ -85,13 +100,13 @@ class Configuration:
         return max(chebyshev_center_distance(board, s) for s in self.queens)
 
     def translate(self, dx: int, dy: int) -> "Configuration":
+        """The queens moved by (dx, dy), built unchecked (_sorted).
+
+        A translation keeps the queens sorted and distinct.
+        """
         check_int(dx, "translation")
         check_int(dy, "translation")
-        # A translation keeps the queens sorted and distinct, so the moved
-        # tuple needs none of __post_init__'s checks.
-        moved = object.__new__(Configuration)
-        object.__setattr__(moved, "queens", tuple((x + dx, y + dy) for x, y in self.queens))
-        return moved
+        return Configuration._sorted(tuple((x + dx, y + dy) for x, y in self.queens))
 
 
 def is_nonattacking(config: Configuration) -> bool:

@@ -113,17 +113,6 @@ from functools import cached_property, lru_cache
 from itertools import accumulate
 from typing import Callable, Iterable, Optional, Sequence
 
-# Every fingerprint hashes with CPython's built-in SHA-256 (_sha2 from 3.12,
-# _sha256 before), as random.py takes its SHA-512: hashlib would map
-# OpenSSL's libcrypto, about 3.5 MB, for the same digests.
-try:
-    from _sha2 import sha256
-except ImportError:
-    try:
-        from _sha256 import sha256
-    except ImportError:
-        from hashlib import sha256
-
 from .constructions import Pattern, canonical_offsets
 # Unused here, but perfbench/tracer.py wraps these four by name.
 from .constructions import centralize, pattern_of, stairs, stairs_details  # noqa: F401
@@ -136,6 +125,27 @@ from .loss import center_loss, internal_loss_stable, stable_board
 from . import coverage as _coverage
 
 DEFAULT_BUDGET = 10**10
+
+
+@lru_cache(maxsize=1)
+def _sha256():
+    """The SHA-256 constructor of every fingerprint, looked up on first use.
+
+    CPython's built-in module (_sha2 from 3.12, _sha256 before), as random.py
+    takes its SHA-512: hashlib would map OpenSSL's libcrypto, about 3.5 MB,
+    for the same digests, and is only the fallback where neither exists.
+    Looked up here, not at import, so that a command that hashes nothing
+    loads no hash module at all.
+    """
+    try:
+        from _sha2 import sha256
+    except ImportError:
+        try:
+            from _sha256 import sha256
+        except ImportError:
+            from hashlib import sha256
+    return sha256
+
 
 _MODES = ("exhaustive", "windowed")
 
@@ -231,10 +241,14 @@ class OptimalSet:
 
     @cached_property
     def configurations(self) -> tuple[Configuration, ...]:
-        """The orbit members, sorted, mapped from their keys to Configurations on first read."""
-        by_lex = self.by_lex
+        """The orbit members, sorted, mapped from their keys to Configurations on first read.
+
+        A key tuple is sorted and distinct, and keys order as their squares,
+        so each member is built unchecked (Configuration._sorted).
+        """
+        by_lex, config = self.by_lex, Configuration._sorted
         keys = sorted(m for orbit in self.orbit_keys for m in orbit)
-        return tuple(Configuration(tuple([by_lex[k] for k in m])) for m in keys)
+        return tuple(config(tuple([by_lex[k] for k in m])) for m in keys)
 
 
 def fundamental_classes(
@@ -287,10 +301,14 @@ def _orbit_classes(eng: _Engine, sels: Iterable[Sequence[int]]) -> list[list[tup
 
 
 def _class_of(eng: _Engine, orbit: Sequence[tuple[int, ...]]) -> FundamentalClass:
-    """The class of an orbit of _orbit_classes: its least member, mapped to squares."""
+    """The class of an orbit of _orbit_classes: its least member, mapped to squares.
+
+    The member is a sorted key tuple, so its squares come out sorted and the
+    representative is built unchecked (Configuration._sorted).
+    """
     by_lex = eng.by_lex
     return FundamentalClass(
-        representative=Configuration(tuple([by_lex[k] for k in orbit[0]])),
+        representative=Configuration._sorted(tuple([by_lex[k] for k in orbit[0]])),
         orbit_size=len(orbit),
         stabilizer_order=8 // len(orbit),
     )
@@ -424,6 +442,11 @@ def _search_shard(
     batch per other running shard.  A serial search is the one-shard case,
     where word 0 is always the shard's own least loss and the count is
     exact.  The count returned is the growth of the shard's slot.
+
+    rec calls itself through its own closure cell, a reference cycle that
+    would keep the selections, child lists and partner sets it reaches
+    alive until a full garbage collection; the shard breaks it before it
+    returns, so a search holds its tables only while it runs.
     """
     W = len(eng.order)
     cl, C, lines = eng.cl, eng.cl_prefix, eng.lines
@@ -519,6 +542,7 @@ def _search_shard(
         if len(avail) >= q - 1:
             rec(avail, q - 1, lines[j0], cl[j0], (j0,), _stabilizer_skip(eng.perms, j0))
 
+    rec = None  # break rec's self-reference (see above)
     shared[slot] += unadded
     return best, found, shared[slot] - start
 
@@ -772,7 +796,7 @@ def canonical_pattern_fingerprint(classes: Iterable[FundamentalClass]) -> str:
     for c in classes:
         counts[_canonical_of(c.representative.queens)] += c.orbit_size
     blob = ", ".join(", ".join([repr(offs)] * k) for offs, k in sorted(counts.items()))
-    return sha256(f"[{blob}]".encode()).hexdigest()
+    return _sha256()(f"[{blob}]".encode()).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -919,7 +943,7 @@ def _loss_scan_parity(
     reps: dict[tuple[Square, ...], Configuration] = {}
     for sel in found:
         queens = tuple(sorted([eng.order[j] for j in sel]))
-        reps.setdefault(canonical_offsets(queens), Configuration(queens))
+        reps.setdefault(canonical_offsets(queens), Configuration._sorted(queens))
     for config in reps.values():
         total = internal_loss_stable(config) + center_loss(config, eng.board)
         if total != best:

@@ -17,8 +17,9 @@ those are kept only inside cache files.  Cache files are keyed by a
 fingerprint covering both the problem parameters and a content hash of this
 package's sources, so results from older code never satisfy a query.  The
 source hash is bound when a cache opens.  Fingerprints hash with CPython's
-built-in SHA-256 (search.sha256), so no run loads hashlib and its OpenSSL
-backend unless the interpreter lacks that module.
+built-in SHA-256 (search._sha256), looked up at the first fingerprint, so no
+run loads hashlib and its OpenSSL backend unless the interpreter lacks that
+module, and a run that fingerprints nothing loads no hash module.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .search import (
     _engine,
     _orbit_classes,
     _selection,
-    sha256,
+    _sha256,
 )
 
 SCHEMA_VERSION = 2
@@ -57,7 +58,7 @@ _FIELDS = {
 def engine_fingerprint() -> str:
     """Content hash of this package's source files."""
     pkg = Path(__file__).parent
-    h = sha256()
+    h = _sha256()()
     for path in sorted(pkg.glob("*.py")):
         h.update(path.name.encode())
         h.update(path.read_bytes())
@@ -67,7 +68,7 @@ def engine_fingerprint() -> str:
 def params_fingerprint(params: SearchParams) -> str:
     """Cache key: engine hash plus the result-determining parameters."""
     blob = engine_fingerprint() + json.dumps(params.problem_key(), sort_keys=True)
-    return sha256(blob.encode()).hexdigest()
+    return _sha256()(blob.encode()).hexdigest()
 
 
 def encode_squares(squares: Iterable[Square]) -> list[list[int]]:
@@ -286,9 +287,13 @@ class ResultCache:
 
     def get(self, params: SearchParams) -> Optional[OptimalSet]:
         path = self._path(params_fingerprint(params))
-        if not path.exists():
+        # One read, no exists() first: a file removed between the two would
+        # escape as FileNotFoundError instead of counting as a miss.
+        try:
+            data = path.read_bytes()
+        except FileNotFoundError:
             return None
-        records = parse_lines(path.read_bytes())
+        records = parse_lines(data)
         if len(records) != 1:
             raise RecordError(f"cache file {path.name} must hold exactly one record")
         record = records[0]

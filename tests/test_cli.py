@@ -84,6 +84,22 @@ def test_serial_search_loads_none_of_the_fork_join_modules():
     assert result.stdout.strip() == "[]"
 
 
+def test_commands_that_hash_nothing_load_no_hash_module():
+    # The package looks its SHA-256 up at the first fingerprint, not at import.
+    code = (
+        "import sys, contextlib, io, queencover.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [queencover.cli.main(['cover', '--config', '{KNIGHT}', '--n', '12']),\n"
+        f"             queencover.cli.main(['loss', '--config', '{KNIGHT}'])]\n"
+        "print(codes, [m for m in ('_sha2', '_sha256', '_hashlib', 'hashlib') if m in sys.modules])"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=ENV
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[0, 0] []"
+
+
 # Run in a fresh interpreter: prints, as its last line, which of these modules
 # were loaded after importing the package, after six commands that hash
 # nothing (text-format search and structured fundamentals print no

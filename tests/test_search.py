@@ -1,6 +1,7 @@
 """Exhaustive and windowed searches, orbit decomposition, thresholds."""
 
 import functools
+import gc
 import hashlib
 import os
 import pickle
@@ -486,6 +487,88 @@ def test_more_shards_than_cores_keep_results_and_one_budget():
     # of theirs ago.
     assert 10_000 < err.value.nodes <= 10_000 + 5 * queencover.search._TALLY_BATCH
     _assert_no_child_process()
+
+
+def test_searches_leave_no_cyclic_garbage():
+    # The kernel breaks rec's self-reference before it returns, so a
+    # finished search frees its selections, child lists and partner sets at
+    # once, not at the next full collection.
+    def pooled():
+        return windowed_optimal(SearchParams(q=6, n=21, mode="windowed", workers=2))
+
+    runs = [
+        lambda: windowed_optimal(SearchParams(q=5, n=17, mode="windowed")),
+        lambda: loss_minimal_patterns(4, 3),
+        lambda: exhaustive_optimal(SearchParams(q=3, n=9)),
+        pooled,
+    ]
+    pooled()  # the first fork-join imports its modules, which leaves cycles
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        found = []
+        for run in runs:
+            gc.collect()
+            run()
+            found.append(gc.collect())
+    finally:
+        if enabled:
+            gc.enable()
+    assert found == [0, 0, 0, 0]
+
+
+def _counted_checks(monkeypatch) -> list:
+    """The configurations that pass Configuration's checks from now on."""
+    checked = []
+    check = Configuration.__post_init__
+
+    def counted(self):
+        checked.append(self)
+        check(self)
+
+    monkeypatch.setattr(Configuration, "__post_init__", counted)
+    return checked
+
+
+@pytest.mark.parametrize(
+    "params",
+    [SearchParams(q=3, n=9), SearchParams(q=5, n=17, mode="windowed")],
+    ids=["exhaustive", "windowed"],
+)
+def test_result_path_checks_no_member_twice(params, monkeypatch, tmp_path):
+    from queencover.serialization import ResultCache
+
+    checked = _counted_checks(monkeypatch)
+    result = run_search(params)
+    assert result.classes and result.configurations
+    assert checked == []
+    cache = ResultCache(tmp_path)
+    cache.put(result)
+    hit = cache.get(params)
+    assert hit.classes and hit.configurations == result.configurations
+    # The decoder checks each stored representative, an untrusted record,
+    # once; the members are built from the orbit pass's keys unchecked.
+    assert checked == [c.representative for c in hit.classes]
+
+
+def test_unchecked_members_are_what_the_checks_would_build():
+    from queencover.serialization import optimal_set_record, record_to_optimal_set
+
+    exhaustive = exhaustive_optimal(SearchParams(q=4, n=9))
+    windowed = windowed_optimal(SearchParams(q=5, n=18, mode="windowed"))
+    decoded = record_to_optimal_set(optimal_set_record(windowed))
+    board = BoardSpec(9)
+    for configs, classes in [
+        (exhaustive.configurations, exhaustive.classes),
+        (windowed.configurations, windowed.classes),
+        (decoded.configurations, decoded.classes),
+        ((), fundamental_classes(exhaustive.configurations, board)),
+    ]:
+        members = [*configs, *(c.representative for c in classes)]
+        assert members
+        for c in members:
+            assert c == Configuration.of(c.queens)
+            assert type(c.queens) is tuple and all(type(s) is tuple for s in c.queens)
 
 
 def test_windowed_five_queens_matches_known_classes():

@@ -348,20 +348,21 @@ def test_digests_are_sha256_of_their_inputs():
 
 
 # Run in a fresh interpreter that hides the built-in SHA-256 modules, so the
-# package falls back to hashlib: prints whether hashlib was loaded and the
-# three fingerprints.
+# package falls back to hashlib: prints the three fingerprints and whether
+# hashlib was loaded once they were computed (the package looks its hash up
+# at the first fingerprint, not at import).
 _FALLBACK = """
 import json, sys
 sys.modules["_sha2"] = sys.modules["_sha256"] = None
 from queencover import SearchParams, exhaustive_optimal
 from queencover.search import canonical_pattern_fingerprint
 from queencover.serialization import engine_fingerprint, params_fingerprint
-print(json.dumps([
-    "hashlib" in sys.modules,
+fingerprints = [
     engine_fingerprint(),
     params_fingerprint(SearchParams(q=2, n=10)),
     canonical_pattern_fingerprint(exhaustive_optimal(SearchParams(q=2, n=6)).classes),
-]))
+]
+print(json.dumps(["hashlib" in sys.modules, *fingerprints]))
 """
 
 
@@ -382,6 +383,22 @@ def test_hashlib_fallback_gives_the_same_fingerprints():
         params_fingerprint(SearchParams(q=2, n=10)),
         queencover.search.canonical_pattern_fingerprint(classes),
     ]
+
+
+def test_cache_file_removed_before_its_read_is_a_miss(tmp_path, small_result, monkeypatch):
+    # The file goes away between the lookup and the read, as when the cache
+    # directory is cleared while a scan runs.
+    cache = ResultCache(tmp_path)
+    path = cache.put(small_result)
+    read = Path.read_bytes
+
+    def removed_first(self):
+        self.unlink()
+        return read(self)
+
+    monkeypatch.setattr(Path, "read_bytes", removed_first)
+    assert cache.get(small_result.params) is None
+    assert not path.exists()
 
 
 def test_cache_round_trip(tmp_path, small_result):
